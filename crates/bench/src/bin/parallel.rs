@@ -1,20 +1,23 @@
 //! Thread-parallel execution benchmarks (`BENCH_parallel.json`): serial
-//! versus multi-thread wall time for every parallel component — word
-//! simulation, bulk cut enumeration, phased SAT sweeping, windowed
-//! rewriting and the portfolio flow — on the large arithmetic workloads
-//! (`multiplier_16` and the ≥10k-gate `mac_datapath`), plus a
-//! `wide_simulation` row measuring the 256-bit `SimBlock` path against
-//! one-word-at-a-time scalar evaluation.
+//! versus multi-thread wall time for every threaded path that pays
+//! somewhere — bulk cut enumeration, phased SAT sweeping and the
+//! portfolio flow — plus a `wide_simulation` row measuring the 256-bit
+//! `SimBlock` path against one-word-at-a-time scalar evaluation.
+//!
+//! Cut enumeration is timed twice because its speed-up depends on the
+//! circuit's shape: every level is a barrier, so it pays on the shallow
+//! `random_control(256, 200_000, 256, 1)` (depth 46) and loses on the
+//! deep `mac_datapath(16, 4)`, whose levels hold a handful of gates each.
 //!
 //! Every parallel run is checked against its serial twin before it is
-//! timed: word values, cut arenas, sweep outcomes and rewritten
-//! networks must be bit-identical (the phased sweep across *thread
-//! counts*; its serial-schedule baseline is miter-proven instead,
-//! because the phased schedule is a different algorithm).  Timings
-//! report the best of several runs; the headline `speedup` is
-//! parallel-threads best over serial best.
+//! timed: cut arenas, sweep outcomes and portfolio results must be
+//! bit-identical (the phased sweep across *thread counts*; its
+//! serial-schedule baseline is miter-proven instead, because the phased
+//! schedule is a different algorithm).  Timings report the best of
+//! several runs; the headline `speedup` is parallel best over serial best.
 //!
-//! The container running this bin may have a single hardware thread —
+//! Threaded rows run at `min(4, CPUs)` threads and never fewer than two,
+//! so a two-CPU machine records two-thread numbers.
 //! `available_parallelism` is recorded in the JSON and the ≥2× speedup
 //! acceptance bar is only enforced when at least four CPUs are actually
 //! available (the CI runner class).  Setting
@@ -23,24 +26,22 @@
 //!
 //! `--smoke` skips the timing loops: it runs the 4-thread configuration
 //! of every component once against the serial twin (bit-identity for
-//! simulation/cuts/sweep/rewriting/portfolio, miter proofs for the
-//! phased-vs-legacy sweep and the windowed rewrite) on a smaller
-//! circuit — the CI guard of the parallel layer.  `--large` extends the
-//! rewrite section with the ~1M-gate `mac_datapath(16, 380)` workload.
+//! wide blocks/cuts/sweep/portfolio, a miter proof for the
+//! phased-vs-legacy sweep) on a smaller circuit — the CI guard of the
+//! parallel layer.
 
 use glsx_benchmarks::arithmetic::{mac_datapath, multiplier_16};
+use glsx_benchmarks::control::random_control;
 use glsx_benchmarks::inject_redundancy;
 use glsx_core::cuts::{CutManager, CutParams};
-use glsx_core::rewriting::{rewrite_with, RewriteParams, WindowCounters};
 use glsx_core::sweeping::{check_equivalence, sweep, SweepParams};
-use glsx_core::windowed::rewrite_windowed;
 use glsx_flow::{portfolio_best_luts, FlowOptions};
 use glsx_network::wordsim::WordSimulator;
 use glsx_network::{Aig, Network, Parallelism};
-use glsx_synth::NpnDatabase;
 use std::time::Instant;
 
-/// Thread count of the parallel configuration (the CI runner class).
+/// Thread count of the smoke run and upper bound of the timed rows (the
+/// CI runner class).
 const THREADS: usize = 4;
 
 /// Best-of-N wall time of `run`, with a fixed repetition budget.
@@ -67,8 +68,6 @@ struct Row {
     /// `wide_simulation` row, where the gain is block width, not
     /// threads).
     threads: usize,
-    /// Window conflict counters of the `rewrite` rows.
-    windows: Option<WindowCounters>,
 }
 
 impl Row {
@@ -77,39 +76,9 @@ impl Row {
     }
 }
 
-/// Word simulation: parallel resimulation must reproduce every word of
-/// every node, then both sides are timed.
-fn bench_simulation(name: &'static str, aig: &Aig, words: usize, timed: bool) -> Row {
-    let serial = Parallelism::serial();
-    let par = Parallelism::new(THREADS);
-    let mut reference = WordSimulator::random_with(aig, words, 0xbe9c_0001, serial);
-    let mut sim = WordSimulator::random_with(aig, words, 0xbe9c_0001, par);
-    for node in 0..aig.size() as u32 {
-        for w in 0..words {
-            assert_eq!(
-                reference.word(w, node),
-                sim.word(w, node),
-                "{name}: parallel simulation diverged at node {node} word {w}"
-            );
-        }
-    }
-    let (repeats, budget) = if timed { (10, 3_000) } else { (1, 1) };
-    let serial_seconds = best_seconds(|| reference.resimulate_with(aig, serial), repeats, budget);
-    let parallel_seconds = best_seconds(|| sim.resimulate_with(aig, par), repeats, budget);
-    Row {
-        component: "simulation",
-        circuit: name,
-        gates: aig.num_gates(),
-        serial_seconds,
-        parallel_seconds,
-        threads: THREADS,
-        windows: None,
-    }
-}
-
 /// Bulk cut enumeration: identical arenas (length, per-node sets, order)
-/// at 1 and `THREADS` threads, then both sides timed from scratch.
-fn bench_cuts(name: &'static str, aig: &Aig, timed: bool) -> Row {
+/// at 1 and `threads` threads, then both sides timed from scratch.
+fn bench_cuts(name: &'static str, aig: &Aig, threads: usize, timed: bool) -> Row {
     let params = CutParams {
         compute_truth: false,
         ..CutParams::default()
@@ -117,7 +86,7 @@ fn bench_cuts(name: &'static str, aig: &Aig, timed: bool) -> Row {
     let mut reference = CutManager::new(params);
     reference.enumerate(aig, Parallelism::serial());
     let mut manager = CutManager::new(params);
-    manager.enumerate(aig, Parallelism::new(THREADS));
+    manager.enumerate(aig, Parallelism::new(threads));
     assert_eq!(
         reference.arena_len(),
         manager.arena_len(),
@@ -142,7 +111,7 @@ fn bench_cuts(name: &'static str, aig: &Aig, timed: bool) -> Row {
     let parallel_seconds = best_seconds(
         || {
             let mut m = CutManager::new(params);
-            m.enumerate(aig, Parallelism::new(THREADS));
+            m.enumerate(aig, Parallelism::new(threads));
         },
         repeats,
         budget,
@@ -153,19 +122,24 @@ fn bench_cuts(name: &'static str, aig: &Aig, timed: bool) -> Row {
         gates: aig.num_gates(),
         serial_seconds,
         parallel_seconds,
-        threads: THREADS,
-        windows: None,
+        threads,
     }
 }
 
 /// Phased SAT sweeping: bit-identical stats and network at 1 and
-/// `THREADS` threads — the parallel-execution contract — then the phased
+/// `threads` threads — the parallel-execution contract — then the phased
 /// schedule is timed at both thread counts.  `prove_vs_legacy`
 /// additionally miter-proves the phased result against the legacy serial
 /// schedule (a different algorithm, so equivalence is the contract, not
 /// bit-identity); callers enable it only on CEC-tractable circuits —
 /// multiplier cones blow CDCL miters up exponentially.
-fn bench_sweep(name: &'static str, redundant: &Aig, timed: bool, prove_vs_legacy: bool) -> Row {
+fn bench_sweep(
+    name: &'static str,
+    redundant: &Aig,
+    threads: usize,
+    timed: bool,
+    prove_vs_legacy: bool,
+) -> Row {
     let phased = |threads: usize| SweepParams {
         parallel_proving: Some(Parallelism::new(threads)),
         ..SweepParams::default()
@@ -173,7 +147,7 @@ fn bench_sweep(name: &'static str, redundant: &Aig, timed: bool, prove_vs_legacy
     let mut baseline = redundant.clone();
     let baseline_stats = sweep(&mut baseline, &phased(1));
     let mut parallel = redundant.clone();
-    let parallel_stats = sweep(&mut parallel, &phased(THREADS));
+    let parallel_stats = sweep(&mut parallel, &phased(threads));
     assert_eq!(
         baseline_stats, parallel_stats,
         "{name}: phased sweep stats diverged across thread counts"
@@ -208,7 +182,7 @@ fn bench_sweep(name: &'static str, redundant: &Aig, timed: bool, prove_vs_legacy
     let parallel_seconds = best_seconds(
         || {
             let mut ntk = redundant.clone();
-            sweep(&mut ntk, &phased(THREADS));
+            sweep(&mut ntk, &phased(threads));
         },
         repeats,
         budget,
@@ -219,20 +193,25 @@ fn bench_sweep(name: &'static str, redundant: &Aig, timed: bool, prove_vs_legacy
         gates: redundant.num_gates(),
         serial_seconds,
         parallel_seconds,
-        threads: THREADS,
-        windows: None,
+        threads,
     }
 }
 
 /// Portfolio flow: the three representation flows on one thread each must
 /// return exactly the serial result, then both sides are timed.
-fn bench_portfolio(name: &'static str, aig: &Aig, lut_size: usize, timed: bool) -> Row {
+fn bench_portfolio(
+    name: &'static str,
+    aig: &Aig,
+    lut_size: usize,
+    threads: usize,
+    timed: bool,
+) -> Row {
     let options = |par: Parallelism| FlowOptions {
         parallelism: par,
         ..FlowOptions::default()
     };
     let reference = portfolio_best_luts(aig, &options(Parallelism::serial()), lut_size);
-    let parallel = portfolio_best_luts(aig, &options(Parallelism::new(THREADS)), lut_size);
+    let parallel = portfolio_best_luts(aig, &options(Parallelism::new(threads)), lut_size);
     assert_eq!(
         reference, parallel,
         "{name}: parallel portfolio diverged from serial"
@@ -247,7 +226,7 @@ fn bench_portfolio(name: &'static str, aig: &Aig, lut_size: usize, timed: bool) 
     );
     let parallel_seconds = best_seconds(
         || {
-            portfolio_best_luts(aig, &options(Parallelism::new(THREADS)), lut_size);
+            portfolio_best_luts(aig, &options(Parallelism::new(threads)), lut_size);
         },
         repeats,
         budget,
@@ -258,87 +237,7 @@ fn bench_portfolio(name: &'static str, aig: &Aig, lut_size: usize, timed: bool) 
         gates: aig.num_gates(),
         serial_seconds,
         parallel_seconds,
-        threads: THREADS,
-        windows: None,
-    }
-}
-
-/// Windowed rewriting: the windowed pass at `THREADS` threads must
-/// produce exactly the serial `rewrite_with` network (bit-identical
-/// substitutions, gains and fanins — the merge phase *is* the serial
-/// loop), then both sides are timed.  `miter` additionally proves the
-/// rewritten network equivalent to the input — enabled only on
-/// CEC-tractable circuits.  The returned row carries the window
-/// conflict counters (proposed / confirmed / invalidated / rejected).
-fn bench_rewrite(name: &'static str, aig: &Aig, timed: bool, miter: bool) -> Row {
-    let params = RewriteParams::default();
-    let mut serial_ntk = aig.clone();
-    let serial_stats = rewrite_with(&mut serial_ntk, &mut NpnDatabase::new(), &params);
-    let mut windowed_ntk = aig.clone();
-    let stats = rewrite_windowed(
-        &mut windowed_ntk,
-        &mut NpnDatabase::new(),
-        &params,
-        Parallelism::new(THREADS),
-    );
-    assert_eq!(
-        (
-            stats.substitutions,
-            stats.estimated_gain,
-            windowed_ntk.num_gates()
-        ),
-        (
-            serial_stats.substitutions,
-            serial_stats.estimated_gain,
-            serial_ntk.num_gates()
-        ),
-        "{name}: windowed rewrite diverged from the serial twin"
-    );
-    assert_eq!(
-        windowed_ntk.po_signals(),
-        serial_ntk.po_signals(),
-        "{name}: windowed rewrite network diverged from the serial twin"
-    );
-    assert!(
-        windowed_ntk.num_gates() <= aig.num_gates(),
-        "{name}: windowed rewrite grew the network"
-    );
-    if miter {
-        assert!(
-            check_equivalence(aig, &windowed_ntk).is_equivalent(),
-            "{name}: windowed rewrite is not equivalent to its input"
-        );
-    }
-    let (repeats, budget) = if timed { (5, 15_000) } else { (1, 1) };
-    let serial_seconds = best_seconds(
-        || {
-            let mut ntk = aig.clone();
-            rewrite_with(&mut ntk, &mut NpnDatabase::new(), &params);
-        },
-        repeats,
-        budget,
-    );
-    let parallel_seconds = best_seconds(
-        || {
-            let mut ntk = aig.clone();
-            rewrite_windowed(
-                &mut ntk,
-                &mut NpnDatabase::new(),
-                &params,
-                Parallelism::new(THREADS),
-            );
-        },
-        repeats,
-        budget,
-    );
-    Row {
-        component: "rewrite",
-        circuit: name,
-        gates: aig.num_gates(),
-        serial_seconds,
-        parallel_seconds,
-        threads: THREADS,
-        windows: Some(stats.windows),
+        threads,
     }
 }
 
@@ -347,11 +246,10 @@ fn bench_rewrite(name: &'static str, aig: &Aig, timed: bool, miter: bool) -> Row
 /// contract), then both are timed on the same pattern set.  Single
 /// thread on both sides — the gain measured here is block width alone.
 fn bench_wide_simulation(name: &'static str, aig: &Aig, words: usize, timed: bool) -> Row {
-    let serial = Parallelism::serial();
-    let mut scalar = WordSimulator::random_with(aig, words, 0xbe9c_0002, serial);
-    let mut wide = WordSimulator::random_with(aig, words, 0xbe9c_0002, serial);
+    let mut scalar = WordSimulator::random(aig, words, 0xbe9c_0002);
+    let mut wide = WordSimulator::random(aig, words, 0xbe9c_0002);
     scalar.resimulate_scalar(aig);
-    wide.resimulate_with(aig, serial);
+    wide.resimulate(aig);
     for node in 0..aig.size() as u32 {
         for w in 0..words {
             assert_eq!(
@@ -363,7 +261,7 @@ fn bench_wide_simulation(name: &'static str, aig: &Aig, words: usize, timed: boo
     }
     let (repeats, budget) = if timed { (10, 3_000) } else { (1, 1) };
     let serial_seconds = best_seconds(|| scalar.resimulate_scalar(aig), repeats, budget);
-    let parallel_seconds = best_seconds(|| wide.resimulate_with(aig, serial), repeats, budget);
+    let parallel_seconds = best_seconds(|| wide.resimulate(aig), repeats, budget);
     Row {
         component: "wide_simulation",
         circuit: name,
@@ -371,7 +269,6 @@ fn bench_wide_simulation(name: &'static str, aig: &Aig, words: usize, timed: boo
         serial_seconds,
         parallel_seconds,
         threads: 1,
-        windows: None,
     }
 }
 
@@ -385,104 +282,57 @@ fn available_cpus() -> usize {
 /// serial twin, on a circuit small enough for CI.
 fn smoke() {
     let aig: Aig = multiplier_16();
-    bench_simulation("multiplier_16", &aig, 16, false);
-    bench_cuts("multiplier_16", &aig, false);
+    bench_cuts("multiplier_16", &aig, THREADS, false);
     // bit-identity across thread counts on the big circuit, the
     // phased-vs-legacy miter on a CEC-tractable one
     let mut redundant = aig.clone();
     inject_redundancy(&mut redundant, 12, 0x9a11);
-    bench_sweep("multiplier_16", &redundant, false, false);
+    bench_sweep("multiplier_16", &redundant, THREADS, false, false);
     let mut small_redundant: Aig = glsx_benchmarks::arithmetic::multiplier(8);
     inject_redundancy(&mut small_redundant, 8, 0x9a12);
-    bench_sweep("multiplier_8", &small_redundant, false, true);
-    // windowed rewrite: bit-identity vs serial on the big circuit, the
-    // input miter on a CEC-tractable one
-    bench_rewrite("multiplier_16", &aig, false, false);
-    let small_mult: Aig = glsx_benchmarks::arithmetic::multiplier(8);
-    bench_rewrite("multiplier_8", &small_mult, false, true);
-    // the env-driven windowed pass: CI runs this smoke at GLSX_THREADS=1
-    // and =4, and at every setting the result must reproduce the serial
-    // twin exactly and prove the input miter
-    let params = RewriteParams::default();
-    let mut serial_twin = small_mult.clone();
-    rewrite_with(&mut serial_twin, &mut NpnDatabase::new(), &params);
-    let mut env_driven = small_mult.clone();
-    rewrite_windowed(
-        &mut env_driven,
-        &mut NpnDatabase::new(),
-        &params,
-        Parallelism::from_env(),
-    );
-    assert_eq!(
-        (env_driven.num_gates(), env_driven.po_signals()),
-        (serial_twin.num_gates(), serial_twin.po_signals()),
-        "env-driven windowed rewrite diverged from the serial twin \
-         (GLSX_THREADS={:?})",
-        std::env::var("GLSX_THREADS").ok()
-    );
-    assert!(
-        check_equivalence(&small_mult, &env_driven).is_equivalent(),
-        "env-driven windowed rewrite is not equivalent to its input"
-    );
+    bench_sweep("multiplier_8", &small_redundant, THREADS, false, true);
     bench_wide_simulation("multiplier_16", &aig, 16, false);
     let small: Aig = glsx_benchmarks::arithmetic::multiplier(6);
-    bench_portfolio("multiplier_6", &small, 6, false);
+    bench_portfolio("multiplier_6", &small, 6, THREADS, false);
     println!(
-        "smoke: simulation, wide blocks, cut enumeration, phased sweep, \
-         windowed rewrite and portfolio verified at {THREADS} threads \
-         against the serial twin (bit-identity + sweep/rewrite miter \
-         proofs) on {} CPUs",
+        "smoke: wide blocks, cut enumeration, phased sweep and portfolio \
+         verified at {THREADS} threads against the serial twin \
+         (bit-identity + phased-vs-legacy sweep miter) on {} CPUs",
         available_cpus()
     );
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|a| a == "--smoke") {
+    if std::env::args().any(|a| a == "--smoke") {
         smoke();
         return;
     }
-    let large = args.iter().any(|a| a == "--large");
 
     let cpus = available_cpus();
+    let threads = cpus.clamp(2, THREADS);
     let m16: Aig = multiplier_16();
     let datapath: Aig = mac_datapath(16, 4);
+    let shallow: Aig = random_control(256, 200_000, 256, 1);
     let mut redundant = datapath.clone();
     inject_redundancy(&mut redundant, 64, 0x9a11);
 
-    // the phased-vs-legacy and rewrite-vs-input miters run once, on
-    // CEC-tractable circuits; the big-circuit rows below assert
-    // bit-identity across thread counts
+    // the phased-vs-legacy miter runs once, on a CEC-tractable circuit;
+    // the big-circuit rows below assert bit-identity across thread counts
     let mut small_redundant: Aig = glsx_benchmarks::arithmetic::multiplier(8);
     inject_redundancy(&mut small_redundant, 8, 0x9a12);
-    bench_sweep("multiplier_8", &small_redundant, false, true);
-    let small_mult: Aig = glsx_benchmarks::arithmetic::multiplier(8);
-    bench_rewrite("multiplier_8", &small_mult, false, true);
+    bench_sweep("multiplier_8", &small_redundant, threads, false, true);
 
-    let mut rows = vec![
-        bench_simulation("mac_datapath_16x4", &datapath, 64, true),
+    let rows = [
         bench_wide_simulation("mac_datapath_16x4", &datapath, 64, true),
-        bench_cuts("mac_datapath_16x4", &datapath, true),
-        bench_sweep("mac_datapath_16x4", &redundant, true, false),
-        bench_rewrite("multiplier_16", &m16, true, false),
-        bench_rewrite("mac_datapath_16x4", &datapath, true, false),
-        bench_portfolio("multiplier_16", &m16, 6, true),
+        bench_cuts("mac_datapath_16x4", &datapath, threads, true),
+        bench_cuts("random_control_256x200k", &shallow, threads, true),
+        bench_sweep("mac_datapath_16x4", &redundant, threads, true, false),
+        bench_portfolio("multiplier_16", &m16, 6, threads, true),
     ];
-    if large {
-        // the ~1M-gate workload stays behind --large so the default run
-        // fits the CI budget
-        let million: Aig = mac_datapath(16, 380);
-        assert!(
-            million.num_gates() >= 1_000_000,
-            "the --large workload must reach a million gates (got {})",
-            million.num_gates()
-        );
-        rows.push(bench_rewrite("mac_datapath_16x380", &million, true, false));
-    }
 
     for row in &rows {
         println!(
-            "{:<16} {:<18} {:>7} gates  serial {:>9.4}s  {}T {:>9.4}s  speedup {:>5.2}x{}",
+            "{:<16} {:<24} {:>7} gates  serial {:>9.4}s  {}T {:>9.4}s  speedup {:>5.2}x",
             row.component,
             row.circuit,
             row.gates,
@@ -490,14 +340,6 @@ fn main() {
             row.threads,
             row.parallel_seconds,
             row.speedup(),
-            row.windows
-                .map(|w| {
-                    format!(
-                        "  ({} windows: {} proposed, {} confirmed, {} invalidated, {} rejected)",
-                        w.windows, w.proposed, w.confirmed, w.invalidated, w.rejected
-                    )
-                })
-                .unwrap_or_default()
         );
     }
 
@@ -526,23 +368,11 @@ fn main() {
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
-            let conflicts = r
-                .windows
-                .map(|w| {
-                    format!(
-                        concat!(
-                            ", \"windows\": {}, \"proposed\": {}, \"confirmed\": {}, ",
-                            "\"invalidated\": {}, \"rejected\": {}"
-                        ),
-                        w.windows, w.proposed, w.confirmed, w.invalidated, w.rejected
-                    )
-                })
-                .unwrap_or_default();
             format!(
                 concat!(
                     "    {{\"component\": \"{}\", \"circuit\": \"{}\", \"gates\": {}, ",
                     "\"serial_seconds\": {:.6}, \"parallel_seconds\": {:.6}, ",
-                    "\"threads\": {}, \"speedup\": {:.3}{}}}"
+                    "\"threads\": {}, \"speedup\": {:.3}}}"
                 ),
                 r.component,
                 r.circuit,
@@ -551,7 +381,6 @@ fn main() {
                 r.parallel_seconds,
                 r.threads,
                 r.speedup(),
-                conflicts
             )
         })
         .collect();

@@ -42,25 +42,16 @@ pub struct BalanceStats {
 /// Balances `ntk` and returns pass statistics.  The gate count never
 /// increases (rebuilding reuses structural hashing, so it may decrease).
 pub fn balance<N: Network + GateBuilder>(ntk: &mut N, params: &BalanceParams) -> BalanceStats {
-    balance_with_budget(ntk, params, &Budget::unlimited())
+    balance_traced(ntk, params, &Budget::unlimited(), telemetry::global())
 }
 
 /// [`balance`] under a cooperative effort [`Budget`] (one tick per
 /// candidate root, polled before a group is grown — a group is always
-/// rebuilt and substituted whole, never half-applied).
-pub fn balance_with_budget<N: Network + GateBuilder>(
-    ntk: &mut N,
-    params: &BalanceParams,
-    budget: &Budget,
-) -> BalanceStats {
-    balance_traced(ntk, params, budget, telemetry::global())
-}
-
-/// [`balance_with_budget`] reporting through an explicit telemetry
-/// [`Tracer`]: a `balance` pass span, candidate-batch spans in full
-/// mode, and the pass statistics absorbed into the metrics registry.
-/// Tracing is observational only — results are bit-identical at any
-/// trace mode.
+/// rebuilt and substituted whole, never half-applied), reporting through
+/// an explicit telemetry [`Tracer`]: a `balance` pass span,
+/// candidate-batch spans in full mode, and the pass statistics absorbed
+/// into the metrics registry.  Tracing is observational only — results
+/// are bit-identical at any trace mode.
 pub fn balance_traced<N: Network + GateBuilder>(
     ntk: &mut N,
     params: &BalanceParams,

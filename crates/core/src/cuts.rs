@@ -816,21 +816,6 @@ impl CutManager {
         &self.arena[span.start as usize..span.start as usize + span.len as usize]
     }
 
-    /// Returns the already-computed cut set of `node` without computing
-    /// anything: `None` when the node's cuts were never enumerated or have
-    /// been invalidated.  The shared-reference twin of
-    /// [`CutManager::cuts_of`] for read-only parallel consumers — worker
-    /// threads of the windowed rewrite engine read the sets a bulk
-    /// [`CutManager::enumerate`] committed, through `&CutManager`, with no
-    /// interior mutability in sight.
-    pub fn cached_cuts_of(&self, node: NodeId) -> Option<&[Cut]> {
-        let span = self.spans.get(node as usize)?;
-        if span.state != SpanState::Computed {
-            return None;
-        }
-        Some(&self.arena[span.start as usize..span.start as usize + span.len as usize])
-    }
-
     /// Returns the fused function of cut `index` of `node` (the cut at
     /// `cuts_of(ntk, node)[index]`), expressed over the cut's sorted
     /// leaves — bit-identical to [`simulate_cut`] over the same leaves.

@@ -47,34 +47,20 @@ mod replace;
 pub mod resubstitution;
 pub mod rewriting;
 pub mod sweeping;
-pub mod windowed;
 
-pub use balancing::{balance, balance_with_budget, BalanceParams, BalanceStats};
+pub use balancing::{balance, BalanceParams, BalanceStats};
 pub use cuts::{
     reconvergence_driven_cut, simulate_cut, simulate_cut_cone, ConeSimulator, Cut, CutCounters,
     CutFunction, CutManager, CutParams, ReconvergenceCut, MAX_CUT_LEAVES,
 };
-pub use lut_mapping::{
-    lut_map, lut_map_budgeted, lut_map_stats, lut_map_with_stats, LutMapParams, LutMapStats,
-};
-pub use refactoring::{
-    refactor, refactor_with, refactor_with_budget, RefactorParams, RefactorStats,
-};
+pub use lut_mapping::{lut_map, lut_map_stats, lut_map_with_stats, LutMapParams, LutMapStats};
+pub use refactoring::{refactor, refactor_with, RefactorParams, RefactorStats};
 pub use refs::{mffc, mffc_into, mffc_size, mffc_with_leaves, RefCountView};
 pub use replace::{try_replace_on_cut, ReplaceOutcome, Replacer};
-pub use resubstitution::{
-    resubstitute, resubstitute_with_budget, ResubNetwork, ResubParams, ResubStats, ResubStyle,
-};
-pub use rewriting::{
-    rewrite, rewrite_with, rewrite_with_budget, CutMaintenance, RewriteParams, RewriteStats,
-    WindowCounters,
-};
-pub use windowed::{
-    rewrite_windowed, rewrite_windowed_traced, rewrite_windowed_with_budget, WindowSchedule,
-};
+pub use resubstitution::{resubstitute, ResubNetwork, ResubParams, ResubStats, ResubStyle};
+pub use rewriting::{rewrite, rewrite_with, CutMaintenance, RewriteParams, RewriteStats};
 
 pub use sweeping::{
     check_equivalence, check_equivalence_with, check_equivalence_with_limits, sweep,
-    sweep_with_engine, sweep_with_engine_budgeted, EquivalenceOutcome, EquivalenceResult,
-    SweepEngine, SweepParams, SweepStats,
+    sweep_with_engine, EquivalenceOutcome, EquivalenceResult, SweepEngine, SweepParams, SweepStats,
 };

@@ -173,27 +173,20 @@ pub fn lut_map<N: Network>(ntk: &N, params: &LutMapParams) -> Klut {
 /// [`LutMapStats::choice_wins`] reports wins only when the choice cover
 /// actually shipped.
 pub fn lut_map_with_stats<N: Network>(ntk: &N, params: &LutMapParams) -> (Klut, LutMapStats) {
-    lut_map_budgeted(ntk, params, &Budget::unlimited())
+    lut_map_traced(ntk, params, &Budget::unlimited(), telemetry::global())
 }
 
-/// [`lut_map_with_stats`] under a cooperative effort [`Budget`].  The
-/// delay-oriented selection round is mandatory; one tick is charged per
-/// node evaluation in the area-flow refinement rounds, and an exhausted
-/// budget stops refinement early — the cover derived from the choices
-/// selected so far is still complete and valid.
-pub fn lut_map_budgeted<N: Network>(
-    ntk: &N,
-    params: &LutMapParams,
-    budget: &Budget,
-) -> (Klut, LutMapStats) {
-    lut_map_traced(ntk, params, budget, telemetry::global())
-}
-
-/// [`lut_map_budgeted`] reporting through an explicit telemetry
-/// [`Tracer`]: a `lut_map` pass span with per-round `map_round` spans
-/// (and a `choices_off_reference` span for the recovery selection),
-/// statistics absorbed into the metrics registry, and the final LUT
-/// count/depth as gauges.  Observational only.
+/// [`lut_map_with_stats`] under a cooperative effort [`Budget`],
+/// reporting through an explicit telemetry [`Tracer`].
+///
+/// The delay-oriented selection round is mandatory; one tick is charged
+/// per node evaluation in the area-flow refinement rounds, and an
+/// exhausted budget stops refinement early — the cover derived from the
+/// choices selected so far is still complete and valid.  The tracer
+/// records a `lut_map` pass span with per-round `map_round` spans (and a
+/// `choices_off_reference` span for the recovery selection), statistics
+/// absorbed into the metrics registry, and the final LUT count/depth as
+/// gauges.  Observational only.
 pub fn lut_map_traced<N: Network>(
     ntk: &N,
     params: &LutMapParams,
@@ -479,53 +472,17 @@ fn select_cover_budgeted<N: Network>(
         }
     }
 
-    if !params.use_choices {
-        // derive the cover by walking from the primary outputs
-        let mut cover = Vec::new();
-        let mut in_cover = vec![false; ntk.size()];
-        let mut stack: Vec<NodeId> = ntk
-            .po_signals()
-            .iter()
-            .map(|s| s.node())
-            .filter(|&n| ntk.is_gate(n))
-            .collect();
-        while let Some(node) = stack.pop() {
-            if in_cover[node as usize] {
-                continue;
-            }
-            in_cover[node as usize] = true;
-            cover.push(node);
-            let choice = choices[node as usize]
-                .as_ref()
-                .expect("every reachable gate has a mapping choice");
-            for &leaf in choice.cut.leaves() {
-                if ntk.is_gate(leaf) && !in_cover[leaf as usize] {
-                    stack.push(leaf);
-                }
-            }
-        }
-        // topological order of the cover (creation order of the original
-        // gates; structural cut leaves always precede their root)
-        cover.sort_unstable();
-        return SelectedCover {
-            cover,
-            choices,
-            evaluations,
-            choice_wins: 0,
-            cycle_fallbacks: 0,
-        };
-    }
-
-    // Choice-aware cover: a winning member cut's leaves live in the member
-    // cone, not in the representative's own cone, so node-id order no
-    // longer guarantees leaves-before-roots.  An explicit dependency DFS
-    // from the outputs produces the cover in post-order (a valid build
-    // order); a back edge — two classes whose selections depend on each
-    // other through their member cones — is broken by demoting the
-    // topmost on-stack node that selected a choice cut back to its best
-    // structural cut (structural edges strictly descend the DAG, so every
-    // cycle contains at least one such node and each demotion is final:
-    // the DFS terminates).
+    // Derive the cover by a dependency DFS from the outputs, emitted in
+    // post-order (a valid build order).  Node-id order is not one: strash
+    // cascades of `substitute_node` leave uncompacted networks with fanins
+    // whose ids exceed their gate's, and a winning member cut's leaves live
+    // in the member cone, not in the representative's own cone.  A back
+    // edge — two classes whose selections depend on each other through
+    // their member cones — is broken by demoting the topmost on-stack node
+    // that selected a choice cut back to its best structural cut
+    // (structural edges strictly descend the DAG, so every cycle contains
+    // at least one such node, a structural-only selection has none, and
+    // each demotion is final: the DFS terminates).
     let mut cover: Vec<NodeId> = Vec::new();
     let mut cycle_fallbacks = 0usize;
     // 0 = unvisited, 1 = on the DFS stack, 2 = done
@@ -751,7 +708,7 @@ mod tests {
         let mut saw_exhausted = false;
         for limit in [0u64, 1, 8, 64, u64::MAX / 2] {
             let budget = Budget::with_ticks(limit);
-            let (klut, stats) = lut_map_budgeted(&aig, &params, &budget);
+            let (klut, stats) = lut_map_traced(&aig, &params, &budget, telemetry::global());
             assert!(
                 equivalent_by_simulation(&aig, &klut),
                 "limit {limit} broke the cover"

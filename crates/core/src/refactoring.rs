@@ -59,28 +59,20 @@ where
     N: Network + GateBuilder,
     R: Resynthesis<N>,
 {
-    refactor_with_budget(ntk, resynthesis, params, &Budget::unlimited())
+    refactor_traced(
+        ntk,
+        resynthesis,
+        params,
+        &Budget::unlimited(),
+        telemetry::global(),
+    )
 }
 
 /// [`refactor_with`] under a cooperative effort [`Budget`] (one tick per
 /// candidate gate, polled between candidates — an exhausted pass keeps
-/// every committed substitution and stops cleanly).
-pub fn refactor_with_budget<N, R>(
-    ntk: &mut N,
-    resynthesis: &mut R,
-    params: &RefactorParams,
-    budget: &Budget,
-) -> RefactorStats
-where
-    N: Network + GateBuilder,
-    R: Resynthesis<N>,
-{
-    refactor_traced(ntk, resynthesis, params, budget, telemetry::global())
-}
-
-/// [`refactor_with_budget`] reporting through an explicit telemetry
-/// [`Tracer`] (pass span, candidate-batch spans in full mode, stats
-/// absorbed into the registry).  Observational only.
+/// every committed substitution and stops cleanly), reporting through an
+/// explicit telemetry [`Tracer`] (pass span, candidate-batch spans in
+/// full mode, stats absorbed into the registry).  Observational only.
 pub fn refactor_traced<N, R>(
     ntk: &mut N,
     resynthesis: &mut R,

@@ -103,23 +103,14 @@ struct Divisor {
 
 /// Runs Boolean resubstitution on `ntk`.
 pub fn resubstitute<N: ResubNetwork + Network>(ntk: &mut N, params: &ResubParams) -> ResubStats {
-    resubstitute_with_budget(ntk, params, &Budget::unlimited())
+    resubstitute_traced(ntk, params, &Budget::unlimited(), telemetry::global())
 }
 
 /// [`resubstitute`] under a cooperative effort [`Budget`] (one tick per
 /// candidate gate, polled between candidates — an exhausted pass keeps
-/// every committed substitution and stops cleanly).
-pub fn resubstitute_with_budget<N: ResubNetwork + Network>(
-    ntk: &mut N,
-    params: &ResubParams,
-    budget: &Budget,
-) -> ResubStats {
-    resubstitute_traced(ntk, params, budget, telemetry::global())
-}
-
-/// [`resubstitute_with_budget`] reporting through an explicit telemetry
-/// [`Tracer`] (pass span, candidate-batch spans in full mode, stats
-/// absorbed into the registry).  Observational only.
+/// every committed substitution and stops cleanly), reporting through an
+/// explicit telemetry [`Tracer`] (pass span, candidate-batch spans in
+/// full mode, stats absorbed into the registry).  Observational only.
 pub fn resubstitute_traced<N: ResubNetwork + Network>(
     ntk: &mut N,
     params: &ResubParams,

@@ -92,70 +92,10 @@ pub struct RewriteStats {
     /// Number of fanout-frontier nodes re-attempted after the main sweep
     /// (see [`RewriteParams::revisit_frontier`]).
     pub frontier_revisits: usize,
-    /// Window accounting of the windowed parallel engine
-    /// ([`rewrite_windowed`](crate::windowed::rewrite_windowed)); all-zero
-    /// for the plain serial pass.
-    pub windows: WindowCounters,
     /// Whether the pass ran to completion or stopped on an exhausted
     /// effort budget (having committed only the substitutions applied so
     /// far).
     pub outcome: StepOutcome,
-}
-
-/// Window/conflict accounting of the windowed parallel rewriting engine.
-///
-/// Worker threads evaluate candidates against a *frozen* network, so
-/// their proposals are optimistic: by the time the serial merge phase
-/// reaches a proposed node, an earlier commit may have rewired or even
-/// deleted it.  Every proposal is re-verified through the exact DAG-aware
-/// machinery (no miter needed — the replacement machinery itself is the
-/// arbiter) and lands in exactly one of the three outcome buckets.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowCounters {
-    /// Number of disjoint MFFC-closed windows the scheduler carved.
-    pub windows: usize,
-    /// Substitutions workers proposed from frozen-network evaluation.
-    pub proposed: usize,
-    /// Proposals confirmed by merge-time re-verification and committed.
-    pub confirmed: usize,
-    /// Proposals whose window an earlier commit invalidated (the node
-    /// died, or its cut span went stale) and whose re-verification did
-    /// not commit — the merge conflicts, dropped.
-    pub invalidated: usize,
-    /// Proposals whose window was untouched but whose exact DAG-aware
-    /// gain (structural hashing and all) fell short of the optimistic
-    /// frozen estimate — rejected.
-    pub rejected: usize,
-}
-
-impl MetricsSource for WindowCounters {
-    fn visit_metrics(&self, visit: &mut dyn FnMut(&str, u64)) {
-        visit("windows", self.windows as u64);
-        visit("proposed", self.proposed as u64);
-        visit("confirmed", self.confirmed as u64);
-        visit("invalidated", self.invalidated as u64);
-        visit("rejected", self.rejected as u64);
-    }
-}
-
-/// Merge-phase bookkeeping of the windowed engine: which nodes carry a
-/// worker proposal, and how each proposal resolved.  Threaded through
-/// [`rewrite_loop`] so the serial merge is *the same loop* as the plain
-/// pass, observation included.
-pub(crate) struct MergeObserver<'a> {
-    /// Proposed cut index per node of the frozen snapshot (dense).
-    pub proposals: &'a [Option<u32>],
-    pub counters: WindowCounters,
-}
-
-impl MergeObserver<'_> {
-    fn has_proposal(&self, node: NodeId) -> bool {
-        self.proposals
-            .get(node as usize)
-            .copied()
-            .flatten()
-            .is_some()
-    }
 }
 
 /// Rewrites `ntk` using the given resynthesis engine and returns pass
@@ -165,33 +105,26 @@ where
     N: Network + GateBuilder,
     R: Resynthesis<N>,
 {
-    rewrite_with_budget(ntk, resynthesis, params, &Budget::unlimited())
+    rewrite_traced(
+        ntk,
+        resynthesis,
+        params,
+        &Budget::unlimited(),
+        telemetry::global(),
+    )
 }
 
-/// [`rewrite_with`] under a cooperative effort [`Budget`]: the budget is
-/// charged one tick per candidate gate and polled *between* candidates, so
-/// an exhausted pass stops cleanly — every committed substitution stands,
-/// no candidate is left half-applied — and reports
-/// [`StepOutcome::Exhausted`] in [`RewriteStats::outcome`].
-pub fn rewrite_with_budget<N, R>(
-    ntk: &mut N,
-    resynthesis: &mut R,
-    params: &RewriteParams,
-    budget: &Budget,
-) -> RewriteStats
-where
-    N: Network + GateBuilder,
-    R: Resynthesis<N>,
-{
-    rewrite_traced(ntk, resynthesis, params, budget, telemetry::global())
-}
-
-/// [`rewrite_with_budget`] reporting through an explicit telemetry
-/// [`Tracer`]: a `rewrite` pass span with `main_sweep` and `frontier`
-/// phase spans, candidate-batch spans in full mode, and the pass
-/// statistics (cut counters included) absorbed into the metrics
-/// registry.  Observational only — results are bit-identical at any
-/// trace mode.
+/// [`rewrite_with`] under a cooperative effort [`Budget`], reporting
+/// through an explicit telemetry [`Tracer`].
+///
+/// The budget is charged one tick per candidate gate and polled *between*
+/// candidates, so an exhausted pass stops cleanly — every committed
+/// substitution stands, no candidate is left half-applied — and reports
+/// [`StepOutcome::Exhausted`] in [`RewriteStats::outcome`].  The tracer
+/// records a `rewrite` pass span with `main_sweep` and `frontier` phase
+/// spans, candidate-batch spans in full mode, and the pass statistics
+/// (cut counters included) absorbed into the metrics registry.
+/// Observational only — results are bit-identical at any trace mode.
 pub fn rewrite_traced<N, R>(
     ntk: &mut N,
     resynthesis: &mut R,
@@ -211,42 +144,6 @@ where
         cut_limit: params.cut_limit,
         compute_truth: true,
     });
-    let stats = rewrite_loop(
-        ntk,
-        resynthesis,
-        params,
-        budget,
-        tracer,
-        &mut cut_manager,
-        None,
-    );
-    tracer.absorb("rewrite", &stats);
-    stats
-}
-
-/// The rewriting loop proper, over a caller-provided cut manager: the main
-/// sweep over the gate snapshot plus the fanout-frontier drain.
-///
-/// This is the *single* implementation both entry points run.  The plain
-/// serial pass ([`rewrite_traced`]) hands it a fresh lazy manager; the
-/// windowed parallel engine ([`crate::windowed::rewrite_windowed`]) hands
-/// it a bulk-enumerated manager plus a [`MergeObserver`] for its commit
-/// replay — since bulk and lazy enumeration answer every cut query
-/// identically, the two entry points are bit-identical by construction,
-/// and any future change to the loop applies to both at once.
-pub(crate) fn rewrite_loop<N, R>(
-    ntk: &mut N,
-    resynthesis: &mut R,
-    params: &RewriteParams,
-    budget: &Budget,
-    tracer: &Tracer,
-    cut_manager: &mut CutManager,
-    mut observer: Option<&mut MergeObserver<'_>>,
-) -> RewriteStats
-where
-    N: Network + GateBuilder,
-    R: Resynthesis<N>,
-{
     let mut stats = RewriteStats::default();
     let mut replacer = Replacer::new();
     // the network records the structural changes of every committed
@@ -349,13 +246,7 @@ where
     let mut batch = BatchSpans::new(tracer, "rewrite_candidates", BATCH_INTERVAL);
     for node in nodes {
         if !ntk.is_gate(node) || ntk.fanout_size(node) == 0 {
-            // an earlier commit swallowed the node (merged or swept): any
-            // worker proposal at it is dead on arrival
-            if let Some(o) = observer.as_deref_mut() {
-                if o.has_proposal(node) {
-                    o.counters.invalidated += 1;
-                }
-            }
+            // an earlier commit swallowed the node (merged or swept)
             continue;
         }
         if !budget.consume(1) {
@@ -363,21 +254,12 @@ where
         }
         batch.tick();
         stats.visited += 1;
-        // classify a pending proposal *before* the attempt: a stale cut
-        // span means an earlier commit rewired this node's cone, i.e. the
-        // proposal's window was invalidated and the attempt below is its
-        // re-verification
-        let proposal = match observer.as_deref_mut() {
-            Some(o) if o.has_proposal(node) => Some(cut_manager.cached_cuts_of(node).is_none()),
-            _ => None,
-        };
-        let before = stats.substitutions;
         attempt_node(
             ntk,
             node,
             params.allow_zero_gain,
             params,
-            cut_manager,
+            &mut cut_manager,
             &mut replacer,
             resynthesis,
             &mut cuts,
@@ -387,15 +269,6 @@ where
             &mut pending,
             &mut stats,
         );
-        if let (Some(stale), Some(o)) = (proposal, observer.as_deref_mut()) {
-            if stats.substitutions > before {
-                o.counters.confirmed += 1;
-            } else if stale {
-                o.counters.invalidated += 1;
-            } else {
-                o.counters.rejected += 1;
-            }
-        }
     }
     // close the main-sweep span before the frontier phase opens so the
     // two phases show as siblings under the pass span
@@ -422,7 +295,7 @@ where
             node,
             false,
             params,
-            cut_manager,
+            &mut cut_manager,
             &mut replacer,
             resynthesis,
             &mut cuts,
@@ -442,9 +315,7 @@ where
     }
     stats.cuts = cut_manager.counters();
     stats.outcome = budget.outcome();
-    if let Some(o) = observer {
-        stats.windows = o.counters;
-    }
+    tracer.absorb("rewrite", &stats);
     stats
 }
 
@@ -457,10 +328,6 @@ impl MetricsSource for RewriteStats {
         visit("exhausted", u64::from(!self.outcome.is_completed()));
         let mut nested = |name: &str, value: u64| visit(&format!("cuts.{name}"), value);
         self.cuts.visit_metrics(&mut nested);
-        if self.windows != WindowCounters::default() {
-            let mut nested = |name: &str, value: u64| visit(&format!("windows.{name}"), value);
-            self.windows.visit_metrics(&mut nested);
-        }
     }
 }
 
@@ -731,11 +598,12 @@ mod tests {
         for limit in 0..=(full.visited as u64 + 4) {
             let mut aig = reference.clone();
             let budget = Budget::with_ticks(limit);
-            let stats = rewrite_with_budget(
+            let stats = rewrite_traced(
                 &mut aig,
                 &mut NpnDatabase::new(),
                 &RewriteParams::default(),
                 &budget,
+                telemetry::global(),
             );
             assert!(stats.substitutions <= full.substitutions);
             assert!(stats.visited <= full.visited);

@@ -590,10 +590,17 @@ pub fn sweep_with_engine<N: Network>(
     params: &SweepParams,
     engine_state: &mut SweepEngine,
 ) -> SweepStats {
-    sweep_with_engine_budgeted(ntk, params, engine_state, &Budget::unlimited())
+    sweep_traced(
+        ntk,
+        params,
+        engine_state,
+        &Budget::unlimited(),
+        telemetry::global(),
+    )
 }
 
-/// [`sweep_with_engine`] under a cooperative effort [`Budget`].
+/// [`sweep_with_engine`] under a cooperative effort [`Budget`], reporting
+/// through an explicit telemetry [`Tracer`].
 ///
 /// SAT effort is folded into the tick currency: under the legacy schedule
 /// the budget is polled before every candidate pair, each pair's solve
@@ -605,17 +612,8 @@ pub fn sweep_with_engine<N: Network>(
 /// serially after the phase and the budget is polled between rounds.
 /// Either way an exhausted sweep stops cleanly — every committed merge is
 /// backed by an `UNSAT` proof and stands.
-pub fn sweep_with_engine_budgeted<N: Network>(
-    ntk: &mut N,
-    params: &SweepParams,
-    engine_state: &mut SweepEngine,
-    budget: &Budget,
-) -> SweepStats {
-    sweep_traced(ntk, params, engine_state, budget, telemetry::global())
-}
-
-/// [`sweep_with_engine_budgeted`] reporting through an explicit
-/// telemetry [`Tracer`]: a `fraig` pass span with per-round spans, the
+///
+/// The tracer records a `fraig` pass span with per-round spans, the
 /// round phases (`classify`, `prove_parallel`/`prove_merge`, `apply`,
 /// `resimulate`) as child spans, per-chunk worker spans in the phased
 /// parallel schedule (one per thread lane), and the sweep plus solver
@@ -1773,8 +1771,13 @@ mod tests {
             let mut aig = build();
             let budget = Budget::with_ticks(limit);
             let mut engine = SweepEngine::default();
-            let stats =
-                sweep_with_engine_budgeted(&mut aig, &SweepParams::default(), &mut engine, &budget);
+            let stats = sweep_traced(
+                &mut aig,
+                &SweepParams::default(),
+                &mut engine,
+                &budget,
+                telemetry::global(),
+            );
             assert!(stats.proven <= full.proven, "{stats:?}");
             assert!(equivalent_by_simulation(&reference, &aig));
             assert!(check_equivalence(&reference, &aig).is_equivalent());

@@ -795,40 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_rewrite_steps_run_guarded_like_serial_ones() {
-        let source: Aig = adder(6);
-        let mut serial = source.clone();
-        let serial_report = run_script_guarded(
-            &mut serial,
-            &FlowScript::parse("bz; rw; rwz").unwrap(),
-            &FlowOptions::default(),
-            &GuardOptions::default(),
-        );
-        for threads in [1, 4] {
-            let mut parallel = source.clone();
-            let options = FlowOptions {
-                parallelism: glsx_network::Parallelism::new(threads),
-                ..FlowOptions::default()
-            };
-            let report = run_script_guarded(
-                &mut parallel,
-                &FlowScript::parse("bz; rw -par; rwz -par").unwrap(),
-                &options,
-                &GuardOptions {
-                    verify: VerifyMode::Miter,
-                    ..GuardOptions::default()
-                },
-            );
-            assert_eq!(report.rollbacks, 0, "{report:?}");
-            // bit-identical to the serial flow at any thread count
-            assert_eq!(report.substitutions, serial_report.substitutions);
-            assert_eq!(parallel.num_gates(), serial.num_gates());
-            assert_eq!(parallel.po_signals(), serial.po_signals());
-            assert_eq!(report.final_verify, Some(true));
-        }
-    }
-
-    #[test]
     fn injected_panics_roll_back_and_the_flow_recovers() {
         let source: Aig = adder(4);
         let plan = FaultPlan::parse("panic@rewrite:1,panic@resub:1").unwrap();

@@ -44,7 +44,6 @@ use glsx_core::refactoring::{refactor_traced, RefactorParams};
 use glsx_core::resubstitution::{resubstitute_traced, ResubNetwork, ResubParams};
 use glsx_core::rewriting::{rewrite_traced, CutMaintenance, RewriteParams};
 use glsx_core::sweeping::{sweep_traced, SweepEngine, SweepParams};
-use glsx_core::windowed::rewrite_windowed_traced;
 use glsx_network::telemetry::{self, SpanOverride, Tracer};
 use glsx_network::{cleanup_dangling, Budget, GateBuilder, Klut, Network, Parallelism};
 use glsx_synth::{NpnDatabase, SopResynthesis};
@@ -108,45 +107,9 @@ pub struct FlowStats {
 
 /// Runs one step of the flow script on a network and returns the number of
 /// committed substitutions (rebuild operations for balancing).  Creates a
-/// fresh [`SweepEngine`] per call; [`run_step_with`] recycles one across
+/// fresh [`SweepEngine`] per call; [`run_step_traced`] recycles one across
 /// the `fraig` steps of a flow.
 pub fn run_step<N>(ntk: &mut N, step: &FlowStep, options: &FlowOptions) -> usize
-where
-    N: Network + GateBuilder + ResubNetwork,
-{
-    run_step_with(ntk, step, options, &mut SweepEngine::new())
-}
-
-/// [`run_step`] with a caller-provided [`SweepEngine`]: consecutive
-/// `fraig` steps of one flow recycle the engine's simulation pattern
-/// words (initial random patterns plus every counterexample already paid
-/// for) and its incremental miter solver, so repeated sweeps refine
-/// instead of restarting.  Sound within one flow because every pass
-/// preserves each node's function over the primary inputs and node ids
-/// are never reused; pass a fresh engine per network.
-pub fn run_step_with<N>(
-    ntk: &mut N,
-    step: &FlowStep,
-    options: &FlowOptions,
-    sweep_engine: &mut SweepEngine,
-) -> usize
-where
-    N: Network + GateBuilder + ResubNetwork,
-{
-    run_step_budgeted(ntk, step, options, sweep_engine, &Budget::unlimited())
-}
-
-/// [`run_step_with`] under a cooperative effort [`Budget`]: the budget is
-/// threaded into the pass's budget-aware variant, so an exhausted step
-/// stops cleanly between candidates with every committed substitution
-/// intact (the pass's `outcome` is readable via [`Budget::outcome`]).
-pub fn run_step_budgeted<N>(
-    ntk: &mut N,
-    step: &FlowStep,
-    options: &FlowOptions,
-    sweep_engine: &mut SweepEngine,
-    budget: &Budget,
-) -> usize
 where
     N: Network + GateBuilder + ResubNetwork,
 {
@@ -154,18 +117,30 @@ where
         ntk,
         step,
         options,
-        sweep_engine,
-        budget,
+        &mut SweepEngine::new(),
+        &Budget::unlimited(),
         telemetry::global(),
     )
 }
 
-/// [`run_step_budgeted`] reporting through an explicit telemetry
-/// [`Tracer`]: the step is dispatched to the pass's `*_traced` variant,
-/// which records its pass/phase/candidate-batch spans and pours its stats
-/// into the tracer's metrics registry.  The plain entry points observe
-/// the process-wide `GLSX_TRACE` tracer ([`glsx_network::telemetry::global`]),
-/// so this is only needed to aggregate into a private tracer.
+/// [`run_step`] with a caller-provided [`SweepEngine`], under a
+/// cooperative effort [`Budget`], reporting through an explicit telemetry
+/// [`Tracer`].
+///
+/// Consecutive `fraig` steps of one flow recycle the engine's simulation
+/// pattern words (initial random patterns plus every counterexample
+/// already paid for) and its incremental miter solver, so repeated sweeps
+/// refine instead of restarting.  Sound within one flow because every
+/// pass preserves each node's function over the primary inputs and node
+/// ids are never reused; pass a fresh engine per network.
+///
+/// The budget is threaded into the pass, so an exhausted step stops
+/// cleanly between candidates with every committed substitution intact
+/// (the pass's `outcome` is readable via [`Budget::outcome`]).  The step
+/// is dispatched to the pass's `*_traced` entry point, which records its
+/// pass/phase/candidate-batch spans and pours its stats into the tracer's
+/// metrics registry; the plain entry points observe the process-wide
+/// `GLSX_TRACE` tracer ([`glsx_network::telemetry::global`]).
 pub fn run_step_traced<N>(
     ntk: &mut N,
     step: &FlowStep,
@@ -182,11 +157,7 @@ where
             let stats = balance_traced(ntk, &BalanceParams::default(), budget, tracer);
             stats.rebuilt
         }
-        FlowStep::Rewrite {
-            zero_gain,
-            parallel,
-        } => {
-            let mut database = NpnDatabase::new();
+        FlowStep::Rewrite { zero_gain, .. } => {
             let params = RewriteParams {
                 cut_size: options.rewrite_cut_size,
                 allow_zero_gain: *zero_gain,
@@ -197,20 +168,7 @@ where
                 },
                 ..RewriteParams::default()
             };
-            // the windowed engine is bit-identical to the serial pass at
-            // every thread count, so `-par` only changes scheduling
-            let stats = if *parallel {
-                rewrite_windowed_traced(
-                    ntk,
-                    &mut database,
-                    &params,
-                    budget,
-                    options.parallelism,
-                    tracer,
-                )
-            } else {
-                rewrite_traced(ntk, &mut database, &params, budget, tracer)
-            };
+            let stats = rewrite_traced(ntk, &mut NpnDatabase::new(), &params, budget, tracer);
             stats.substitutions
         }
         FlowStep::Refactor { zero_gain } => {
@@ -345,7 +303,7 @@ where
 }
 
 /// Runs a flow script that ends in LUT mapping: every optimisation step is
-/// executed in place ([`run_step_with`], one shared [`SweepEngine`]), then
+/// executed in place ([`run_step_traced`], one shared [`SweepEngine`]), then
 /// the network is mapped **before** the compaction rebuild, so choice
 /// rings recorded by `fraig -choices` steps are still alive when the
 /// mapper selects over them.  The mapping parameters come from the
@@ -618,6 +576,32 @@ mod tests {
         );
         // the optimised in-place networks are compacted after mapping
         assert!(!on_ntk.has_choices() || on_ntk.num_choice_nodes() == 0);
+    }
+
+    /// Mapping the uncompacted post-`fraig` network: strash cascades of
+    /// the sweep's merges leave gates whose fanins have larger ids, so
+    /// node-id order is not a build order for the cover.  Both scripts
+    /// used to panic with "leaves precede their root" on this circuit
+    /// (the choices-on one inside its choices-off recovery mapping).
+    #[test]
+    fn mapping_after_fraig_builds_covers_in_dependency_order() {
+        let mut source: Aig = glsx_benchmarks::arithmetic::mac_datapath(8, 1);
+        glsx_benchmarks::inject_redundancy(&mut source, 200, 7);
+        glsx_benchmarks::inject_restructured(&mut source, 200, 9);
+        let defaults = glsx_core::lut_mapping::LutMapParams::with_lut_size(6);
+        for text in [
+            "fraig; lut_map -k 6",
+            "fraig -choices; lut_map -k 6 -choices",
+        ] {
+            let mut ntk = source.clone();
+            let script = FlowScript::parse(text).unwrap();
+            let (_, klut, _) =
+                run_script_and_map(&mut ntk, &script, &FlowOptions::default(), &defaults);
+            assert!(
+                equivalent_by_random_simulation(&source, &klut, 8, 0x5eed),
+                "`{text}` mapped to a different function"
+            );
+        }
     }
 
     /// A script without a trailing `lut_map` maps with the provided

@@ -8,16 +8,14 @@ use std::fmt;
 pub enum FlowStep {
     /// Tree balancing (`b`/`bz`).
     Balance,
-    /// DAG-aware rewriting (`rw`, or `rwz` for zero-gain; `-par` selects
-    /// the windowed parallel engine).
+    /// DAG-aware rewriting (`rw`, or `rwz` for zero-gain).
     Rewrite {
         /// Accept zero-gain replacements.
         zero_gain: bool,
-        /// Run the windowed parallel engine
-        /// ([`glsx_core::windowed::rewrite_windowed`]) with the flow
-        /// options' thread count.  Bit-identical to the serial pass at
-        /// every thread count, so the flag only changes how the work is
-        /// scheduled.
+        /// Inert: the parser always sets `false`, and the runners and
+        /// `Display` ignore it.  It stays only because the benchmark's
+        /// replay (`flowbench/src/replay.rs`) matches `parallel: false`;
+        /// drop it together with that pattern.
         parallel: bool,
     },
     /// Refactoring (`rf`, or `rfz` for zero-gain).
@@ -205,24 +203,10 @@ impl FlowScript {
             }
             let step = match head {
                 "b" | "bz" => FlowStep::Balance,
-                "rw" | "rwz" => {
-                    let mut parallel = false;
-                    let rest = std::mem::take(&mut tokens);
-                    for option in rest {
-                        match option {
-                            "-par" => parallel = true,
-                            other => {
-                                return Err(ParseFlowScriptError {
-                                    message: format!("unknown option `{other}` in `{command}`"),
-                                })
-                            }
-                        }
-                    }
-                    FlowStep::Rewrite {
-                        zero_gain: head == "rwz",
-                        parallel,
-                    }
-                }
+                "rw" | "rwz" => FlowStep::Rewrite {
+                    zero_gain: head == "rwz",
+                    parallel: false,
+                },
                 "rf" => FlowStep::Refactor { zero_gain: false },
                 "rfz" => FlowStep::Refactor { zero_gain: true },
                 "fraig" => {
@@ -386,15 +370,8 @@ impl fmt::Display for FlowScript {
             .map(|(step, (budget, traced))| {
                 let mut text = match step {
                     FlowStep::Balance => "bz".to_string(),
-                    FlowStep::Rewrite {
-                        zero_gain,
-                        parallel,
-                    } => {
-                        let mut s = if *zero_gain { "rwz" } else { "rw" }.to_string();
-                        if *parallel {
-                            s.push_str(" -par");
-                        }
-                        s
+                    FlowStep::Rewrite { zero_gain, .. } => {
+                        if *zero_gain { "rwz" } else { "rw" }.to_string()
                     }
                     FlowStep::Refactor { zero_gain: false } => "rf".to_string(),
                     FlowStep::Refactor { zero_gain: true } => "rfz".to_string(),
@@ -637,53 +614,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_parallel_rewrite_steps() {
-        let script =
-            FlowScript::parse("rw -par; rwz -par; rw; rwz -par -budget 2M -trace").unwrap();
-        assert_eq!(
-            script.steps()[0],
-            FlowStep::Rewrite {
-                zero_gain: false,
-                parallel: true
-            }
-        );
-        assert_eq!(
-            script.steps()[1],
-            FlowStep::Rewrite {
-                zero_gain: true,
-                parallel: true
-            }
-        );
-        assert_eq!(
-            script.steps()[2],
-            FlowStep::Rewrite {
-                zero_gain: false,
-                parallel: false
-            }
-        );
-        assert_eq!(
-            script.steps()[3],
-            FlowStep::Rewrite {
-                zero_gain: true,
-                parallel: true
-            }
-        );
-        assert_eq!(script.budget_of(3), Some(2_000_000));
-        assert!(script.is_traced(3));
-        let text = "rw -par; rwz -par; rw; rwz -par -budget 2M -trace";
-        assert_eq!(script.to_string(), text);
-        assert_eq!(FlowScript::parse(&script.to_string()).unwrap(), script);
-        assert!(FlowScript::parse("rw -parallel").is_err());
-        assert!(FlowScript::parse("rwz extra").is_err());
-    }
-
-    #[test]
     fn rejects_malformed_scripts() {
         assert!(FlowScript::parse("frobnicate").is_err());
         assert!(FlowScript::parse("rs -c").is_err());
         assert!(FlowScript::parse("rs -c x").is_err());
         assert!(FlowScript::parse("rs --cut 6").is_err());
         assert!(FlowScript::parse("rw extra").is_err());
+        assert!(FlowScript::parse("rw -par").is_err());
+        assert!(FlowScript::parse("rwz -par").is_err());
     }
 
     #[test]

@@ -122,22 +122,6 @@ impl ChangeLog {
         self.events.append(&mut other.events);
     }
 
-    /// Absorbs `other` into this log: its events follow the events already
-    /// recorded here, and `other` is left empty with its capacity intact,
-    /// ready for the next batch.  The merge primitive of per-thread logs —
-    /// a worker's scratch log drains into the main log once per commit, so
-    /// the steady state moves events without re-allocating on either side.
-    /// When this log is empty the buffers are swapped instead of copied,
-    /// making the common "drain a full scratch log into a just-cleared
-    /// main log" case O(1) regardless of batch size.
-    pub fn absorb(&mut self, other: &mut ChangeLog) {
-        if self.events.is_empty() {
-            std::mem::swap(&mut self.events, &mut other.events);
-        } else {
-            self.events.append(&mut other.events);
-        }
-    }
-
     /// Forgets all events, keeping the allocation.
     #[inline]
     pub fn clear(&mut self) {
@@ -232,73 +216,6 @@ mod tests {
         let mut log = ChangeLog::new();
         aig.drain_changes(&mut log);
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn absorb_merges_in_order_and_reuses_allocations() {
-        let e = |n: NodeId| ChangeEvent::RewiredFanin { node: n };
-        // non-empty target: events concatenate in order, capacities survive
-        let mut main = ChangeLog::new();
-        main.push(e(1));
-        let mut scratch = ChangeLog::new();
-        scratch.push(e(2));
-        scratch.push(e(3));
-        let scratch_capacity = scratch.events.capacity();
-        main.absorb(&mut scratch);
-        assert_eq!(main.events(), &[e(1), e(2), e(3)]);
-        assert!(scratch.is_empty());
-        assert_eq!(
-            scratch.events.capacity(),
-            scratch_capacity,
-            "the drained scratch log keeps its allocation for the next batch"
-        );
-
-        // empty target: the buffers swap, so nothing is copied and the
-        // scratch log inherits the target's (empty) buffer
-        let mut empty = ChangeLog::new();
-        let mut full = ChangeLog::new();
-        for n in 0..100 {
-            full.push(e(n));
-        }
-        let full_pointer = full.events.as_ptr();
-        empty.absorb(&mut full);
-        assert_eq!(empty.len(), 100);
-        assert_eq!(
-            empty.events.as_ptr(),
-            full_pointer,
-            "an empty target takes ownership of the scratch buffer"
-        );
-        assert!(full.is_empty());
-
-        // absorbing an empty log is a no-op
-        let before = empty.len();
-        empty.absorb(&mut ChangeLog::new());
-        assert_eq!(empty.len(), before);
-    }
-
-    #[test]
-    fn absorb_matches_append_semantics() {
-        let events = [
-            ChangeEvent::Substituted {
-                old: 5,
-                new: Signal::new(3, false),
-            },
-            ChangeEvent::RewiredFanin { node: 7 },
-            ChangeEvent::Deleted { node: 5 },
-        ];
-        let mut absorbed = ChangeLog::new();
-        let mut appended = ChangeLog::new();
-        for chunk in events.chunks(2) {
-            let mut a = ChangeLog::new();
-            let mut b = ChangeLog::new();
-            for &event in chunk {
-                a.push(event);
-                b.push(event);
-            }
-            absorbed.absorb(&mut a);
-            appended.append(&mut b);
-        }
-        assert_eq!(absorbed.events(), appended.events());
     }
 
     #[test]

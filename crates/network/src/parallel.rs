@@ -1,21 +1,26 @@
 //! The thread-parallel execution knob shared by every parallel pass.
 //!
-//! Parallelism in this workspace follows one contract, inherited from the
-//! incremental layer of PRs 4–5: **the serial path is the verified twin**.
-//! Every parallel code path (word simulation, bulk cut enumeration, phased
-//! SAT sweeping, the portfolio flow) must produce *bit-identical* results
-//! at every thread count — identical signatures, identical cut arenas
+//! Parallelism in this workspace follows one contract: **the serial path
+//! is the verified twin**.  Every parallel code path (bulk cut
+//! enumeration, phased SAT sweeping, the portfolio flow) must produce
+//! *bit-identical* results at every thread count — identical cut arenas
 //! (contents and order), identical merges and identical LUT counts.  The
 //! property suite and the CI smoke step enforce this, so the knob can be
 //! turned freely without changing any result, only wall-clock time.
 //!
-//! The execution model is *level partitioning*: a [`DepthView`]
-//! (`crate::views::DepthView`) orders gates into levels where every node
-//! of level `L` depends only on nodes of levels `< L`.  Each level is a
+//! A threaded path stays only where a bench row (`BENCH_parallel.json`)
+//! shows it pays at two threads on some workload.
+//!
+//! Bulk cut enumeration partitions *levels*: a
+//! [`DepthView`](crate::views::DepthView) orders gates into levels where
+//! every node of level `L` depends only on nodes of levels `< L`.  Each level is a
 //! parallel-for over its node bucket; a barrier between levels is the only
-//! synchronisation.  Determinism then falls out of commit discipline:
-//! threads compute into private buffers and results are committed in a
-//! fixed order that does not depend on the thread count.
+//! synchronisation, so the path pays on shallow networks and loses on deep
+//! ones with many near-empty levels.  The phased sweep partitions
+//! candidate classes and the portfolio runs one representation per
+//! thread.  Determinism falls out of commit discipline: threads compute
+//! into private buffers and results are committed in a fixed order that
+//! does not depend on the thread count.
 //!
 //! No new dependencies: everything builds on [`std::thread::scope`].
 

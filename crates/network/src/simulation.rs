@@ -44,7 +44,49 @@ pub fn simulate_nodes<N: Network>(ntk: &N) -> Vec<TruthTable> {
 /// Panics if the network has more than [`MAX_EXHAUSTIVE_PIS`] primary
 /// inputs.
 pub fn simulate<N: Network>(ntk: &N) -> Vec<TruthTable> {
-    let tts = simulate_nodes(ntk);
+    let num_pis = ntk.num_pis();
+    assert!(
+        num_pis <= MAX_EXHAUSTIVE_PIS,
+        "exhaustive simulation supports at most {MAX_EXHAUSTIVE_PIS} inputs"
+    );
+    // A gate's table is released once its last reader has been evaluated.
+    // A table takes 8 KB at 16 inputs, so keeping one per node, as
+    // `simulate_nodes` must, costs 8 KB per gate; only the tables between
+    // evaluated and pending logic are live here.
+    let gates = ntk.gate_nodes();
+    let mut readers = vec![0u32; ntk.size()];
+    for &node in &gates {
+        ntk.foreach_fanin(node, |f| readers[f.node() as usize] += 1);
+    }
+    for po in ntk.po_signals() {
+        readers[po.node() as usize] += 1;
+    }
+    let released = TruthTable::zero(0);
+    let mut tts: Vec<TruthTable> = (0..ntk.size() as NodeId)
+        .map(|node| {
+            if ntk.is_constant(node) {
+                TruthTable::zero(num_pis)
+            } else {
+                released.clone()
+            }
+        })
+        .collect();
+    for (i, pi) in ntk.pi_nodes().iter().enumerate() {
+        tts[*pi as usize] = TruthTable::nth_var(num_pis, i);
+    }
+    for node in gates {
+        let tt = evaluate_node(ntk, node, &tts);
+        if readers[node as usize] > 0 {
+            tts[node as usize] = tt;
+        }
+        ntk.foreach_fanin(node, |f| {
+            let fanin = f.node() as usize;
+            readers[fanin] -= 1;
+            if readers[fanin] == 0 && ntk.is_gate(f.node()) {
+                tts[fanin] = released.clone();
+            }
+        });
+    }
     ntk.po_signals()
         .iter()
         .map(|s| resolve_signal(s, &tts))
@@ -221,6 +263,34 @@ mod tests {
         assert!(equivalent_by_simulation(&aig, &mig));
         assert!(equivalent_by_simulation(&xag, &xmg));
         assert!(equivalent_by_random_simulation(&aig, &xmg, 4, 42));
+    }
+
+    /// `simulate` releases gate tables after their last reader; its
+    /// outputs must still match the per-node tables, including outputs on
+    /// inputs, constants and shared gates that later gates also read.
+    #[test]
+    fn output_tables_match_per_node_tables() {
+        let mut aig = Aig::new();
+        let pis: Vec<Signal> = (0..5).map(|_| aig.create_pi()).collect();
+        let mut signals = pis.clone();
+        let mut state = 0x51u64;
+        for _ in 0..40 {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let a = signals[(state >> 33) as usize % signals.len()];
+            let b = signals[(state >> 17) as usize % signals.len()];
+            signals.push(aig.create_and(a.complement_if(state & 1 == 1), b));
+        }
+        aig.create_po(!signals[20]);
+        aig.create_po(pis[3]);
+        aig.create_po(aig.get_constant(true));
+        aig.create_po(*signals.last().unwrap());
+        let nodes = simulate_nodes(&aig);
+        let expected: Vec<TruthTable> = aig
+            .po_signals()
+            .iter()
+            .map(|s| resolve_signal(s, &nodes))
+            .collect();
+        assert_eq!(simulate(&aig), expected);
     }
 
     #[test]

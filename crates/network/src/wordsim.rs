@@ -22,10 +22,7 @@
 //! truth-table simulation and `glsx-core`'s fused cut functions.
 
 use crate::bitops::WideWord;
-use crate::parallel::Parallelism;
-use crate::views::DepthView;
 use crate::{GateKind, Network, NodeId, Signal};
-use std::sync::Barrier;
 
 /// Lane width of the wide simulation blocks: 4 × 64 = 256 bits per
 /// [`WideWord`] evaluation, matching one AVX2 register.  Every simulation
@@ -35,38 +32,6 @@ use std::sync::Barrier;
 /// bit-identical by construction (pinned down by the width-genericity
 /// tests in [`crate::bitops`]).
 const WIDE_LANES: usize = 4;
-
-/// Raw row pointers into the word-major value table, shared across
-/// simulation workers.
-///
-/// Soundness argument for the `Sync` impl: within one level the workers
-/// write *disjoint* node columns (each node is assigned to exactly one
-/// worker), and every read targets a node of a strictly lower level,
-/// whose writes a [`Barrier`] ordered before the current level began.  No
-/// two threads ever touch the same `(word, node)` cell without a barrier
-/// between them.
-struct SharedRows {
-    rows: Vec<*mut u64>,
-}
-
-unsafe impl Sync for SharedRows {}
-
-impl SharedRows {
-    /// # Safety
-    /// `node` was fully written before the caller's level started (lower
-    /// level, or a primary input/constant initialised before the scope).
-    #[inline]
-    unsafe fn read(&self, w: usize, node: usize) -> u64 {
-        unsafe { *self.rows[w].add(node) }
-    }
-
-    /// # Safety
-    /// `node` is owned by the calling worker for the current level.
-    #[inline]
-    unsafe fn write(&self, w: usize, node: usize, value: u64) {
-        unsafe { *self.rows[w].add(node) = value };
-    }
-}
 
 /// splitmix64 step (public-domain constants from Vigna's reference
 /// implementation); the workspace is offline, so no `rand` dependency.
@@ -103,12 +68,6 @@ impl WordSimulator {
     ///
     /// Panics if `num_words` is zero.
     pub fn random<N: Network>(ntk: &N, num_words: usize, seed: u64) -> Self {
-        Self::random_with(ntk, num_words, seed, Parallelism::from_env())
-    }
-
-    /// [`random`](Self::random) with an explicit thread configuration (the
-    /// result is bit-identical at every thread count).
-    pub fn random_with<N: Network>(ntk: &N, num_words: usize, seed: u64, par: Parallelism) -> Self {
         assert!(num_words > 0, "at least one pattern word is required");
         let mut sim = Self {
             values: vec![vec![0u64; ntk.size()]; num_words],
@@ -121,7 +80,7 @@ impl WordSimulator {
                 sim.values[w][pi as usize] = splitmix64(&mut state);
             }
         }
-        sim.resimulate_with(ntk, par);
+        sim.resimulate(ntk);
         sim
     }
 
@@ -139,16 +98,6 @@ impl WordSimulator {
     /// Panics if `patterns` is empty or any word does not provide exactly
     /// one value per primary input.
     pub fn from_pi_patterns<N: Network>(ntk: &N, patterns: &[Vec<u64>]) -> Self {
-        Self::from_pi_patterns_with(ntk, patterns, Parallelism::from_env())
-    }
-
-    /// [`from_pi_patterns`](Self::from_pi_patterns) with an explicit
-    /// thread configuration (bit-identical at every thread count).
-    pub fn from_pi_patterns_with<N: Network>(
-        ntk: &N,
-        patterns: &[Vec<u64>],
-        par: Parallelism,
-    ) -> Self {
         assert!(
             !patterns.is_empty(),
             "at least one pattern word is required"
@@ -165,7 +114,7 @@ impl WordSimulator {
                 sim.values[w][*pi as usize] = word[i];
             }
         }
-        sim.resimulate_with(ntk, par);
+        sim.resimulate(ntk);
         sim
     }
 
@@ -226,119 +175,29 @@ impl WordSimulator {
     /// words (used after the pattern set changed).  Dead nodes keep stale
     /// values; callers only read live nodes.
     ///
-    /// The thread count comes from the `GLSX_THREADS` environment variable
-    /// (default: serial); the result is bit-identical either way, so this
-    /// is safe to drive from the environment.
+    /// Pattern words are processed in 256-bit blocks of four words per
+    /// gate evaluation; remainder words take the scalar path.
     pub fn resimulate<N: Network>(&mut self, ntk: &N) {
-        self.resimulate_with(ntk, Parallelism::from_env());
-    }
-
-    /// [`resimulate`](Self::resimulate) with an explicit thread
-    /// configuration.
-    ///
-    /// The parallel path partitions each [`DepthView`] level bucket across
-    /// the workers (a gate's fanins all live at lower levels, so a barrier
-    /// between levels is the only synchronisation) and every worker
-    /// evaluates all pattern words of its assigned nodes.  Gate values are
-    /// a pure function of the fanin values, so the result is bit-identical
-    /// to the serial sweep at every thread count.
-    pub fn resimulate_with<N: Network>(&mut self, ntk: &N, par: Parallelism) {
         assert!(
             ntk.size() <= self.num_nodes,
             "network grew under the simulator"
         );
-        if !par.is_parallel() {
-            let gates = ntk.gate_nodes();
-            let num_words = self.values.len();
-            let full = (num_words / WIDE_LANES) * WIDE_LANES;
-            for w0 in (0..full).step_by(WIDE_LANES) {
-                self.simulate_word_chunk::<WIDE_LANES>(ntk, &gates, w0);
-            }
-            for w in full..num_words {
-                self.simulate_word(ntk, &gates, w);
-            }
-            return;
-        }
-        let depth = DepthView::new(ntk);
+        let gates = ntk.gate_nodes();
         let num_words = self.values.len();
-        let rows = SharedRows {
-            rows: self.values.iter_mut().map(|row| row.as_mut_ptr()).collect(),
-        };
-        let workers = par.threads;
-        let barrier = Barrier::new(workers);
-        std::thread::scope(|scope| {
-            for worker in 0..workers {
-                let rows = &rows;
-                let depth = &depth;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let mut fanin_buf: Vec<u64> = Vec::new();
-                    let mut wide_buf: Vec<WideWord<WIDE_LANES>> = Vec::new();
-                    let full = (num_words / WIDE_LANES) * WIDE_LANES;
-                    for level in 1..depth.num_levels() {
-                        let bucket = depth.gates_at_level(level);
-                        let bounds = par.chunk_bounds(bucket.len());
-                        if let Some(&(start, end)) = bounds.get(worker) {
-                            for &node in &bucket[start..end] {
-                                // 256-bit blocks first: 4 words per gate
-                                // evaluation, lane i = scalar word w0 + i
-                                for w0 in (0..full).step_by(WIDE_LANES) {
-                                    wide_buf.clear();
-                                    ntk.foreach_fanin(node, |f| {
-                                        // fanins live at strictly lower levels,
-                                        // committed before the last barrier
-                                        let mut lanes = [0u64; WIDE_LANES];
-                                        for (i, lane) in lanes.iter_mut().enumerate() {
-                                            let v = unsafe { rows.read(w0 + i, f.node() as usize) };
-                                            *lane = if f.is_complemented() { !v } else { v };
-                                        }
-                                        wide_buf.push(WideWord::from_lanes(lanes));
-                                    });
-                                    let value = match ntk.gate_kind(node) {
-                                        GateKind::Constant | GateKind::Input => {
-                                            WideWord([0; WIDE_LANES])
-                                        }
-                                        kind => crate::bitops::evaluate_gate(
-                                            kind,
-                                            || ntk.node_function(node),
-                                            &wide_buf,
-                                        ),
-                                    };
-                                    for (i, &lane) in value.lanes().iter().enumerate() {
-                                        unsafe { rows.write(w0 + i, node as usize, lane) };
-                                    }
-                                }
-                                // remainder words stay on the scalar path
-                                for w in full..num_words {
-                                    fanin_buf.clear();
-                                    ntk.foreach_fanin(node, |f| {
-                                        let v = unsafe { rows.read(w, f.node() as usize) };
-                                        fanin_buf.push(if f.is_complemented() { !v } else { v });
-                                    });
-                                    let value = match ntk.gate_kind(node) {
-                                        GateKind::Constant | GateKind::Input => 0,
-                                        kind => crate::bitops::evaluate_gate(
-                                            kind,
-                                            || ntk.node_function(node),
-                                            &fanin_buf,
-                                        ),
-                                    };
-                                    unsafe { rows.write(w, node as usize, value) };
-                                }
-                            }
-                        }
-                        barrier.wait();
-                    }
-                });
-            }
-        });
+        let full = (num_words / WIDE_LANES) * WIDE_LANES;
+        for w0 in (0..full).step_by(WIDE_LANES) {
+            self.simulate_word_chunk::<WIDE_LANES>(ntk, &gates, w0);
+        }
+        for w in full..num_words {
+            self.simulate_word(ntk, &gates, w);
+        }
     }
 
     /// Re-simulates every gate one pattern word at a time, never
     /// entering the 256-bit block path.
     ///
     /// This is the scalar twin the `parallel` bench measures
-    /// [`resimulate_with`](Self::resimulate_with) against: by the
+    /// [`resimulate`](Self::resimulate) against: by the
     /// [`SimBlock`](crate::bitops::SimBlock) lane contract every word it
     /// produces is bit-identical to the corresponding lane of the wide
     /// sweep, so the two paths differ only in evaluations per gate visit.
@@ -464,16 +323,12 @@ mod tests {
     fn wide_chunked_sweep_matches_pattern_simulation() {
         let aig: Aig = full_adder();
         let num_words = 2 * WIDE_LANES + 1;
-        let serial = WordSimulator::random_with(&aig, num_words, 0x71de, Parallelism::serial());
+        let sim = WordSimulator::random(&aig, num_words, 0x71de);
         for w in 0..num_words {
-            let patterns: Vec<u64> = aig.pi_nodes().iter().map(|&p| serial.word(w, p)).collect();
+            let patterns: Vec<u64> = aig.pi_nodes().iter().map(|&p| sim.word(w, p)).collect();
             let outputs = simulate_patterns(&aig, &patterns);
             for (i, po) in aig.po_signals().iter().enumerate() {
-                assert_eq!(
-                    outputs[i],
-                    serial.signal_word(w, *po),
-                    "word {w}, output {i}"
-                );
+                assert_eq!(outputs[i], sim.signal_word(w, *po), "word {w}, output {i}");
             }
         }
     }
@@ -515,43 +370,6 @@ mod tests {
             })
             .collect();
         assert_eq!(canonical, complemented);
-    }
-
-    #[test]
-    fn parallel_resimulation_is_bit_identical() {
-        // a circuit with some width per level so every worker gets nodes
-        let mut aig = Aig::new();
-        let pis: Vec<_> = (0..8).map(|_| aig.create_pi()).collect();
-        let mut layer = pis.clone();
-        for round in 0..4 {
-            let mut next = Vec::new();
-            for i in 0..layer.len() {
-                let a = layer[i];
-                let b = layer[(i + 1 + round) % layer.len()];
-                next.push(if i % 2 == 0 {
-                    aig.create_and(a, !b)
-                } else {
-                    aig.create_or(a, b)
-                });
-            }
-            layer = next;
-        }
-        for &s in &layer {
-            aig.create_po(s);
-        }
-        let serial = WordSimulator::random_with(&aig, 5, 0xabc, Parallelism::serial());
-        for threads in [2, 4, 7] {
-            let par = WordSimulator::random_with(&aig, 5, 0xabc, Parallelism::new(threads));
-            for w in 0..5 {
-                for node in 0..aig.size() as NodeId {
-                    assert_eq!(
-                        serial.word(w, node),
-                        par.word(w, node),
-                        "threads={threads} word={w} node={node}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -161,72 +161,10 @@ impl NpnDatabase {
         self.cache.len()
     }
 
-    /// The database's configuration, for spawning compatible per-thread
-    /// databases ([`NpnDatabase::with_params`]) whose results this one can
-    /// later [`absorb`](Self::absorb).
-    pub fn params(&self) -> NpnDatabaseParams {
-        self.params
-    }
-
-    /// Merges the cached classes and canonisation results of `other` into
-    /// this database, consuming it.  Both caches are pure functions of
-    /// their keys (NPN canonisation is exhaustive over a fixed transform
-    /// order, chain computation is deterministic), so for databases with
-    /// equal parameters the merge is order-independent: entries present on
-    /// both sides are identical and the merged database answers every
-    /// future query exactly as either source would have.  This is how
-    /// per-thread databases warmed by parallel evaluation drain into the
-    /// main database between passes.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the parameters match; merging databases with
-    /// different synthesis settings would make cache contents
-    /// parameter-dependent.
-    pub fn absorb(&mut self, other: NpnDatabase) {
-        debug_assert_eq!(
-            format!("{:?}", self.params),
-            format!("{:?}", other.params),
-            "absorbed databases must share parameters"
-        );
-        if self.cache.is_empty() && self.canon_cache.is_empty() {
-            self.cache = other.cache;
-            self.canon_cache = other.canon_cache;
-            return;
-        }
-        for (key, chain) in other.cache {
-            self.cache.entry(key).or_insert(chain);
-        }
-        for (key, canon) in other.canon_cache {
-            self.canon_cache.entry(key).or_insert(canon);
-        }
-    }
-
     /// Returns the chain stored for the NPN representative of `function`,
     /// computing and caching it if necessary.
     pub fn chain_for(&mut self, canonical: &TruthTable) -> &Chain {
         chain_for_in(&mut self.cache, &self.params, canonical)
-    }
-
-    /// Warms both caches for `function` without touching a network and
-    /// returns the number of chain steps its NPN class needs (0 for
-    /// constants) — the candidate-size estimate the windowed rewriting
-    /// workers use against a frozen network.  Warming computes exactly
-    /// the entries [`resynthesize`](Resynthesis::resynthesize) would,
-    /// and both are pure functions of the key, so a private per-thread
-    /// database warmed here and later [`absorb`](Self::absorb)ed
-    /// answers exactly as if the main database had served the query
-    /// itself.
-    pub fn warm(&mut self, function: &TruthTable) -> usize {
-        if function.is_const() {
-            return 0;
-        }
-        if !self.canon_cache.contains_key(function) {
-            let computed = npn_canonize(function);
-            self.canon_cache.insert(function.clone(), computed);
-        }
-        let (canonical, _) = &self.canon_cache[function];
-        chain_for_in(&mut self.cache, &self.params, canonical).num_steps()
     }
 }
 
@@ -383,53 +321,6 @@ mod tests {
         let chain = db.chain_for(&npn_canonize(&maj).0).clone();
         assert!(chain.num_steps() <= 4);
         assert_eq!(db.num_classes(), 1);
-    }
-
-    /// A database that absorbed per-thread warm-ups answers every query
-    /// exactly as a cold database would — the property the windowed
-    /// rewrite merge phase relies on.
-    #[test]
-    fn absorbed_databases_answer_like_cold_ones() {
-        let functions = [
-            TruthTable::from_hex(3, "e8").unwrap(),
-            TruthTable::from_hex(3, "96").unwrap(),
-            TruthTable::from_hex(4, "cafe").unwrap(),
-            TruthTable::from_hex(4, "1ee1").unwrap(),
-        ];
-        // two "workers" each warm a private database on an overlapping
-        // half of the workload
-        let mut main = NpnDatabase::new();
-        let mut workers = [
-            NpnDatabase::with_params(main.params()),
-            NpnDatabase::with_params(main.params()),
-        ];
-        for (i, db) in workers.iter_mut().enumerate() {
-            for tt in &functions[i..i + 3] {
-                check_resynthesis::<Aig, _>(&mut *db, tt);
-            }
-        }
-        let [first, second] = workers;
-        main.absorb(first);
-        let classes_after_first = main.num_classes();
-        main.absorb(second);
-        assert!(main.num_classes() >= classes_after_first);
-
-        // replay every function through the warm database and a cold one;
-        // the resulting networks must be identical
-        for tt in &functions {
-            let build = |db: &mut NpnDatabase| {
-                let mut aig = Aig::new();
-                let leaves: Vec<Signal> = (0..tt.num_vars()).map(|_| aig.create_pi()).collect();
-                let root = Resynthesis::<Aig>::resynthesize(db, &mut aig, tt, &leaves).unwrap();
-                aig.create_po(root);
-                aig
-            };
-            let warm = build(&mut main);
-            let cold = build(&mut NpnDatabase::new());
-            assert_eq!(warm.num_gates(), cold.num_gates(), "{tt:?}");
-            assert_eq!(warm.po_signals(), cold.po_signals(), "{tt:?}");
-            assert_eq!(&simulate(&warm)[0], tt);
-        }
     }
 
     #[test]

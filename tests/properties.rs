@@ -953,21 +953,19 @@ fn choice_mapping_contract_across_representations() {
     check(|rng| arbitrary_mig(rng, 6, 40), &mut rng, 6);
 }
 
-/// The parallel-execution contract: at every thread count the
-/// level-partitioned word simulator, the bulk cut enumerator, the phased
-/// sweep schedule and the portfolio runner return results bit-identical
-/// to the serial run, on arbitrary networks in every representation.
+/// The parallel-execution contract: at every thread count the bulk cut
+/// enumerator, the phased sweep schedule and the portfolio runner return
+/// results bit-identical to the serial run, on arbitrary networks in every
+/// representation.
 #[test]
 fn parallel_execution_is_bit_identical_to_serial() {
     use glsx::flow::{portfolio_best_luts, FlowOptions};
-    use glsx::network::wordsim::WordSimulator;
     use glsx::network::Parallelism;
 
     const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-    // data parallelism: word simulation and bulk cut enumeration
+    // data parallelism: bulk cut enumeration
     fn check_data_parallel<N: Network>(ntk: &N, label: &str) {
-        let reference = WordSimulator::random_with(ntk, 4, 0xfeed, Parallelism::serial());
         let params = CutParams {
             cut_size: 4,
             cut_limit: 8,
@@ -977,16 +975,6 @@ fn parallel_execution_is_bit_identical_to_serial() {
         serial_mgr.enumerate(ntk, Parallelism::serial());
         let serial_cuts = cut_snapshot(ntk, &mut serial_mgr);
         for threads in THREAD_COUNTS {
-            let sim = WordSimulator::random_with(ntk, 4, 0xfeed, Parallelism::new(threads));
-            for w in 0..reference.num_words() {
-                for &node in ntk.node_ids().iter() {
-                    assert_eq!(
-                        sim.word(w, node),
-                        reference.word(w, node),
-                        "{label}: word {w} of node {node} diverged at {threads} threads"
-                    );
-                }
-            }
             let mut mgr = CutManager::new(params);
             mgr.enumerate(ntk, Parallelism::new(threads));
             assert_eq!(
@@ -1109,88 +1097,6 @@ fn parallel_execution_is_bit_identical_to_serial() {
             4,
         );
         assert_eq!(parallel, serial, "portfolio diverged at {threads} threads");
-    }
-}
-
-/// The windowed parallel rewriting contract: at 1, 2 and 4 threads the
-/// result is miter-proven equivalent to the input, never worse in gate
-/// count than the serial pass (bit-identical to it, in fact — the serial
-/// pass is the verified twin), and bit-identical across repeated runs at
-/// the same thread count — on AIGs, XAGs and MIGs.
-#[test]
-fn windowed_rewrite_matches_serial() {
-    use glsx::algorithms::rewriting::rewrite_with;
-    use glsx::algorithms::windowed::rewrite_windowed;
-    use glsx::network::Parallelism;
-    use glsx::synth::NpnDatabase;
-
-    fn check<N: Network + GateBuilder + Clone>(source: &N, label: &str) {
-        for zero_gain in [false, true] {
-            let params = RewriteParams {
-                allow_zero_gain: zero_gain,
-                ..RewriteParams::default()
-            };
-            let mut serial = source.clone();
-            rewrite_with(&mut serial, &mut NpnDatabase::new(), &params);
-            let serial_print = network_fingerprint(&serial);
-            for threads in [1usize, 2, 4] {
-                let mut windowed = source.clone();
-                let stats = rewrite_windowed(
-                    &mut windowed,
-                    &mut NpnDatabase::new(),
-                    &params,
-                    Parallelism::new(threads),
-                );
-                assert!(
-                    check_equivalence(source, &windowed).is_equivalent(),
-                    "{label}: windowed pass at {threads} threads is not miter-equivalent"
-                );
-                assert!(
-                    windowed.num_gates() <= serial.num_gates(),
-                    "{label}: windowed pass at {threads} threads cost gates \
-                     ({} vs {} serial)",
-                    windowed.num_gates(),
-                    serial.num_gates()
-                );
-                assert_eq!(
-                    network_fingerprint(&windowed),
-                    serial_print,
-                    "{label}: windowed pass at {threads} threads diverged from serial"
-                );
-                // re-running at the same thread count is bit-identical,
-                // stats included
-                let mut again = source.clone();
-                let stats_again = rewrite_windowed(
-                    &mut again,
-                    &mut NpnDatabase::new(),
-                    &params,
-                    Parallelism::new(threads),
-                );
-                assert_eq!(
-                    network_fingerprint(&again),
-                    network_fingerprint(&windowed),
-                    "{label}: repeated windowed run at {threads} threads diverged"
-                );
-                assert_eq!(stats, stats_again, "{label}: stats diverged on re-run");
-                assert!(stats.windows.windows > 0, "{label}: no windows carved");
-                assert!(
-                    stats.windows.confirmed + stats.windows.invalidated + stats.windows.rejected
-                        <= stats.windows.proposed,
-                    "{label}: window accounting inconsistent: {:?}",
-                    stats.windows
-                );
-            }
-        }
-    }
-
-    let mut rng = Rng::seed_from_u64(0x11d0_0001);
-    for case in 0..3 {
-        check(
-            &arbitrary_network(&mut rng, 6, 60),
-            &format!("AIG case {case}"),
-        );
-        check(&arbitrary_xag(&mut rng, 6, 50), &format!("XAG case {case}"));
-        check(&arbitrary_mig(&mut rng, 5, 40), &format!("MIG case {case}"));
     }
 }
 
