@@ -11,10 +11,8 @@
 //!
 //! Every parallel run is checked against its serial twin before it is
 //! timed: cut arenas, sweep outcomes and portfolio results must be
-//! bit-identical (the phased sweep across *thread counts*; its
-//! serial-schedule baseline is miter-proven instead, because the phased
-//! schedule is a different algorithm).  Timings report the best of
-//! several runs; the headline `speedup` is parallel best over serial best.
+//! bit-identical.  Timings report the best of several runs; the headline
+//! `speedup` is parallel best over serial best.
 //!
 //! Threaded rows run at `min(4, CPUs)` threads and never fewer than two,
 //! so a two-CPU machine records two-thread numbers.
@@ -26,9 +24,9 @@
 //!
 //! `--smoke` skips the timing loops: it runs the 4-thread configuration
 //! of every component once against the serial twin (bit-identity for
-//! wide blocks/cuts/sweep/portfolio, a miter proof for the
-//! phased-vs-legacy sweep) on a smaller circuit — the CI guard of the
-//! parallel layer.
+//! wide blocks/cuts/sweep/portfolio) on a smaller circuit, and miter-proves
+//! a swept `multiplier_8` against its input — the CI guard of the parallel
+//! layer.
 
 use glsx_benchmarks::arithmetic::{mac_datapath, multiplier_16};
 use glsx_benchmarks::control::random_control;
@@ -127,21 +125,11 @@ fn bench_cuts(name: &'static str, aig: &Aig, threads: usize, timed: bool) -> Row
 }
 
 /// Phased SAT sweeping: bit-identical stats and network at 1 and
-/// `threads` threads — the parallel-execution contract — then the phased
-/// schedule is timed at both thread counts.  `prove_vs_legacy`
-/// additionally miter-proves the phased result against the legacy serial
-/// schedule (a different algorithm, so equivalence is the contract, not
-/// bit-identity); callers enable it only on CEC-tractable circuits —
-/// multiplier cones blow CDCL miters up exponentially.
-fn bench_sweep(
-    name: &'static str,
-    redundant: &Aig,
-    threads: usize,
-    timed: bool,
-    prove_vs_legacy: bool,
-) -> Row {
+/// `threads` threads — the parallel-execution contract — then the sweep is
+/// timed at both thread counts.
+fn bench_sweep(name: &'static str, redundant: &Aig, threads: usize, timed: bool) -> Row {
     let phased = |threads: usize| SweepParams {
-        parallel_proving: Some(Parallelism::new(threads)),
+        parallelism: Parallelism::new(threads),
         ..SweepParams::default()
     };
     let mut baseline = redundant.clone();
@@ -161,15 +149,6 @@ fn bench_sweep(
         baseline_stats.proven >= 1,
         "{name}: sweep found no injected redundancy ({baseline_stats:?})"
     );
-    if prove_vs_legacy {
-        // different algorithm than the legacy schedule: prove, don't compare
-        let mut legacy = redundant.clone();
-        sweep(&mut legacy, &SweepParams::default());
-        assert!(
-            check_equivalence(&legacy, &baseline).is_equivalent(),
-            "{name}: phased and legacy sweeps are not equivalent"
-        );
-    }
     let (repeats, budget) = if timed { (5, 10_000) } else { (1, 1) };
     let serial_seconds = best_seconds(
         || {
@@ -283,21 +262,28 @@ fn available_cpus() -> usize {
 fn smoke() {
     let aig: Aig = multiplier_16();
     bench_cuts("multiplier_16", &aig, THREADS, false);
-    // bit-identity across thread counts on the big circuit, the
-    // phased-vs-legacy miter on a CEC-tractable one
+    // bit-identity across thread counts on the big circuit, a miter
+    // against the input on a CEC-tractable one (multiplier cones blow CDCL
+    // miters up exponentially)
     let mut redundant = aig.clone();
     inject_redundancy(&mut redundant, 12, 0x9a11);
-    bench_sweep("multiplier_16", &redundant, THREADS, false, false);
+    bench_sweep("multiplier_16", &redundant, THREADS, false);
     let mut small_redundant: Aig = glsx_benchmarks::arithmetic::multiplier(8);
     inject_redundancy(&mut small_redundant, 8, 0x9a12);
-    bench_sweep("multiplier_8", &small_redundant, THREADS, false, true);
+    bench_sweep("multiplier_8", &small_redundant, THREADS, false);
+    let mut swept = small_redundant.clone();
+    sweep(&mut swept, &SweepParams::default());
+    assert!(
+        check_equivalence(&small_redundant, &swept).is_equivalent(),
+        "multiplier_8: the sweep changed the function"
+    );
     bench_wide_simulation("multiplier_16", &aig, 16, false);
     let small: Aig = glsx_benchmarks::arithmetic::multiplier(6);
     bench_portfolio("multiplier_6", &small, 6, THREADS, false);
     println!(
         "smoke: wide blocks, cut enumeration, phased sweep and portfolio \
          verified at {THREADS} threads against the serial twin \
-         (bit-identity + phased-vs-legacy sweep miter) on {} CPUs",
+         (bit-identity + swept multiplier_8 mitered against its input) on {} CPUs",
         available_cpus()
     );
 }
@@ -316,17 +302,11 @@ fn main() {
     let mut redundant = datapath.clone();
     inject_redundancy(&mut redundant, 64, 0x9a11);
 
-    // the phased-vs-legacy miter runs once, on a CEC-tractable circuit;
-    // the big-circuit rows below assert bit-identity across thread counts
-    let mut small_redundant: Aig = glsx_benchmarks::arithmetic::multiplier(8);
-    inject_redundancy(&mut small_redundant, 8, 0x9a12);
-    bench_sweep("multiplier_8", &small_redundant, threads, false, true);
-
     let rows = [
         bench_wide_simulation("mac_datapath_16x4", &datapath, 64, true),
         bench_cuts("mac_datapath_16x4", &datapath, threads, true),
         bench_cuts("random_control_256x200k", &shallow, threads, true),
-        bench_sweep("mac_datapath_16x4", &redundant, threads, true, false),
+        bench_sweep("mac_datapath_16x4", &redundant, threads, true),
         bench_portfolio("multiplier_16", &m16, 6, threads, true),
     ];
 

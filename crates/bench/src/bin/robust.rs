@@ -6,9 +6,9 @@
 //!
 //! * **Overhead.**  Every circuit of the arithmetic suite runs the
 //!   `compress2rs` script unguarded ([`run_script`]) and guarded
-//!   ([`run_script_guarded`]) with journal checkpoints and verification
-//!   off — i.e. the always-on resilience machinery alone: per-step undo
-//!   journals, the `catch_unwind` boundary and report bookkeeping.  Both
+//!   ([`run_script_guarded`]) with verification off — i.e. the always-on
+//!   resilience machinery alone: per-step snapshots, the `catch_unwind`
+//!   boundary and report bookkeeping.  Both
 //!   runs must produce the identical network; the acceptance bar is a
 //!   suite-aggregate overhead of **≤ 10 %**.  A second guarded run with
 //!   full per-step miter verification is recorded for reference (its
@@ -29,7 +29,7 @@
 use glsx_benchmarks::arithmetic::{adder, barrel_shifter, multiplier, square};
 use glsx_flow::{
     run_script, run_script_guarded, FaultPlan, FlowOptions, FlowReport, FlowScript, GuardOptions,
-    RollbackStrategy, VerifyMode,
+    VerifyMode,
 };
 use glsx_network::{Aig, Network};
 use std::time::Instant;
@@ -56,11 +56,10 @@ fn script() -> FlowScript {
     FlowScript::parse("bz; rs -c 6; rw; rs -c 6 -d 2; bz; fraig; rs -c 8; rwz; bz").unwrap()
 }
 
-/// The guard whose cost the ≤10% bar applies to: journal checkpoints and
+/// The guard whose cost the ≤10% bar applies to: snapshot checkpoints and
 /// panic isolation on, verification off.
 fn machinery_guard() -> GuardOptions {
     GuardOptions {
-        rollback: RollbackStrategy::Journal,
         verify: VerifyMode::None,
         ..GuardOptions::default()
     }

@@ -12,14 +12,18 @@
 //!    complement of another share a class and antivalent pairs are merged
 //!    with a complemented edge.  The constant node participates, so nodes
 //!    that simulate to a constant are proven against it.
-//! 2. **Prove** each candidate pair with the CDCL solver: a miter over a
-//!    lazily built Tseitin encoding of the two cones is solved under a
-//!    per-pair conflict budget.  `UNSAT` is a proof of equivalence and the
-//!    candidate is merged into the class representative through the
-//!    [`Replacer`](crate::Replacer) machinery; `SAT` yields a
-//!    counterexample; a budget timeout skips the pair, so sweeping
-//!    degrades gracefully on hard instances instead of stalling.
-//! 3. **Refine**: counterexamples are packed into fresh simulation pattern
+//! 2. **Prove** every candidate class against the frozen network: each
+//!    class gets a fresh CDCL solver, and each member is proven against the
+//!    class representative by a miter over a lazily built Tseitin encoding
+//!    of the two cones, under a per-pair conflict budget.  `UNSAT` is a
+//!    proof of equivalence, `SAT` yields a counterexample, and a budget
+//!    timeout skips the pair, so sweeping degrades gracefully on hard
+//!    instances instead of stalling.  Classes are independent, so the
+//!    class list is split across [`SweepParams::parallelism`] threads.
+//! 3. **Apply** the outcomes serially, in class order: every proven
+//!    candidate is merged into its representative through the
+//!    [`Replacer`](crate::Replacer) machinery.
+//! 4. **Refine**: counterexamples are packed into fresh simulation pattern
 //!    words and the network is re-simulated, splitting every class the new
 //!    patterns distinguish.  The loop repeats until no counterexamples
 //!    remain (or [`SweepParams::max_rounds`] is reached).  Class
@@ -35,13 +39,10 @@
 //! public miter entry point used by the test suite and the bench smoke
 //! mode to verify whole optimisation passes end to end.
 //!
-//! The CNF is built incrementally: one solver per sweep, one variable per
-//! encoded node, cones encoded on demand with the cone walk's visited set
-//! in an encoder-owned [`LocalScratch`] — no per-candidate maps.  The
-//! encoding stays consistent across merges because node functions never
-//! change: a merged node's clauses keep defining its variable as the
-//! function of its (former) cone, which the proof showed equals the
-//! representative's.
+//! Each class's CNF is built lazily: one variable per encoded node, cones
+//! encoded on demand with the cone walk's visited set in an encoder-owned
+//! [`LocalScratch`] — no per-candidate maps, and no shared traversal state,
+//! so any number of classes can be proven concurrently over one network.
 
 use crate::replace::Replacer;
 use glsx_network::telemetry::{self, BatchSpans, MetricsSource, Tracer, BATCH_INTERVAL};
@@ -50,6 +51,7 @@ use glsx_network::{
     Budget, GateKind, LocalScratch, Network, NodeId, Parallelism, Signal, StepOutcome,
 };
 use glsx_sat::{Lit, SatResult, Solver, SolverStats, Var};
+use std::collections::HashSet;
 
 /// Parameters of SAT sweeping.
 #[derive(Clone, Copy, Debug)]
@@ -80,18 +82,16 @@ pub struct SweepParams {
     /// available to choice-aware cut enumeration and LUT mapping.  The
     /// default `false` is the classic destructive fraig.
     pub record_choices: bool,
-    /// *Phased* proving: every candidate class of a round is proven
-    /// against the frozen network on its own fresh solver — distributed
-    /// across the configured worker threads — and the proven merges are
-    /// applied serially in class order afterwards.  Each class's outcomes
-    /// are a pure function of the class alone, so the result is
-    /// bit-identical at every thread count (1 included).  `None` (the
-    /// default) selects the legacy interleaved prove-and-merge schedule
-    /// with one incremental, recycled solver; the phased schedule is a
-    /// *different* algorithm (proofs do not see earlier merges of the same
-    /// round), so its result is equivalence-preserving but not bit-equal
-    /// to the legacy one — CI miter-proves the two against each other.
-    pub parallel_proving: Option<Parallelism>,
+    /// Worker threads of the prove phase.  Every candidate class of a
+    /// round is proven against the frozen network on its own fresh solver,
+    /// the class list split into contiguous chunks across the threads, and
+    /// the proven merges are applied serially in class order afterwards.
+    /// Under an unlimited budget each class's outcomes are a pure function
+    /// of the class alone, so the result is bit-identical at every thread
+    /// count.  Defaults to [`Parallelism::serial`].  `GLSX_THREADS` does
+    /// not drive it: under a finite budget, which pairs fit into the budget
+    /// depends on thread scheduling.
+    pub parallelism: Parallelism,
 }
 
 impl Default for SweepParams {
@@ -103,7 +103,7 @@ impl Default for SweepParams {
             max_rounds: 8,
             incremental_classes: true,
             record_choices: false,
-            parallel_proving: None,
+            parallelism: Parallelism::serial(),
         }
     }
 }
@@ -129,7 +129,7 @@ pub struct SweepStats {
     /// counted once and not retried in later rounds; its nodes stay
     /// unmerged.
     pub skipped: usize,
-    /// Total SAT conflicts spent.
+    /// Total SAT conflicts spent (summed over the per-class solvers).
     pub conflicts: u64,
     /// Nodes (re-)hashed into candidate classes over all rounds.  Under
     /// incremental class maintenance only members of surviving
@@ -208,11 +208,8 @@ const NO_VAR: u32 = u32::MAX;
 /// whose visited set lives in an encoder-owned [`LocalScratch`] (O(1)
 /// start per call, no per-candidate maps, and — because the scratch is
 /// thread-local, not the network's shared slots — any number of encoders
-/// can walk the same network concurrently, which phased parallel proving
-/// relies on).  Encoded clauses stay valid for the lifetime of the solver
-/// even when nodes die: node ids are never reused and a dead node's
-/// clauses still define its variable as its former cone's function over
-/// the primary-input variables.
+/// can walk the same network concurrently, which the prove phase's worker
+/// threads rely on).
 #[derive(Debug)]
 struct CnfEncoder {
     /// `vars[node]` = SAT variable index of the node, or [`NO_VAR`].
@@ -232,17 +229,6 @@ impl CnfEncoder {
             clause: Vec::new(),
             fanin_lits: Vec::new(),
             expanded: LocalScratch::new(),
-        }
-    }
-
-    /// Grows the variable table to cover `num_nodes` node ids (recycling
-    /// hook: a solver carried across the sweeps of one flow keeps every
-    /// encoded clause — node ids are never reused and every pass preserves
-    /// each node's function over the primary inputs, so old clauses stay
-    /// sound — while nodes created since simply encode on first demand).
-    fn ensure_len(&mut self, num_nodes: usize) {
-        if self.vars.len() < num_nodes {
-            self.vars.resize(num_nodes, NO_VAR);
         }
     }
 
@@ -369,17 +355,17 @@ enum PairOutcome {
     Proven,
     /// A distinguishing input assignment was found.
     Refuted(Vec<bool>),
-    /// The conflict budget ran out.
+    /// The conflict limit or the effort budget's propagation allowance
+    /// ran out.
     Undecided,
 }
 
-/// Incremental miter engine of one sweep: a solver plus the lazy encoder,
-/// reused across every candidate pair.
+/// Miter engine of one class: a fresh solver plus the lazy encoder, reused
+/// across the class's candidate pairs.
 #[derive(Debug)]
 struct MiterEngine {
     solver: Solver,
     enc: CnfEncoder,
-    cex: Vec<bool>,
 }
 
 impl MiterEngine {
@@ -387,12 +373,12 @@ impl MiterEngine {
         Self {
             solver: Solver::new(),
             enc: CnfEncoder::new(num_nodes),
-            cex: Vec::new(),
         }
     }
 
     /// Attempts to prove `cand == repr` (or `cand == !repr` when
-    /// `antivalent`) under a conflict budget.
+    /// `antivalent`) under a conflict limit and an optional propagation
+    /// limit.
     fn prove_pair<N: Network>(
         &mut self,
         ntk: &N,
@@ -400,6 +386,7 @@ impl MiterEngine {
         cand: NodeId,
         antivalent: bool,
         conflict_limit: u64,
+        propagation_limit: Option<u64>,
     ) -> PairOutcome {
         let va = self.enc.var_of(ntk, &mut self.solver, repr);
         let vb = self.enc.var_of(ntk, &mut self.solver, cand);
@@ -413,37 +400,36 @@ impl MiterEngine {
         self.solver.add_clause(&[tp, !a, b]);
         self.solver.add_clause(&[tp, a, !b]);
         self.solver.set_conflict_limit(Some(conflict_limit.max(1)));
-        let result = self
+        self.solver.set_propagation_limit(propagation_limit);
+        match self
             .solver
-            .solve_with_assumptions(&[Lit::new(t, !antivalent)]);
-        self.solver.set_conflict_limit(None);
-        match result {
+            .solve_with_assumptions(&[Lit::new(t, !antivalent)])
+        {
             SatResult::Unsat => PairOutcome::Proven,
             SatResult::Unknown => PairOutcome::Undecided,
-            SatResult::Sat => {
-                self.cex.clear();
-                for pi in ntk.pi_nodes() {
-                    let var = self.enc.vars[pi as usize];
-                    // inputs outside both cones are unconstrained: any
-                    // value exhibits the difference, pick false
-                    self.cex.push(if var == NO_VAR {
-                        false
-                    } else {
-                        self.solver
-                            .value(Var::from_index(var as usize))
-                            .unwrap_or(false)
-                    });
-                }
-                PairOutcome::Refuted(self.cex.clone())
-            }
+            SatResult::Sat => PairOutcome::Refuted(
+                ntk.pi_nodes()
+                    .into_iter()
+                    .map(|pi| {
+                        // inputs outside both cones are unconstrained: any
+                        // value exhibits the difference, pick false
+                        let var = self.enc.vars[pi as usize];
+                        var != NO_VAR
+                            && self
+                                .solver
+                                .value(Var::from_index(var as usize))
+                                .unwrap_or(false)
+                    })
+                    .collect(),
+            ),
         }
     }
 }
 
-/// Proof outcomes of one equivalence class under the phased schedule.
+/// Proof outcomes of one equivalence class.
 ///
 /// Produced on a frozen network by [`prove_class`], consumed in class
-/// order by the serial apply phase of [`sweep_with_engine`].
+/// order by the serial apply phase of [`sweep_traced`].
 struct ClassOutcomes {
     /// The representative every pair was proven against: the lowest-ranked
     /// member alive when the phase started (class members arrive in rank
@@ -452,34 +438,39 @@ struct ClassOutcomes {
     /// One `(candidate, antivalent, outcome)` entry per attempted pair, in
     /// class order.
     pairs: Vec<(NodeId, bool, PairOutcome)>,
-    /// SAT conflicts spent on this class.
-    conflicts: u64,
-    /// SAT propagations spent on this class (charged back to an effort
-    /// budget serially after the phase).
-    propagations: u64,
+    /// Statistics of the class's solver (all zero when no pair was
+    /// attempted).
+    solver: SolverStats,
 }
 
-/// Proves every candidate pair of one class against a frozen network.
+/// Proves the candidate pairs of one class against a frozen network.
 ///
 /// The class gets a fresh [`MiterEngine`] (allocated lazily, only when a
-/// provable pair exists), so its outcomes are a pure function of the
-/// class, the network, the simulator and the no-retry set — independent
-/// of which thread runs it and of what other classes run concurrently.
-/// That purity is the phased schedule's determinism argument: any
-/// chunking of the class list produces the same outcome vector.
+/// provable pair exists), so under an unlimited budget its outcomes are a
+/// pure function of the class, the network, the simulator and the no-retry
+/// set — independent of which thread runs it and of what other classes run
+/// concurrently.  That purity is the determinism argument of the prove
+/// phase: any chunking of the class list produces the same outcome vector.
+///
+/// The effort budget is charged per pair: one tick before the pair (the
+/// class stops when it fails), the solve capped at the budget's remaining
+/// propagation allowance, and the spent propagations charged back
+/// afterwards.
+#[allow(clippy::too_many_arguments)]
 fn prove_class<N: Network>(
     ntk: &N,
     class: &[NodeId],
     sim: &WordSimulator,
-    no_retry: &std::collections::HashSet<(NodeId, NodeId)>,
+    no_retry: &HashSet<(NodeId, NodeId)>,
     conflict_limit: u64,
+    budget: &Budget,
+    batch: &mut BatchSpans<'_>,
     tracer: &Tracer,
 ) -> ClassOutcomes {
     let mut out = ClassOutcomes {
         repr: 0,
         pairs: Vec::new(),
-        conflicts: 0,
-        propagations: 0,
+        solver: SolverStats::default(),
     };
     let mut engine: Option<MiterEngine> = None;
     let mut repr: Option<NodeId> = None;
@@ -497,6 +488,13 @@ fn prove_class<N: Network>(
         if no_retry.contains(&(repr_node, node)) {
             continue;
         }
+        // only gates can be merged away; a non-gate sharing a class (a PI
+        // colliding with the constant or another PI) is still proven — SAT
+        // refutes it and the counterexample splits the class next round
+        if !budget.consume(1) {
+            break;
+        }
+        batch.tick();
         let antivalent = sim.phase(repr_node) != sim.phase(node);
         let engine = engine.get_or_insert_with(|| {
             let mut engine = MiterEngine::new(ntk.size());
@@ -504,29 +502,103 @@ fn prove_class<N: Network>(
             engine.solver.set_tracer(tracer.clone());
             engine
         });
-        let outcome = engine.prove_pair(ntk, repr_node, node, antivalent, conflict_limit);
+        let spent = engine.solver.stats().propagations;
+        let outcome = engine.prove_pair(
+            ntk,
+            repr_node,
+            node,
+            antivalent,
+            conflict_limit,
+            budget.sat_propagation_allowance(),
+        );
+        budget.consume_sat(engine.solver.stats().propagations - spent);
         out.pairs.push((node, antivalent, outcome));
     }
     out.repr = repr.unwrap_or(0);
     if let Some(e) = engine {
-        out.conflicts = e.solver.stats().conflicts;
-        out.propagations = e.solver.stats().propagations;
+        out.solver = e.solver.stats();
     }
     out
 }
 
+/// The prove phase of one round: every class in `bounds` (ranges of
+/// `members`) is proven against the frozen network by [`prove_class`].  The
+/// class list is split into contiguous chunks across
+/// [`SweepParams::parallelism`] threads (a single chunk runs on the calling
+/// thread) and the outcomes come back in class order.  A chunk stops at the
+/// first class that finds the budget exhausted.
+#[allow(clippy::too_many_arguments)]
+fn prove_round<N: Network>(
+    ntk: &N,
+    members: &[NodeId],
+    bounds: &[(u32, u32)],
+    sim: &WordSimulator,
+    no_retry: &HashSet<(NodeId, NodeId)>,
+    params: &SweepParams,
+    budget: &Budget,
+    tracer: &Tracer,
+) -> Vec<ClassOutcomes> {
+    let prove_chunk = |chunk: &[(u32, u32)]| {
+        let _chunk = tracer.span("prove_chunk");
+        let mut batch = BatchSpans::new(tracer, "pair_candidates", BATCH_INTERVAL);
+        let mut outcomes = Vec::with_capacity(chunk.len());
+        for &(start, end) in chunk {
+            if budget.is_exhausted() {
+                break;
+            }
+            outcomes.push(prove_class(
+                ntk,
+                &members[start as usize..end as usize],
+                sim,
+                no_retry,
+                params.conflict_limit,
+                budget,
+                &mut batch,
+                tracer,
+            ));
+        }
+        outcomes
+    };
+    let chunks = params.parallelism.chunk_bounds(bounds.len());
+    if chunks.len() <= 1 {
+        return prove_chunk(bounds);
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .iter()
+            .enumerate()
+            .map(|(worker, &(lo, hi))| {
+                let prove_chunk = &prove_chunk;
+                scope.spawn(move || {
+                    // each worker's chunk shows up as its own trace lane
+                    tracer.name_lane(&format!("sweep-worker-{worker}"));
+                    prove_chunk(&bounds[lo..hi])
+                })
+            })
+            .collect();
+        // joining in chunk order restores the global class order; a
+        // worker's panic (an injected budget fault included) is re-raised
+        // with its payload intact
+        let mut outcomes = Vec::with_capacity(bounds.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(chunk) => outcomes.extend(chunk),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        outcomes
+    })
+}
+
 /// Reusable state shared by the `fraig` steps of one flow: the simulation
 /// pattern words (initial random patterns plus every counterexample
-/// discovered so far) and the incremental miter solver with its lazily
-/// built CNF.
+/// discovered so far).
 ///
 /// Node functions never change inside a flow — every pass substitutes
 /// nodes by *proven or constructed equivalents* and node ids are never
-/// reused — so both halves stay valid across sweeps: recycled pattern
-/// words still distinguish exactly the nodes they distinguished before
-/// (later sweeps start from already-refined classes instead of re-earning
-/// each counterexample with SAT conflicts), and every encoded clause still
-/// defines its variable as its node's function over the primary inputs.
+/// reused — so recycled pattern words still distinguish exactly the nodes
+/// they distinguished before: later sweeps start from already-refined
+/// classes instead of re-earning each counterexample with SAT conflicts.
 /// The engine must not be shared between *different* networks (it is keyed
 /// to one node-id space); [`SweepEngine::reset`] clears it.
 #[derive(Debug, Default)]
@@ -541,8 +613,6 @@ pub struct SweepEngine {
     /// (`num_pos`, `size()`), backing the best-effort misuse check below.
     num_pos: usize,
     last_size: usize,
-    /// The miter solver and lazy encoder, created on first use.
-    miter: Option<MiterEngine>,
 }
 
 impl SweepEngine {
@@ -552,13 +622,9 @@ impl SweepEngine {
         Self::default()
     }
 
-    /// Drops all recycled state (pattern words and solver).
+    /// Drops all recycled pattern words.
     pub fn reset(&mut self) {
-        self.patterns.clear();
-        self.num_pis = 0;
-        self.num_pos = 0;
-        self.last_size = 0;
-        self.miter = None;
+        *self = Self::default();
     }
 
     /// Number of pattern words currently carried.
@@ -568,8 +634,8 @@ impl SweepEngine {
 }
 
 /// Runs SAT sweeping on `ntk`: functionally equivalent (or antivalent)
-/// nodes are detected by word-parallel simulation, proven by incremental
-/// SAT and merged, removing the redundant cones (or — under
+/// nodes are detected by word-parallel simulation, proven by SAT and
+/// merged, removing the redundant cones (or — under
 /// [`SweepParams::record_choices`] — keeping them alive as structural
 /// choices of their representative).
 ///
@@ -583,8 +649,8 @@ pub fn sweep<N: Network>(ntk: &mut N, params: &SweepParams) -> SweepStats {
 }
 
 /// [`sweep`] with a caller-provided [`SweepEngine`], recycling pattern
-/// words and the miter solver across the `fraig` steps of one flow.  A
-/// fresh engine reproduces [`sweep`] bit for bit.
+/// words across the `fraig` steps of one flow.  A fresh engine reproduces
+/// [`sweep`] bit for bit.
 pub fn sweep_with_engine<N: Network>(
     ntk: &mut N,
     params: &SweepParams,
@@ -602,23 +668,31 @@ pub fn sweep_with_engine<N: Network>(
 /// [`sweep_with_engine`] under a cooperative effort [`Budget`], reporting
 /// through an explicit telemetry [`Tracer`].
 ///
-/// SAT effort is folded into the tick currency: under the legacy schedule
-/// the budget is polled before every candidate pair, each pair's solve
-/// runs under the budget's remaining propagation allowance (so a single
-/// hard miter cannot blow through the budget), and the spent propagations
-/// are charged back.  Under the phased parallel schedule, workers never
-/// touch the budget (their proof outcomes must stay a pure function of
-/// the class); instead the whole round's pairs and conflicts are charged
-/// serially after the phase and the budget is polled between rounds.
-/// Either way an exhausted sweep stops cleanly — every committed merge is
-/// backed by an `UNSAT` proof and stands.
+/// Each round proves every candidate class against the frozen network
+/// (fresh solver per class, classes split across
+/// [`SweepParams::parallelism`] threads), then applies the outcomes
+/// serially in class order.  A proven pair whose endpoint died in an
+/// earlier merge of the same round is dropped unmarked, so the next round
+/// re-examines it against fresh classes.
 ///
-/// The tracer records a `fraig` pass span with per-round spans, the
-/// round phases (`classify`, `prove_parallel`/`prove_merge`, `apply`,
-/// `resimulate`) as child spans, per-chunk worker spans in the phased
-/// parallel schedule (one per thread lane), and the sweep plus solver
-/// statistics absorbed into the metrics registry.  Observational only —
-/// results are bit-identical at any trace mode.
+/// SAT effort is folded into the tick currency per pair: the budget is
+/// polled before every candidate pair, each pair's solve runs under the
+/// budget's remaining propagation allowance (so a single hard miter cannot
+/// blow through the budget), and the spent propagations are charged back.
+/// A budgeted or deadlined sweep therefore stops within one pair per
+/// worker; the outcomes attempted so far are applied and the round loop
+/// ends, so every committed merge is backed by an `UNSAT` proof and stands.
+/// Under an unlimited budget the result is bit-identical at every thread
+/// count; a finite budget is deterministic at one thread (with more, which
+/// pairs fit into the budget depends on scheduling).
+///
+/// The tracer records a `fraig` pass span with per-round spans, the round
+/// phases (`classify`, `prove`, `apply`, `resimulate`) as child spans, one
+/// `prove_chunk` span per worker (each on its own `sweep-worker-<i>` lane
+/// when the round runs on several threads) tiled by `pair_candidates`
+/// batch spans in full mode, the sweep statistics (`fraig.*`) and the
+/// per-class solver statistics summed over the sweep (`fraig.sat.*`).
+/// Observational only — results are bit-identical at any trace mode.
 pub fn sweep_traced<N: Network>(
     ntk: &mut N,
     params: &SweepParams,
@@ -687,22 +761,6 @@ pub fn sweep_traced<N: Network>(
         rank[gate as usize] = next_rank;
     }
 
-    // Phased proving builds a fresh solver per class (outcomes must be a
-    // pure function of the class, independent of proof order), so the
-    // recycled incremental miter is used — and kept — only by the legacy
-    // schedule.
-    let mut engine = if params.parallel_proving.is_none() {
-        let engine = engine_state
-            .miter
-            .get_or_insert_with(|| MiterEngine::new(ntk.size()));
-        engine.enc.ensure_len(ntk.size());
-        // per-solve spans in full trace mode; purely observational
-        engine.solver.set_tracer(tracer.clone());
-        Some(engine)
-    } else {
-        engine_state.miter = None;
-        None
-    };
     let mut replacer = Replacer::new();
     // the class partition: `members` holds class members contiguously and
     // `bounds` the (start, end) range of every multi-member class, in
@@ -721,14 +779,11 @@ pub fn sweep_traced<N: Network>(
     // timeouts and structurally refused merges.  Counted in `skipped`
     // exactly once, and their miter is not re-encoded or re-solved when
     // an undistinguished class survives into the next round.
-    let mut no_retry: std::collections::HashSet<(NodeId, NodeId)> =
-        std::collections::HashSet::new();
-    let conflicts_before = |e: &MiterEngine| e.solver.stats().conflicts;
+    let mut no_retry: HashSet<(NodeId, NodeId)> = HashSet::new();
+    // the per-class solver statistics, summed over the sweep
+    let mut sat = SolverStats::default();
 
-    'rounds: for round in 0..params.max_rounds.max(1) {
-        if budget.is_exhausted() {
-            break;
-        }
+    for round in 0..params.max_rounds.max(1) {
         let _round = tracer.span("sweep_round");
         stats.rounds = round + 1;
 
@@ -825,208 +880,73 @@ pub fn sweep_traced<N: Network>(
         }
 
         drop(classify);
+        let outcomes = {
+            let _prove = tracer.span("prove");
+            prove_round(
+                ntk, &members, &bounds, &sim, &no_retry, params, budget, tracer,
+            )
+        };
+        // Apply the outcomes serially, in class order.  A merge cascade can
+        // invalidate an *already proven* pair by killing one endpoint before
+        // its turn; such pairs are dropped without a no-retry mark so the
+        // next round re-examines them against fresh classes.
+        let apply = tracer.span("apply");
         cex_patterns.clear();
-        if let Some(par) = params.parallel_proving {
-            // ---- phased schedule ------------------------------------------
-            // Phase 1: prove every class against the *frozen* network.  The
-            // class list is chunked contiguously across workers; each class
-            // gets a fresh per-thread solver in `prove_class`, so outcomes
-            // are a pure function of the class and the chunking is
-            // invisible — every thread count yields the same vector.
-            let frozen: &N = ntk;
-            let class_chunks = par.chunk_bounds(bounds.len());
-            let mut outcomes: Vec<ClassOutcomes> = Vec::with_capacity(bounds.len());
-            let prove_phase = tracer.span("prove_parallel");
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = class_chunks
-                    .iter()
-                    .enumerate()
-                    .map(|(worker, &(lo, hi))| {
-                        let chunk = &bounds[lo..hi];
-                        let members = &members;
-                        let sim = &sim;
-                        let no_retry = &no_retry;
-                        scope.spawn(move || {
-                            // one span per worker chunk: phased proving
-                            // shows up as concurrent lanes in the trace
-                            tracer.name_lane(&format!("sweep-worker-{worker}"));
-                            let _chunk = tracer.span("prove_chunk");
-                            chunk
-                                .iter()
-                                .map(|&(s, e)| {
-                                    prove_class(
-                                        frozen,
-                                        &members[s as usize..e as usize],
-                                        sim,
-                                        no_retry,
-                                        params.conflict_limit,
-                                        tracer,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                // join in chunk order restores the global class order
-                for handle in handles {
-                    outcomes.extend(handle.join().expect("class-proving worker panicked"));
-                }
-            });
-            drop(prove_phase);
-            // Phase 2: apply the outcomes serially, in class order.  Unlike
-            // the legacy schedule, a merge cascade here can invalidate an
-            // *already proven* pair by killing one endpoint before its turn;
-            // such pairs are dropped without a no-retry mark so the next
-            // round re-examines them against fresh classes.
-            let _apply = tracer.span("apply");
-            for out in outcomes {
-                stats.candidate_pairs += out.pairs.len();
-                stats.conflicts += out.conflicts;
-                // charge the round's proof work serially (workers must not
-                // touch the budget: outcomes stay a pure function of the
-                // class); an exhausted budget still applies every proven
-                // merge of this round and stops at the round boundary
-                if !out.pairs.is_empty() {
-                    budget.consume(out.pairs.len() as u64);
-                    budget.consume_sat(out.propagations);
-                }
-                let repr_node = out.repr;
-                for (node, antivalent, outcome) in out.pairs {
-                    match outcome {
-                        PairOutcome::Proven => {
-                            if ntk.is_dead(repr_node) || ntk.is_dead(node) {
-                                continue;
-                            }
-                            let replacement = Signal::new(repr_node, antivalent);
-                            let committed = ntk.is_gate(node)
-                                && if params.record_choices {
-                                    replacer.keep_as_choice(ntk, node, replacement)
-                                } else {
-                                    replacer.merge_equivalent(ntk, node, replacement)
-                                };
-                            if committed {
-                                stats.proven += 1;
-                                if params.record_choices {
-                                    stats.choices_recorded += 1;
-                                    no_retry.insert((repr_node, node));
-                                }
+        for out in outcomes {
+            stats.candidate_pairs += out.pairs.len();
+            sat.conflicts += out.solver.conflicts;
+            sat.decisions += out.solver.decisions;
+            sat.propagations += out.solver.propagations;
+            sat.restarts += out.solver.restarts;
+            sat.learnt_clauses += out.solver.learnt_clauses;
+            let repr_node = out.repr;
+            for (node, antivalent, outcome) in out.pairs {
+                match outcome {
+                    PairOutcome::Proven => {
+                        if ntk.is_dead(repr_node) || ntk.is_dead(node) {
+                            continue;
+                        }
+                        let replacement = Signal::new(repr_node, antivalent);
+                        let committed = ntk.is_gate(node)
+                            && if params.record_choices {
+                                // keep the losing cone alive as a mapping
+                                // choice of the winner; the node survives,
+                                // so the pair must not be re-proven when its
+                                // class reaches the next round
+                                replacer.keep_as_choice(ntk, node, replacement)
                             } else {
-                                stats.skipped += 1;
+                                replacer.merge_equivalent(ntk, node, replacement)
+                            };
+                        if committed {
+                            stats.proven += 1;
+                            if params.record_choices {
+                                stats.choices_recorded += 1;
                                 no_retry.insert((repr_node, node));
                             }
-                        }
-                        PairOutcome::Refuted(pattern) => {
-                            stats.refuted += 1;
-                            cex_patterns.push(pattern);
-                        }
-                        PairOutcome::Undecided => {
+                        } else {
+                            // structurally unmergeable despite the proof
+                            // (non-gate candidate, or a rank inversion the
+                            // acyclicity walk refused): give up on the pair
+                            // instead of re-proving it every round
                             stats.skipped += 1;
                             no_retry.insert((repr_node, node));
                         }
                     }
-                }
-            }
-        } else {
-            // ---- legacy schedule: prove and merge interleaved, one
-            // recycled incremental solver across the whole sweep ----------
-            let engine = engine
-                .as_deref_mut()
-                .expect("legacy schedule keeps the recycled miter");
-            let _prove = tracer.span("prove_merge");
-            let mut batch = BatchSpans::new(tracer, "pair_candidates", BATCH_INTERVAL);
-            for &(start, end) in &bounds {
-                let class = &members[start as usize..end as usize];
-                // the representative is the lowest-ranked live member; it
-                // can die when another class's (or an earlier pair's) merge
-                // cascades over it, in which case the next live member takes
-                // over before the pair is attempted
-                let mut repr: Option<NodeId> = None;
-                for &node in class {
-                    if ntk.is_dead(node) {
-                        continue;
+                    PairOutcome::Refuted(pattern) => {
+                        stats.refuted += 1;
+                        cex_patterns.push(pattern);
                     }
-                    let repr_node = match repr {
-                        None => {
-                            repr = Some(node);
-                            continue;
-                        }
-                        Some(r) if ntk.is_dead(r) => {
-                            repr = Some(node);
-                            continue;
-                        }
-                        Some(r) => r,
-                    };
-                    if no_retry.contains(&(repr_node, node)) {
-                        continue;
-                    }
-                    // only gates can be merged away; a non-gate sharing a
-                    // class (a PI colliding with the constant or another PI)
-                    // is still proven below — SAT refutes it and the
-                    // counterexample splits the class next round
-                    if !budget.consume(1) {
-                        break 'rounds;
-                    }
-                    batch.tick();
-                    let antivalent = sim.phase(repr_node) != sim.phase(node);
-                    stats.candidate_pairs += 1;
-                    let spent = conflicts_before(engine);
-                    let spent_propagations = engine.solver.stats().propagations;
-                    // a finite budget caps each pair's solve at the
-                    // remaining propagation allowance, so one hard miter
-                    // cannot blow through the whole budget; the spent
-                    // propagations are charged back below
-                    engine
-                        .solver
-                        .set_propagation_limit(budget.sat_propagation_allowance());
-                    let outcome =
-                        engine.prove_pair(ntk, repr_node, node, antivalent, params.conflict_limit);
-                    engine.solver.set_propagation_limit(None);
-                    stats.conflicts += conflicts_before(engine) - spent;
-                    budget.consume_sat(engine.solver.stats().propagations - spent_propagations);
-                    match outcome {
-                        PairOutcome::Proven => {
-                            let replacement = Signal::new(repr_node, antivalent);
-                            let committed = ntk.is_gate(node)
-                                && if params.record_choices {
-                                    // keep the losing cone alive as a
-                                    // mapping choice of the winner; the node
-                                    // survives, so the pair must not be
-                                    // re-proven when its class reaches the
-                                    // next round
-                                    replacer.keep_as_choice(ntk, node, replacement)
-                                } else {
-                                    replacer.merge_equivalent(ntk, node, replacement)
-                                };
-                            if committed {
-                                stats.proven += 1;
-                                if params.record_choices {
-                                    stats.choices_recorded += 1;
-                                    no_retry.insert((repr_node, node));
-                                }
-                            } else {
-                                // structurally unmergeable despite the proof
-                                // (non-gate candidate, or a rank inversion
-                                // the acyclicity walk refused): give up on
-                                // the pair instead of re-proving it every
-                                // round
-                                stats.skipped += 1;
-                                no_retry.insert((repr_node, node));
-                            }
-                        }
-                        PairOutcome::Refuted(pattern) => {
-                            stats.refuted += 1;
-                            cex_patterns.push(pattern);
-                        }
-                        PairOutcome::Undecided => {
-                            stats.skipped += 1;
-                            no_retry.insert((repr_node, node));
-                        }
+                    PairOutcome::Undecided => {
+                        stats.skipped += 1;
+                        no_retry.insert((repr_node, node));
                     }
                 }
             }
         }
+        drop(apply);
 
-        if cex_patterns.is_empty() {
+        // an exhausted budget ends the sweep once its proofs are applied
+        if cex_patterns.is_empty() || budget.is_exhausted() {
             break;
         }
         // pack up to 64 counterexamples per fresh pattern word and
@@ -1046,13 +966,6 @@ pub fn sweep_traced<N: Network>(
         }
     }
 
-    // the recycled solver's lifetime stats (legacy schedule only; the
-    // phased schedule's per-class solver work is already summed into
-    // `stats.conflicts` through the class outcomes)
-    if let Some(engine) = engine.as_deref() {
-        tracer.absorb("fraig.sat", &engine.solver.stats());
-    }
-
     // hand the accumulated pattern words (initial + every counterexample)
     // back to the engine for the next sweep of the flow
     engine_state.patterns = sim.pi_patterns(ntk);
@@ -1060,9 +973,11 @@ pub fn sweep_traced<N: Network>(
     engine_state.num_pos = ntk.num_pos();
     engine_state.last_size = ntk.size();
 
+    stats.conflicts = sat.conflicts;
     stats.gates_after = ntk.num_gates();
     stats.outcome = budget.outcome();
     tracer.absorb("fraig", &stats);
+    tracer.absorb("fraig.sat", &sat);
     tracer.set_gauge("fraig.gates_after", stats.gates_after as u64);
     stats
 }
@@ -1425,8 +1340,8 @@ mod tests {
 
     /// Incremental class maintenance is bit-identical to the full re-sort:
     /// same rounds, same candidate pairs in the same order (hence the same
-    /// incremental solver state), same proofs, same merges — while
-    /// re-hashing far fewer nodes.
+    /// solver work), same proofs, same merges — while re-hashing far fewer
+    /// nodes.
     #[test]
     fn incremental_classes_match_full_resort() {
         let build = || {
@@ -1490,53 +1405,48 @@ mod tests {
         assert!(check_equivalence(&incremental, &full).is_equivalent());
     }
 
-    /// The phased schedule is bit-identical at every thread count (same
-    /// stats, same network) and miter-equivalent to the legacy schedule.
+    /// Random AND cones over twelve inputs; with a single initial pattern
+    /// word they force refinement rounds and give the prove phase many
+    /// multi-member classes.
+    fn colliding_cones(seed: u64, gates: usize, outputs: usize) -> Aig {
+        let mut aig = Aig::new();
+        let mut signals: Vec<Signal> = (0..12).map(|_| aig.create_pi()).collect();
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        for _ in 0..gates {
+            let a = signals[next() % signals.len()].complement_if(next() % 2 == 0);
+            let b = signals[next() % signals.len()].complement_if(next() % 2 == 0);
+            signals.push(aig.create_and(a, b));
+        }
+        for s in signals.iter().rev().take(outputs) {
+            aig.create_po(*s);
+        }
+        aig
+    }
+
+    /// The sweep is bit-identical at every thread count (same stats, same
+    /// network) and miter-equivalent to its input.
     #[test]
     fn phased_proving_is_thread_count_invariant() {
-        let build = || {
-            // random AND cones over few patterns force refinement rounds
-            // and give the phased scheduler many multi-member classes
-            let mut aig = Aig::new();
-            let pis: Vec<Signal> = (0..12).map(|_| aig.create_pi()).collect();
-            let mut signals = pis.clone();
-            let mut state = 0x9e37_79b9_u64;
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) as usize
-            };
-            for _ in 0..120 {
-                let a = signals[next() % signals.len()].complement_if(next() % 2 == 0);
-                let b = signals[next() % signals.len()].complement_if(next() % 2 == 0);
-                signals.push(aig.create_and(a, b));
-            }
-            for s in signals.iter().rev().take(8) {
-                aig.create_po(*s);
-            }
-            aig
-        };
-        let phased_params = |threads: usize| SweepParams {
+        let build = || colliding_cones(0x9e37_79b9, 120, 8);
+        let params = |threads: usize| SweepParams {
             num_words: 1,
-            parallel_proving: Some(Parallelism::new(threads)),
+            parallelism: Parallelism::new(threads),
             ..SweepParams::default()
         };
-        let mut legacy = build();
-        let legacy_stats = sweep(
-            &mut legacy,
-            &SweepParams {
-                num_words: 1,
-                ..SweepParams::default()
-            },
-        );
         let mut baseline = build();
-        let baseline_stats = sweep(&mut baseline, &phased_params(1));
+        let baseline_stats = sweep(&mut baseline, &params(1));
         assert!(
             baseline_stats.rounds > 1 && baseline_stats.refuted > 0,
             "the refinement path must actually run: {baseline_stats:?}"
         );
+        assert!(check_equivalence(&build(), &baseline).is_equivalent());
         for threads in [2, 4] {
             let mut ntk = build();
-            let stats = sweep(&mut ntk, &phased_params(threads));
+            let stats = sweep(&mut ntk, &params(threads));
             assert_eq!(stats, baseline_stats, "threads = {threads}");
             assert_eq!(ntk.num_gates(), baseline.num_gates(), "threads = {threads}");
             assert_eq!(
@@ -1545,11 +1455,6 @@ mod tests {
                 "threads = {threads}"
             );
         }
-        // phased and legacy interleave merges differently, so they may
-        // produce different (equivalent) networks — the contract is
-        // semantic, checked by the miter
-        assert!(check_equivalence(&baseline, &legacy).is_equivalent());
-        assert_eq!(legacy.num_gates(), legacy_stats.gates_after);
     }
 
     /// The equivalence outcome carries real proof-effort numbers.
@@ -1646,28 +1551,13 @@ mod tests {
         assert!(check_equivalence(&reference, &aig).is_equivalent());
     }
 
-    /// The engine carries pattern words and the solver across sweeps: the
-    /// second sweep starts from the recycled words (observable in the
-    /// stats) and never attempts more candidate pairs than a fresh sweep
-    /// of the same network would.
+    /// The engine carries pattern words across sweeps: the second sweep
+    /// starts from the recycled words (observable in the stats) and never
+    /// attempts more candidate pairs than a fresh sweep of the same network
+    /// would.
     #[test]
     fn sweep_engine_recycles_words_across_sweeps() {
-        let mut aig = Aig::new();
-        let pis: Vec<Signal> = (0..12).map(|_| aig.create_pi()).collect();
-        let mut signals = pis.clone();
-        let mut state = 0xfeed_f00d_u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            (state >> 33) as usize
-        };
-        for _ in 0..60 {
-            let a = signals[next() % signals.len()].complement_if(next() % 2 == 0);
-            let b = signals[next() % signals.len()].complement_if(next() % 2 == 0);
-            signals.push(aig.create_and(a, b));
-        }
-        for s in signals.iter().rev().take(5) {
-            aig.create_po(*s);
-        }
+        let mut aig = colliding_cones(0xfeed_f00d, 60, 5);
         let params = SweepParams {
             num_words: 1, // provoke collisions → real refinement rounds
             ..SweepParams::default()
@@ -1741,50 +1631,125 @@ mod tests {
         assert!(!full.limit_exhausted, "{full:?}");
     }
 
-    /// A budgeted sweep stops cleanly: the network stays equivalent, the
-    /// merge count never exceeds the unlimited run's, and the outcome
-    /// names the exhaustion.
+    /// Twenty-four redundant copies of distinct two-input ANDs over eight
+    /// inputs: one provable candidate pair per copy.
+    fn redundant_pairs() -> Aig {
+        let mut aig = Aig::new();
+        let pis: Vec<Signal> = (0..8).map(|_| aig.create_pi()).collect();
+        for i in 0..24 {
+            let (a, k) = (i % 8, 1 + i / 8);
+            let x = aig.create_and(pis[a], pis[(a + k) % 8]);
+            let dup = redundant_copy(&mut aig, x, pis[(a + 5) % 8]);
+            aig.create_po(dup);
+        }
+        aig
+    }
+
+    /// A budgeted sweep stops cleanly and within one pair: the budget is
+    /// charged per candidate pair inside the prove phase, so at every tick
+    /// limit and thread count fewer pairs are attempted than the budget has
+    /// ticks, the merge count never exceeds the unlimited run's, the
+    /// network stays equivalent to its input, and small limits report the
+    /// exhaustion.
     #[test]
     fn budgeted_sweep_commits_an_equivalent_prefix() {
-        use glsx_network::{Budget, StepOutcome};
-        let build = || {
-            let mut aig = Aig::new();
-            let a = aig.create_pi();
-            let b = aig.create_pi();
-            let s = aig.create_pi();
-            let x = aig.create_and(a, b);
-            let dup = redundant_copy(&mut aig, x, s);
-            let y = aig.create_and(x, s);
-            let dup2 = redundant_copy(&mut aig, y, b);
-            aig.create_po(dup);
-            aig.create_po(dup2);
-            aig
-        };
-        let reference = build();
-        let full = {
-            let mut aig = build();
-            sweep(&mut aig, &SweepParams::default())
-        };
-        assert!(full.proven >= 2, "{full:?}");
-        let mut saw_exhausted = false;
-        for limit in 0..12u64 {
-            let mut aig = build();
-            let budget = Budget::with_ticks(limit);
-            let mut engine = SweepEngine::default();
-            let stats = sweep_traced(
-                &mut aig,
-                &SweepParams::default(),
-                &mut engine,
-                &budget,
-                telemetry::global(),
-            );
-            assert!(stats.proven <= full.proven, "{stats:?}");
-            assert!(equivalent_by_simulation(&reference, &aig));
-            assert!(check_equivalence(&reference, &aig).is_equivalent());
-            if let StepOutcome::Exhausted { .. } = stats.outcome {
-                saw_exhausted = true;
+        let reference = redundant_pairs();
+        let unlimited = Budget::unlimited();
+        let full = sweep_traced(
+            &mut redundant_pairs(),
+            &SweepParams::default(),
+            &mut SweepEngine::new(),
+            &unlimited,
+            &Tracer::off(),
+        );
+        assert!(full.candidate_pairs >= 20, "{full:?}");
+        for threads in [1, 2] {
+            let params = SweepParams {
+                parallelism: Parallelism::new(threads),
+                ..SweepParams::default()
+            };
+            let mut saw_exhausted = false;
+            for limit in 0..=unlimited.spent() + 1 {
+                let mut aig = redundant_pairs();
+                let stats = sweep_traced(
+                    &mut aig,
+                    &params,
+                    &mut SweepEngine::new(),
+                    &Budget::with_ticks(limit),
+                    &Tracer::off(),
+                );
+                assert!(
+                    stats.candidate_pairs as u64 <= limit.saturating_sub(1),
+                    "threads {threads}, limit {limit}: {stats:?}"
+                );
+                assert!(stats.proven <= full.proven, "{stats:?}");
+                assert!(
+                    check_equivalence(&reference, &aig).is_equivalent(),
+                    "threads {threads}, limit {limit}: {stats:?}"
+                );
+                saw_exhausted |= !stats.outcome.is_completed();
             }
+            assert!(saw_exhausted, "threads {threads}: no limit exhausted");
         }
-        assert!(saw_exhausted, "no tick limit ever exhausted the sweep");
+    }
+
+    /// A panic inside a prove worker — here an injected budget fault —
+    /// reaches the caller with its payload intact, which is how the
+    /// guarded executor recognises it.
+    #[test]
+    fn worker_panics_reach_the_caller_with_their_payload() {
+        use glsx_network::budget::INJECTED_PANIC_MESSAGE;
+        use glsx_network::InjectedFault;
+        let mut aig = redundant_pairs();
+        let budget = Budget::unlimited().inject(InjectedFault::Panic, 3);
+        let params = SweepParams {
+            parallelism: Parallelism::new(2),
+            ..SweepParams::default()
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sweep_traced(
+                &mut aig,
+                &params,
+                &mut SweepEngine::new(),
+                &budget,
+                &Tracer::off(),
+            )
+        }))
+        .expect_err("the injected panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.starts_with(INJECTED_PANIC_MESSAGE), "{message:?}");
+    }
+
+    /// The per-class solver statistics are summed once per sweep into
+    /// `fraig.sat.*`: the conflict counter equals the sweep's own total at
+    /// every thread count, and a second sweep on the same engine adds only
+    /// its own work.
+    #[test]
+    fn traced_sweeps_count_their_sat_work() {
+        use glsx_network::telemetry::TraceMode;
+        for threads in [1, 2] {
+            let tracer = Tracer::new(TraceMode::Counters);
+            let params = SweepParams {
+                parallelism: Parallelism::new(threads),
+                ..SweepParams::default()
+            };
+            let mut engine = SweepEngine::new();
+            let (mut aig, _) = parity_pair();
+            let budget = Budget::unlimited();
+            let first = sweep_traced(&mut aig, &params, &mut engine, &budget, &tracer);
+            assert!(first.conflicts > 0, "{first:?}");
+            let metrics = tracer.metrics();
+            assert_eq!(metrics.counter("fraig.sat.conflicts"), first.conflicts);
+            assert!(metrics.counter("fraig.sat.propagations") > 0);
+            let second = sweep_traced(&mut aig, &params, &mut engine, &budget, &tracer);
+            assert_eq!(
+                tracer.metrics().counter("fraig.sat.conflicts"),
+                first.conflicts + second.conflicts,
+                "threads {threads}"
+            );
+        }
     }
 }

@@ -6,11 +6,11 @@
 //! through a substitution — the network handed back is always a valid,
 //! input-equivalent state.  The machinery:
 //!
-//! * **Checkpoints.**  Before every step the executor captures the network
-//!   — a full [`NetworkSnapshot`](glsx_network::NetworkSnapshot)
-//!   ([`RollbackStrategy::Snapshot`]) or a cheap first-touch
-//!   [`UndoJournal`](glsx_network::Network::begin_undo) recording only the
-//!   step's own mutations ([`RollbackStrategy::Journal`]).
+//! * **Checkpoints.**  Before every mutating step the executor captures
+//!   the network as a full
+//!   [`NetworkSnapshot`](glsx_network::NetworkSnapshot): O(network) to
+//!   take, and a restore whose cost does not depend on how much the
+//!   failed step mutated.
 //! * **Panic isolation.**  The step runs under
 //!   [`std::panic::catch_unwind`]; a panic rolls the network back to the
 //!   checkpoint (which also bumps the traversal epoch, so scratch stamps a
@@ -52,21 +52,6 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 use std::time::{Duration, Instant};
-
-/// How a guarded step's checkpoint is taken.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RollbackStrategy {
-    /// Full [`NetworkSnapshot`](glsx_network::NetworkSnapshot) per step:
-    /// O(network) to capture, restore cost independent of how much the
-    /// step mutated.  The robust default.
-    #[default]
-    Snapshot,
-    /// First-touch undo journal
-    /// ([`begin_undo`](glsx_network::Network::begin_undo)): capture is
-    /// O(outputs), rollback cost proportional to the step's own mutation
-    /// footprint — much cheaper when steps usually succeed.
-    Journal,
-}
 
 /// How a committed step is checked against the flow input.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -255,8 +240,6 @@ impl fmt::Display for FaultPlan {
 /// Options of the guarded executor.
 #[derive(Clone, Debug, Default)]
 pub struct GuardOptions {
-    /// How per-step checkpoints are taken.
-    pub rollback: RollbackStrategy,
     /// How committed steps are verified against the flow input.
     pub verify: VerifyMode,
     /// Default per-step effort budget in ticks for steps the script does
@@ -292,18 +275,16 @@ pub enum StepStatus {
     Skipped,
 }
 
-/// Which checkpoint strategy actually ran before a guarded step.
+/// Which checkpoint actually ran before a guarded step.
 ///
 /// Read-only steps (e.g. a [`FlowStep::LutMap`] mapping query inside an
 /// in-place script, which mutates nothing) skip checkpointing entirely —
 /// there is no mutation to protect against, so paying a full snapshot
-/// clone (or opening an undo journal) for them would be pure overhead.
+/// clone for them would be pure overhead.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckpointStrategy {
-    /// A full network snapshot was taken ([`RollbackStrategy::Snapshot`]).
+    /// A full network snapshot was taken.
     Snapshot,
-    /// An undo journal was opened ([`RollbackStrategy::Journal`]).
-    Journal,
     /// No checkpoint was taken: the step is read-only, so there is
     /// nothing a rollback could need to restore (per-step verification
     /// is skipped for the same reason).
@@ -538,27 +519,15 @@ where
         // mutation to protect, so a snapshot clone of a large network
         // would be pure overhead.
         let read_only = step_is_read_only(step);
-        let (checkpoint, strategy) = if read_only {
-            (None, CheckpointStrategy::None)
-        } else {
-            match guard.rollback {
-                RollbackStrategy::Snapshot => (Some(ntk.snapshot()), CheckpointStrategy::Snapshot),
-                RollbackStrategy::Journal => {
-                    ntk.begin_undo();
-                    (None, CheckpointStrategy::Journal)
-                }
-            }
-        };
-        step_report.checkpoint = strategy;
+        let checkpoint = (!read_only).then(|| ntk.snapshot());
+        if checkpoint.is_some() {
+            step_report.checkpoint = CheckpointStrategy::Snapshot;
+        }
         let rollback = |ntk: &mut N, engine: &mut SweepEngine| {
-            match (&checkpoint, strategy) {
-                (Some(snapshot), _) => ntk.restore(snapshot),
-                (None, CheckpointStrategy::Journal) => {
-                    let rolled = ntk.rollback_undo();
-                    debug_assert!(rolled, "journal checkpoint vanished mid-step");
-                }
-                // read-only step: nothing was (or could have been) mutated
-                (None, _) => {}
+            // a read-only step has no checkpoint: nothing was (or could
+            // have been) mutated
+            if let Some(snapshot) = &checkpoint {
+                ntk.restore(snapshot);
             }
             // the engine's pattern words may reference rolled-back nodes
             engine.reset();
@@ -618,9 +587,6 @@ where
                 drop(verify_span);
                 match verdict {
                     None | Some(EquivalenceResult::Equivalent) => {
-                        if strategy == CheckpointStrategy::Journal {
-                            ntk.commit_undo();
-                        }
                         step_report.status = StepStatus::Committed;
                         step_report.substitutions = substitutions;
                         report.committed += 1;
@@ -724,59 +690,46 @@ mod tests {
         let source: Aig = adder(4);
         let mut plain = source.clone();
         let plain_stats = crate::run_script(&mut plain, &guarded_script(), &FlowOptions::default());
-        for rollback in [RollbackStrategy::Snapshot, RollbackStrategy::Journal] {
-            let mut guarded = source.clone();
-            let report = run_script_guarded(
-                &mut guarded,
-                &guarded_script(),
-                &FlowOptions::default(),
-                &GuardOptions {
-                    rollback,
-                    ..GuardOptions::default()
-                },
-            );
-            assert_eq!(report.rollbacks, 0, "{report:?}");
-            assert_eq!(report.committed, guarded_script().steps().len());
-            assert_eq!(report.substitutions, plain_stats.substitutions);
-            assert_eq!(guarded.num_gates(), plain.num_gates());
-            assert_eq!(guarded.po_signals(), plain.po_signals());
-            assert_eq!(report.final_verify, Some(true));
-        }
+        let mut guarded = source.clone();
+        let report = run_script_guarded(
+            &mut guarded,
+            &guarded_script(),
+            &FlowOptions::default(),
+            &GuardOptions::default(),
+        );
+        assert_eq!(report.rollbacks, 0, "{report:?}");
+        assert_eq!(report.committed, guarded_script().steps().len());
+        assert_eq!(report.substitutions, plain_stats.substitutions);
+        assert_eq!(guarded.num_gates(), plain.num_gates());
+        assert_eq!(guarded.po_signals(), plain.po_signals());
+        assert_eq!(report.final_verify, Some(true));
     }
 
     #[test]
     fn read_only_steps_skip_checkpoint_and_verification() {
         let source: Aig = adder(4);
-        for rollback in [RollbackStrategy::Snapshot, RollbackStrategy::Journal] {
-            let mut ntk = source.clone();
-            let report = run_script_guarded(
-                &mut ntk,
-                &FlowScript::parse("rw; lut_map -k 4; rwz").unwrap(),
-                &FlowOptions::default(),
-                &GuardOptions {
-                    rollback,
-                    verify: VerifyMode::Miter,
-                    ..GuardOptions::default()
-                },
-            );
-            assert_eq!(report.rollbacks, 0, "{report:?}");
-            assert_eq!(report.committed, 3);
-            // mutating steps checkpoint with the configured strategy,
-            // the read-only mapping query with none at all
-            let expected = match rollback {
-                RollbackStrategy::Snapshot => CheckpointStrategy::Snapshot,
-                RollbackStrategy::Journal => CheckpointStrategy::Journal,
-            };
-            assert_eq!(report.steps[0].checkpoint, expected);
-            assert_eq!(report.steps[1].checkpoint, CheckpointStrategy::None);
-            assert_eq!(report.steps[2].checkpoint, expected);
-            // the read-only step also skips its per-step verification:
-            // no `verify` span and no miter limit flag
-            assert_eq!(report.steps[1].substitutions, 0);
-            assert!(!report.steps[1].verify_limit_exhausted);
-            assert_eq!(report.final_verify, Some(true));
-            assert!(equivalent_by_simulation(&source, &ntk));
-        }
+        let mut ntk = source.clone();
+        let report = run_script_guarded(
+            &mut ntk,
+            &FlowScript::parse("rw; lut_map -k 4; rwz").unwrap(),
+            &FlowOptions::default(),
+            &GuardOptions {
+                verify: VerifyMode::Miter,
+                ..GuardOptions::default()
+            },
+        );
+        assert_eq!(report.rollbacks, 0, "{report:?}");
+        assert_eq!(report.committed, 3);
+        // mutating steps take a snapshot, the read-only mapping query none
+        assert_eq!(report.steps[0].checkpoint, CheckpointStrategy::Snapshot);
+        assert_eq!(report.steps[1].checkpoint, CheckpointStrategy::None);
+        assert_eq!(report.steps[2].checkpoint, CheckpointStrategy::Snapshot);
+        // the read-only step also skips its per-step verification:
+        // no `verify` span and no miter limit flag
+        assert_eq!(report.steps[1].substitutions, 0);
+        assert!(!report.steps[1].verify_limit_exhausted);
+        assert_eq!(report.final_verify, Some(true));
+        assert!(equivalent_by_simulation(&source, &ntk));
         // a deadline-skipped step reports no checkpoint either
         let mut ntk = source.clone();
         let report = run_script_guarded(
@@ -797,36 +750,32 @@ mod tests {
     #[test]
     fn injected_panics_roll_back_and_the_flow_recovers() {
         let source: Aig = adder(4);
-        let plan = FaultPlan::parse("panic@rewrite:1,panic@resub:1").unwrap();
-        for rollback in [RollbackStrategy::Snapshot, RollbackStrategy::Journal] {
-            let mut ntk = source.clone();
-            let report = run_script_guarded(
-                &mut ntk,
-                &guarded_script(),
-                &FlowOptions::default(),
-                &GuardOptions {
-                    rollback,
-                    fault_plan: plan.clone(),
-                    ..GuardOptions::default()
-                },
-            );
-            assert_eq!(report.panics, 2, "{report:?}");
-            assert_eq!(report.rollbacks, 2);
-            assert_eq!(
-                report.committed,
-                guarded_script().steps().len() - 2,
-                "the remaining steps keep running"
-            );
-            assert_eq!(report.final_verify, Some(true));
-            assert!(equivalent_by_simulation(&source, &ntk));
-            let panicked: Vec<&str> = report
-                .steps
-                .iter()
-                .filter(|s| s.failure == Some(FailureKind::Panic))
-                .map(|s| s.site)
-                .collect();
-            assert_eq!(panicked, ["rewrite", "resub"]);
-        }
+        let mut ntk = source.clone();
+        let report = run_script_guarded(
+            &mut ntk,
+            &guarded_script(),
+            &FlowOptions::default(),
+            &GuardOptions {
+                fault_plan: FaultPlan::parse("panic@rewrite:1,panic@resub:1").unwrap(),
+                ..GuardOptions::default()
+            },
+        );
+        assert_eq!(report.panics, 2, "{report:?}");
+        assert_eq!(report.rollbacks, 2);
+        assert_eq!(
+            report.committed,
+            guarded_script().steps().len() - 2,
+            "the remaining steps keep running"
+        );
+        assert_eq!(report.final_verify, Some(true));
+        assert!(equivalent_by_simulation(&source, &ntk));
+        let panicked: Vec<&str> = report
+            .steps
+            .iter()
+            .filter(|s| s.failure == Some(FailureKind::Panic))
+            .map(|s| s.site)
+            .collect();
+        assert_eq!(panicked, ["rewrite", "resub"]);
     }
 
     #[test]

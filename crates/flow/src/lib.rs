@@ -32,8 +32,7 @@ pub mod specialized;
 
 pub use executor::{
     run_script_guarded, run_script_guarded_traced, CheckpointStrategy, FailureKind, FaultAction,
-    FaultPlan, FlowReport, GuardOptions, ParseFaultPlanError, RollbackStrategy, StepReport,
-    StepStatus, VerifyMode,
+    FaultPlan, FlowReport, GuardOptions, ParseFaultPlanError, StepReport, StepStatus, VerifyMode,
 };
 pub use portfolio::{portfolio_best_luts, portfolio_best_luts_traced, PortfolioResult};
 pub use script::{FlowScript, FlowStep, ParseFlowScriptError};
@@ -62,9 +61,11 @@ pub struct FlowOptions {
     pub sweep: SweepParams,
     /// Run every pass in its *from-scratch* maintenance mode (full cut
     /// rebuilds after each substitution, full signature re-sorts each
-    /// sweeping round) instead of the incremental default.  Both modes
-    /// produce bit-identical networks; the CI smoke run executes each pass
-    /// in both and asserts exactly that.
+    /// sweeping round) instead of the incremental default, and give every
+    /// `fraig` step a fresh [`SweepEngine`] instead of recycling pattern
+    /// words across steps.  Each pass produces the same network in both
+    /// modes; the CI smoke run executes each pass in both and asserts
+    /// exactly that.
     pub full_recompute: bool,
     /// Pass-level parallelism of [`portfolio_best_luts`]: the AIG, MIG and
     /// XAG flows are fully independent, so they run on one scoped thread
@@ -129,10 +130,10 @@ where
 ///
 /// Consecutive `fraig` steps of one flow recycle the engine's simulation
 /// pattern words (initial random patterns plus every counterexample
-/// already paid for) and its incremental miter solver, so repeated sweeps
-/// refine instead of restarting.  Sound within one flow because every
-/// pass preserves each node's function over the primary inputs and node
-/// ids are never reused; pass a fresh engine per network.
+/// already paid for), so repeated sweeps start from refined classes
+/// instead of restarting.  Sound within one flow because every pass
+/// preserves each node's function over the primary inputs and node ids
+/// are never reused; pass a fresh engine per network.
 ///
 /// The budget is threaded into the pass, so an exhausted step stops
 /// cleanly between candidates with every committed substitution intact
@@ -230,9 +231,9 @@ where
 /// choices use [`run_script_and_map`] (which maps before compacting);
 /// [`FlowStep::LutMap`] steps are skipped here for the same reason.
 ///
-/// Consecutive `fraig` steps share one [`SweepEngine`] (pattern words and
-/// miter solver recycled) unless [`FlowOptions::full_recompute`] selects
-/// the from-scratch reference, which gives every step a fresh engine.
+/// Consecutive `fraig` steps share one [`SweepEngine`] (pattern words
+/// recycled) unless [`FlowOptions::full_recompute`] selects the
+/// from-scratch reference, which gives every step a fresh engine.
 pub fn run_script<N>(ntk: &mut N, script: &FlowScript, options: &FlowOptions) -> FlowStats
 where
     N: Network + GateBuilder + ResubNetwork,

@@ -127,15 +127,6 @@ impl ChangeLog {
     pub fn clear(&mut self) {
         self.events.clear();
     }
-
-    /// Drops every event recorded after the first `len` — the rollback
-    /// primitive of the undo journal: events recorded by a rolled-back
-    /// mutation burst must not reach an incremental consumer, since they
-    /// describe structure that no longer exists.
-    #[inline]
-    pub fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
-    }
 }
 
 #[cfg(test)]

@@ -177,22 +177,6 @@ macro_rules! impl_network_common {
                 self.storage.restore(snapshot);
             }
 
-            fn begin_undo(&mut self) {
-                self.storage.begin_undo();
-            }
-
-            fn commit_undo(&mut self) {
-                self.storage.commit_undo();
-            }
-
-            fn rollback_undo(&mut self) -> bool {
-                self.storage.rollback_undo()
-            }
-
-            fn has_undo(&self) -> bool {
-                self.storage.has_undo()
-            }
-
             fn find_structural(
                 &self,
                 kind: crate::GateKind,

@@ -167,37 +167,6 @@ impl NetworkSnapshot {
     }
 }
 
-/// Pre-image undo journal: the cheap rollback path for *small* mutation
-/// bursts.  Where a [`NetworkSnapshot`] copies the whole network up
-/// front, the journal records only what a burst actually touches — the
-/// first-touch pre-image of every mutated node record, the pre-value of
-/// every structural-hash entry written, watermarks for appended
-/// nodes/PIs, and eager copies of the small shared tables (PO list,
-/// choice rings).  Rolling back replays the records newest-first.
-#[derive(Clone, Debug)]
-struct UndoJournal {
-    /// Node count at `begin_undo`; records at or past it are appends and
-    /// roll back by truncation.
-    node_watermark: usize,
-    pi_watermark: usize,
-    /// Eager copy — the PO list is small and mutated in place.
-    pos: Vec<Signal>,
-    /// First-touch pre-images of mutated pre-existing node records,
-    /// paired with the node's fanout list (which lives in a side table
-    /// but is journalled together with the record it belongs to).
-    touched: HashMap<NodeId, (NodeData, Vec<NodeId>)>,
-    /// Pre-value of every strash entry written, oldest first; replayed in
-    /// reverse, each key ends at its pre-burst value.
-    strash_ops: Vec<(StrashKey, Option<NodeId>)>,
-    num_dead_gates: usize,
-    /// Eager copy — ring links are rebased in place during substitution.
-    choices: Option<ChoiceStore>,
-    /// Pending change-event count at `begin_undo`; events recorded by the
-    /// rolled-back burst are truncated away (they describe undone
-    /// structure).
-    changes_len: usize,
-}
-
 /// Shared storage: node table, PI/PO lists, structural hashing, scratch
 /// slots.
 #[derive(Clone, Debug, Default)]
@@ -230,9 +199,6 @@ pub(crate) struct Storage {
     /// [`Storage::enable_choices`], one `Option` check per mutation when
     /// absent.
     choices: Option<ChoiceStore>,
-    /// Active undo journal (see [`UndoJournal`]); absent outside guarded
-    /// mutation bursts, one `Option` check per mutation when absent.
-    journal: Option<Box<UndoJournal>>,
     /// `true` while the fanout lists and the structural-hash table are
     /// unmaterialised after a bulk load (see
     /// [`Storage::seal_bulk_load`]).  The cached fanout counts are
@@ -359,12 +325,11 @@ impl Storage {
         }
     }
 
-    /// Restores the logical state captured by `snapshot`, discarding any
-    /// active undo journal.  Scratch slots are rebuilt zeroed and the
-    /// traversal epoch is **bumped, never rewound** — any stamp a
-    /// panicked pass left mid-traversal becomes unreachable, so the
-    /// single-traversal debug check cannot fire spuriously and no stale
-    /// mark can alias a fresh traversal.
+    /// Restores the logical state captured by `snapshot`.  Scratch slots
+    /// are rebuilt zeroed and the traversal epoch is **bumped, never
+    /// rewound** — any stamp a panicked pass left mid-traversal becomes
+    /// unreachable, so the single-traversal debug check cannot fire
+    /// spuriously and no stale mark can alias a fresh traversal.
     pub fn restore(&mut self, snapshot: &NetworkSnapshot) {
         self.nodes.clone_from(&snapshot.nodes);
         self.fanout_lists.clone_from(&snapshot.fanout_lists);
@@ -376,111 +341,10 @@ impl Storage {
         self.changes.clone_from(&snapshot.changes);
         self.track_changes = snapshot.track_changes;
         self.derived_stale = snapshot.derived_stale;
-        self.journal = None;
         self.scratch.clear();
         self.scratch
             .extend((0..snapshot.nodes.len()).map(|_| ScratchSlot::default()));
         self.next_traversal_epoch();
-    }
-
-    /// Starts recording pre-images for the cheap rollback path (see
-    /// [`UndoJournal`]).  A journal that is already active is committed
-    /// first — nested bursts fold into the outer transaction's commit.
-    pub fn begin_undo(&mut self) {
-        self.ensure_derived();
-        self.journal = Some(Box::new(UndoJournal {
-            node_watermark: self.nodes.len(),
-            pi_watermark: self.pis.len(),
-            pos: self.pos.clone(),
-            touched: HashMap::new(),
-            strash_ops: Vec::new(),
-            num_dead_gates: self.num_dead_gates,
-            choices: self.choices.clone(),
-            changes_len: self.changes.len(),
-        }));
-    }
-
-    /// Accepts the mutations since [`Storage::begin_undo`] and drops the
-    /// journal.  No-op without an active journal.
-    pub fn commit_undo(&mut self) {
-        self.journal = None;
-    }
-
-    /// Returns `true` while an undo journal is recording.
-    pub fn has_undo(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Rolls the network back to the state at [`Storage::begin_undo`] and
-    /// drops the journal; returns `false` (and does nothing) without an
-    /// active journal.  Epoch hygiene matches [`Storage::restore`]: the
-    /// traversal epoch is bumped, never rewound.
-    pub fn rollback_undo(&mut self) -> bool {
-        let Some(journal) = self.journal.take() else {
-            return false;
-        };
-        let journal = *journal;
-        // strash entries: newest-first replay lands every key on its
-        // pre-burst value (the first op on a key recorded it)
-        for (key, previous) in journal.strash_ops.into_iter().rev() {
-            match previous {
-                Some(id) => {
-                    self.strash.insert(key, id);
-                }
-                None => {
-                    self.strash.remove(&key);
-                }
-            }
-        }
-        for (id, (data, fanouts)) in journal.touched {
-            self.nodes[id as usize] = data;
-            self.fanout_lists[id as usize] = fanouts;
-        }
-        self.nodes.truncate(journal.node_watermark);
-        self.fanout_lists.truncate(journal.node_watermark);
-        self.scratch.truncate(journal.node_watermark);
-        self.pis.truncate(journal.pi_watermark);
-        self.pos = journal.pos;
-        self.num_dead_gates = journal.num_dead_gates;
-        self.choices = journal.choices;
-        self.changes.truncate(journal.changes_len);
-        self.next_traversal_epoch();
-        true
-    }
-
-    /// Records the pre-image of node `id` into the active journal (first
-    /// touch only; appended nodes roll back by truncation instead).
-    /// Called before every mutation of an existing node record.
-    #[inline]
-    fn journal_touch(&mut self, id: NodeId) {
-        if let Some(journal) = &mut self.journal {
-            let index = id as usize;
-            if index < journal.node_watermark {
-                journal.touched.entry(id).or_insert_with(|| {
-                    (self.nodes[index].clone(), self.fanout_lists[index].clone())
-                });
-            }
-        }
-    }
-
-    /// Strash insertion with journalled pre-value.
-    #[inline]
-    fn strash_insert(&mut self, key: StrashKey, id: NodeId) {
-        let previous = self.strash.insert(key, id);
-        if let Some(journal) = &mut self.journal {
-            journal.strash_ops.push((key, previous));
-        }
-    }
-
-    /// Strash removal with journalled pre-value (no-op entries skipped).
-    #[inline]
-    fn strash_remove(&mut self, key: &StrashKey) {
-        let previous = self.strash.remove(key);
-        if previous.is_some() {
-            if let Some(journal) = &mut self.journal {
-                journal.strash_ops.push((*key, previous));
-            }
-        }
     }
 
     // -- structural choices (see [`crate::choices`]) -----------------------
@@ -652,7 +516,6 @@ impl Storage {
     }
 
     pub fn create_po(&mut self, signal: Signal) -> usize {
-        self.journal_touch(signal.node());
         let driver = self.node_mut(signal.node());
         driver.po_refs += 1;
         driver.fanout_count += 1;
@@ -690,12 +553,11 @@ impl Storage {
         self.ensure_derived();
         let id = self.nodes.len() as NodeId;
         for f in fanins {
-            self.journal_touch(f.node());
             self.fanout_lists[f.node() as usize].push(id);
             self.nodes[f.node() as usize].fanout_count += 1;
         }
         if kind != GateKind::Lut {
-            self.strash_insert(StrashKey::new(kind, fanins), id);
+            self.strash.insert(StrashKey::new(kind, fanins), id);
         }
         self.nodes.push(NodeData::new(
             kind,
@@ -782,8 +644,7 @@ impl Storage {
     }
 
     /// Appends a primary output, maintaining the driver's PO-reference and
-    /// cached fanout count (like [`Storage::create_po`], minus the undo
-    /// journal the bulk path never has).
+    /// cached fanout count (like [`Storage::create_po`]).
     pub(crate) fn bulk_append_po(&mut self, signal: Signal) {
         let driver = self.node_mut(signal.node());
         driver.po_refs += 1;
@@ -971,8 +832,6 @@ impl Storage {
             if old == new.node() || self.node(old).dead || self.node(new.node()).dead {
                 continue;
             }
-            self.journal_touch(old);
-            self.journal_touch(new.node());
             // Unique parents (a parent appears once per fanin occurrence).
             let mut parents = self.fanout_lists[old as usize].clone();
             parents.sort_unstable();
@@ -981,13 +840,12 @@ impl Storage {
                 if self.node(p).dead {
                     continue;
                 }
-                self.journal_touch(p);
                 let kind = self.node(p).kind;
                 // Remove the stale strash entry for p (if it points to p).
                 if kind != GateKind::Lut {
                     let key = StrashKey::new(kind, self.node(p).fanins.as_slice());
                     if self.strash.get(&key) == Some(&p) {
-                        self.strash_remove(&key);
+                        self.strash.remove(&key);
                     }
                 }
                 // Update fanins of p and move fanout references.
@@ -1028,7 +886,7 @@ impl Storage {
                         }
                         Some(_) => {}
                         None => {
-                            self.strash_insert(key, p);
+                            self.strash.insert(key, p);
                         }
                     }
                 }
@@ -1056,8 +914,6 @@ impl Storage {
         if old == new.node() {
             return;
         }
-        self.journal_touch(old);
-        self.journal_touch(new.node());
         let mut moved = 0u32;
         for po in &mut self.pos {
             if po.node() == old {
@@ -1093,12 +949,11 @@ impl Storage {
                 continue;
             }
             // mark dead and unregister from strash
-            self.journal_touch(id);
             let kind = self.node(id).kind;
             if kind != GateKind::Lut {
                 let key = StrashKey::new(kind, self.node(id).fanins.as_slice());
                 if self.strash.get(&key) == Some(&id) {
-                    self.strash_remove(&key);
+                    self.strash.remove(&key);
                 }
             }
             self.nodes[id as usize].dead = true;
@@ -1106,7 +961,6 @@ impl Storage {
             self.record(ChangeEvent::Deleted { node: id });
             let fanins = self.nodes[id as usize].fanins.clone();
             for f in &fanins {
-                self.journal_touch(f.node());
                 let list = &mut self.fanout_lists[f.node() as usize];
                 if let Some(pos) = list.iter().position(|&q| q == id) {
                     list.swap_remove(pos);
@@ -1394,85 +1248,6 @@ mod tests {
         // the enclosing consumer's undrained events are reinstated exactly
         assert_eq!(s.changes.len(), pending);
         assert_eq!(s.changes.events(), log.events());
-    }
-
-    #[test]
-    fn journal_rollback_restores_pre_burst_state() {
-        let (mut s, a, b, _c, g1, g2) = build_sample();
-        let before = fingerprint(&s);
-        assert!(!s.has_undo());
-        assert!(!s.rollback_undo(), "no journal, nothing to roll back");
-        s.begin_undo();
-        assert!(s.has_undo());
-        // a burst touching every journalled surface: node appends, fanin
-        // rewires, strash writes, deletions, PO edits
-        s.substitute(g1, a);
-        s.take_out(g2);
-        let h = s.find_or_create_gate(GateKind::And, &[!a, b]);
-        s.create_po(!sig(h));
-        assert_ne!(fingerprint(&s), before);
-        let epoch_before = s.current_traversal_epoch();
-        assert!(s.rollback_undo());
-        assert_eq!(fingerprint(&s), before);
-        assert!(!s.has_undo());
-        assert!(s.current_traversal_epoch() > epoch_before);
-        // the strash replay is consistent: looking up g1's key finds g1
-        // again rather than creating a duplicate
-        let again = s.find_or_create_gate(GateKind::And, &[a, b]);
-        assert_eq!(again, g1);
-    }
-
-    #[test]
-    fn journal_commit_accepts_the_burst() {
-        let (mut s, a, _b, _c, g1, _g2) = build_sample();
-        s.begin_undo();
-        s.substitute(g1, a);
-        let mutated = fingerprint(&s);
-        s.commit_undo();
-        assert!(!s.has_undo());
-        assert!(!s.rollback_undo(), "committed: nothing left to undo");
-        assert_eq!(fingerprint(&s), mutated);
-    }
-
-    #[test]
-    fn journal_rollback_truncates_burst_change_events() {
-        let (mut s, a, _b, _c, g1, _g2) = build_sample();
-        s.set_change_tracking(true);
-        s.begin_undo();
-        s.substitute(g1, a);
-        assert!(!s.changes.is_empty());
-        assert!(s.rollback_undo());
-        // events describing undone structure never reach a consumer
-        assert!(s.changes.is_empty());
-        let mut log = ChangeLog::new();
-        s.drain_changes(&mut log);
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn journal_rollback_restores_choice_rings() {
-        let mut s = Storage::new();
-        let a = s.create_pi();
-        let b = s.create_pi();
-        let c = s.create_pi();
-        let g = s.find_or_create_gate(GateKind::And, &[a, b]);
-        s.create_po(sig(g));
-        let h1 = s.find_or_create_gate(GateKind::And, &[a, c]);
-        let h = s.find_or_create_gate(GateKind::And, &[sig(h1), b]);
-        s.create_po(sig(h));
-        s.enable_choices();
-        assert!(s.register_choice(h, sig(g)));
-        let before = fingerprint(&s);
-        s.begin_undo();
-        // substituting the representative migrates the ring in place
-        let g2 = s.find_or_create_gate(GateKind::And, &[b, c]);
-        s.create_po(sig(g2));
-        s.substitute(g, sig(g2));
-        assert_eq!(s.choice_repr(h), g2);
-        assert!(s.rollback_undo());
-        assert_eq!(fingerprint(&s), before);
-        assert_eq!(s.choice_repr(h), g);
-        assert_eq!(s.next_choice(g), Some(h));
     }
 
     #[test]

@@ -232,31 +232,11 @@ pub trait Network: Sized + Send + Sync {
     /// captured.
     fn snapshot(&self) -> NetworkSnapshot;
 
-    /// Restores the state captured by [`Network::snapshot`], discarding
-    /// any active undo journal.  Scratch slots are rebuilt zeroed and the
-    /// traversal epoch is bumped (never rewound), so marks a panicked
-    /// pass left behind can neither alias a fresh traversal nor trip the
-    /// single-traversal debug check.
+    /// Restores the state captured by [`Network::snapshot`].  Scratch
+    /// slots are rebuilt zeroed and the traversal epoch is bumped (never
+    /// rewound), so marks a panicked pass left behind can neither alias a
+    /// fresh traversal nor trip the single-traversal debug check.
     fn restore(&mut self, snapshot: &NetworkSnapshot);
-
-    /// Starts the cheap rollback path: pre-images of every node record a
-    /// following mutation burst touches are journalled, so
-    /// [`Network::rollback_undo`] can restore the pre-burst state at a
-    /// cost proportional to the burst, not the network.  An already
-    /// active journal is committed first.
-    fn begin_undo(&mut self);
-
-    /// Accepts the mutations since [`Network::begin_undo`] and drops the
-    /// journal (no-op without one).
-    fn commit_undo(&mut self);
-
-    /// Rolls back to the state at [`Network::begin_undo`] and drops the
-    /// journal; returns `false` (and changes nothing) without an active
-    /// journal.  Epoch hygiene matches [`Network::restore`].
-    fn rollback_undo(&mut self) -> bool;
-
-    /// Returns `true` while an undo journal is recording.
-    fn has_undo(&self) -> bool;
 
     /// Looks up the live gate registered in the structural-hash table for
     /// `kind` over `fanins` (argument order irrelevant for commutative

@@ -1,7 +1,7 @@
 //! Views: derived information layered on top of a network without
 //! modifying it (topological order, levels/depth, reachability).
 
-use crate::{ChangeEvent, ChangeLog, GateKind, Network, NodeId, Signal};
+use crate::{GateKind, Network, NodeId, Signal};
 
 /// Returns the set of nodes reachable from the primary outputs (the
 /// "useful" logic), including primary inputs and the constant node.
@@ -293,132 +293,6 @@ impl DepthView {
 /// [`DepthView`], mirroring the paper's Algorithm 1).
 pub fn network_depth<N: Network>(ntk: &N) -> u32 {
     DepthView::new(ntk).depth()
-}
-
-/// A depth view maintained *incrementally* from the change-event layer.
-///
-/// [`DepthView`] is a snapshot: after any structural change the whole
-/// level table must be recomputed from scratch (O(network) per query).
-/// This view instead consumes the [`ChangeLog`] a tracking network records
-/// and repairs only the levels the events can have moved: the rewired
-/// nodes and, transitively, the part of their fanout cone whose level
-/// actually changes.  Regions untouched by the log keep their levels
-/// without being revisited — the same incremental-vs-full contract as
-/// `CutManager::refresh_from`, with [`DepthView`] as the verified
-/// from-scratch twin (see the property suite).
-///
-/// # Usage
-///
-/// ```
-/// use glsx_network::views::{network_depth, IncrementalDepthView};
-/// use glsx_network::{Aig, ChangeLog, GateBuilder, Network};
-///
-/// let mut aig = Aig::new();
-/// let a = aig.create_pi();
-/// let b = aig.create_pi();
-/// let c = aig.create_pi();
-/// let g1 = aig.create_and(a, b);
-/// let g2 = aig.create_and(g1, c);
-/// aig.create_po(g2);
-/// let mut depth = IncrementalDepthView::new(&aig);
-/// assert_eq!(depth.depth(&aig), 2);
-///
-/// aig.set_change_tracking(true);
-/// aig.substitute_node(g1.node(), a);
-/// let mut log = ChangeLog::new();
-/// aig.drain_changes(&mut log);
-/// depth.refresh_from(&aig, &log);
-/// assert_eq!(depth.depth(&aig), network_depth(&aig));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct IncrementalDepthView {
-    /// Level per node id (dense; dead nodes keep their last level, which
-    /// is never read — depth queries only consult live output cones).
-    levels: Vec<u32>,
-    /// Reused propagation worklist.
-    worklist: Vec<NodeId>,
-}
-
-impl IncrementalDepthView {
-    /// Computes levels for all live nodes of `ntk` (same cost as
-    /// [`DepthView::new`]; subsequent maintenance is incremental).
-    pub fn new<N: Network>(ntk: &N) -> Self {
-        let mut view = Self {
-            levels: vec![0; ntk.size()],
-            worklist: Vec::new(),
-        };
-        for node in ntk.gate_nodes() {
-            view.levels[node as usize] = view.recomputed_level(ntk, node);
-        }
-        view
-    }
-
-    /// `1 + max(fanin levels)` over the node's *current* fanins.
-    #[inline]
-    fn recomputed_level<N: Network>(&self, ntk: &N, node: NodeId) -> u32 {
-        let mut level = 0;
-        ntk.foreach_fanin(node, |f| {
-            level = level.max(self.levels[f.node() as usize]);
-        });
-        level + 1
-    }
-
-    /// Returns the level of `node` (0 for inputs, constants and nodes not
-    /// known to the view).
-    pub fn level(&self, node: NodeId) -> u32 {
-        self.levels.get(node as usize).copied().unwrap_or(0)
-    }
-
-    /// Depth of the network: the maximum level over the primary outputs
-    /// (an O(outputs) read off the maintained table).
-    pub fn depth<N: Network>(&self, ntk: &N) -> u32 {
-        ntk.po_signals()
-            .iter()
-            .map(|s| self.level(s.node()))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Repairs the view after the structural changes recorded in `log`.
-    ///
-    /// Nodes created since the last refresh are levelled first (ids are
-    /// assigned in creation order and a gate's fanins exist before it, so
-    /// one ascending sweep over the new ids suffices).  Every
-    /// [`ChangeEvent::RewiredFanin`] node is then recomputed from its
-    /// current fanins; when a level changes the change propagates through
-    /// the live fanout cone until the levels reach their unique fixpoint
-    /// (the acyclic network guarantees termination).  `Substituted` and
-    /// `Deleted` events need no work of their own: a dead node's level is
-    /// never read, and its former parents arrive as rewire events.
-    pub fn refresh_from<N: Network>(&mut self, ntk: &N, log: &ChangeLog) {
-        // levels for nodes created since the view last saw the network
-        let old_len = self.levels.len();
-        if ntk.size() > old_len {
-            self.levels.resize(ntk.size(), 0);
-            for id in old_len..ntk.size() {
-                let id = id as NodeId;
-                if ntk.is_gate(id) {
-                    self.levels[id as usize] = self.recomputed_level(ntk, id);
-                }
-            }
-        }
-        debug_assert!(self.worklist.is_empty());
-        for event in log.events() {
-            if let ChangeEvent::RewiredFanin { node } = *event {
-                self.worklist.push(node);
-            }
-        }
-        while let Some(node) = self.worklist.pop() {
-            if !ntk.is_gate(node) {
-                continue;
-            }
-            let level = self.recomputed_level(ntk, node);
-            if self.levels[node as usize] != level {
-                self.levels[node as usize] = level;
-                ntk.foreach_fanout(node, |parent| self.worklist.push(parent));
-            }
-        }
-    }
 }
 
 /// Summary statistics of a network, used by the flow and the benchmark

@@ -27,7 +27,7 @@ fn main() {
     let redundant = aig.clone();
 
     // SAT sweeping partitions nodes by word-parallel simulation
-    // signatures, proves candidate pairs with an incremental miter and
+    // signatures, proves each candidate class on its own miter solver and
     // merges only what the solver certified
     let stats = sweep(&mut aig, &SweepParams::default());
     println!(

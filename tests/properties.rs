@@ -780,63 +780,6 @@ fn cut_merge_invariants() {
     }
 }
 
-/// The incremental depth view is bit-identical to its from-scratch twin:
-/// under randomized substitution/deletion sequences (with change tracking
-/// on), refreshing from the drained log reproduces `DepthView::new`'s
-/// level for every live node and the same overall depth.
-#[test]
-fn incremental_depth_view_matches_from_scratch_twin() {
-    use glsx::network::views::{DepthView, IncrementalDepthView};
-    let mut rng = Rng::seed_from_u64(0xdeb7);
-    for case in 0..12 {
-        let mut aig = arbitrary_network(&mut rng, 6, 50);
-        let mut view = IncrementalDepthView::new(&aig);
-        let mut log = ChangeLog::new();
-        aig.set_change_tracking(true);
-        for step in 0..12 {
-            let gates = aig.gate_nodes();
-            if gates.is_empty() {
-                break;
-            }
-            let node = gates[rng.gen_range(gates.len())];
-            if rng.gen_bool() {
-                // substitute by one of its fanins (always acyclic)
-                let fanin = aig.fanin(node, rng.gen_range(aig.fanin_size(node)));
-                aig.substitute_node(node, fanin.complement_if(rng.gen_bool()));
-            } else {
-                aig.take_out_node(node);
-            }
-            // occasionally grow fresh logic so new-node levelling is hit
-            if rng.gen_range(3) == 0 {
-                let gates = aig.gate_nodes();
-                if !gates.is_empty() {
-                    let a = Signal::new(gates[rng.gen_range(gates.len())], rng.gen_bool());
-                    let b = Signal::new(aig.pi_nodes()[0], false);
-                    let fresh = aig.create_and(a, b);
-                    aig.create_po(fresh);
-                }
-            }
-            aig.drain_changes(&mut log);
-            view.refresh_from(&aig, &log);
-            log.clear();
-            let scratch = DepthView::new(&aig);
-            for node in aig.node_ids() {
-                assert_eq!(
-                    view.level(node),
-                    scratch.level(node),
-                    "case {case}, step {step}, node {node}"
-                );
-            }
-            assert_eq!(
-                view.depth(&aig),
-                scratch.depth(),
-                "case {case}, step {step}"
-            );
-        }
-        aig.set_change_tracking(false);
-    }
-}
-
 /// Choice rings stay structurally consistent under randomized
 /// substitute/delete sequences: members stay live and reachable from live
 /// representatives, rings migrate across substitutions, and no node lands
@@ -990,12 +933,12 @@ fn parallel_execution_is_bit_identical_to_serial() {
         }
     }
 
-    // pass parallelism: the phased sweep schedule proves candidate classes
-    // on independent per-thread miters and must be thread-count invariant
+    // pass parallelism: the sweep proves candidate classes on independent
+    // per-thread miters and must be thread-count invariant
     fn check_phased_sweep<N: Network + Clone>(ntk: &N, label: &str) {
         let phased_params = |threads| SweepParams {
             num_words: 1,
-            parallel_proving: Some(Parallelism::new(threads)),
+            parallelism: Parallelism::new(threads),
             ..SweepParams::default()
         };
         let mut baseline = N::clone(ntk);
@@ -1022,20 +965,6 @@ fn parallel_execution_is_bit_identical_to_serial() {
                 "{label}: swept outputs diverged at {threads} threads"
             );
         }
-        // the phased schedule is a different algorithm than the legacy
-        // incremental-miter schedule, so the cross-check is semantic
-        let mut legacy = N::clone(ntk);
-        sweep(
-            &mut legacy,
-            &SweepParams {
-                num_words: 1,
-                ..SweepParams::default()
-            },
-        );
-        assert!(
-            check_equivalence(&legacy, &baseline).is_equivalent(),
-            "{label}: phased and legacy sweeps disagree on the function"
-        );
     }
 
     let mut rng = Rng::seed_from_u64(0x9a9_0006);
@@ -1118,9 +1047,9 @@ fn network_fingerprint<N: Network>(ntk: &N) -> NetworkFingerprint {
 }
 
 /// Checkpoint property: snapshot → arbitrary mutation burst → restore is
-/// bit-identical to the pre-snapshot network (same for the cheaper undo
-/// journal), on all three graph representations, and the restored
-/// network passes the full structural audit (strash + choice rings).
+/// bit-identical to the pre-snapshot network, on all three graph
+/// representations, and the restored network passes the full structural
+/// audit (strash + choice rings).
 #[test]
 fn checkpoints_restore_bit_identical_networks() {
     fn check<N: Network + GateBuilder + Clone>(
@@ -1131,7 +1060,6 @@ fn checkpoints_restore_bit_identical_networks() {
         for case in 0..cases {
             let mut ntk = build(rng);
             let reference = network_fingerprint(&ntk);
-            // full snapshot
             let snapshot = ntk.snapshot();
             glsx::benchmarks::inject_redundancy(&mut ntk, 3, 0xf00d + case as u64);
             sweep(&mut ntk, &SweepParams::default());
@@ -1146,27 +1074,6 @@ fn checkpoints_restore_bit_identical_networks() {
             assert!(
                 check_network_integrity(&ntk).is_ok(),
                 "{} case {case}: restored network fails the structural audit",
-                N::NAME
-            );
-            // undo journal
-            ntk.begin_undo();
-            glsx::benchmarks::inject_redundancy(&mut ntk, 3, 0xfeed + case as u64);
-            sweep(&mut ntk, &SweepParams::default());
-            balance(&mut ntk, &BalanceParams::default());
-            assert!(
-                ntk.rollback_undo(),
-                "{} case {case}: journal vanished",
-                N::NAME
-            );
-            assert_eq!(
-                network_fingerprint(&ntk),
-                reference,
-                "{} case {case}: journal rollback is not bit-identical",
-                N::NAME
-            );
-            assert!(
-                check_network_integrity(&ntk).is_ok(),
-                "{} case {case}: rolled-back network fails the structural audit",
                 N::NAME
             );
         }
@@ -1217,14 +1124,14 @@ fn checkpoints_restore_bit_identical_networks() {
 
 /// Never-corrupt contract: the guarded executor stays miter-equivalent
 /// to its input under *any* fault plan — random panics, exhaustions and
-/// starved verifications at random sites, with both rollback strategies,
-/// on all three graph representations.
+/// starved verifications at random sites, on all three graph
+/// representations.
 #[test]
 fn guarded_flows_survive_arbitrary_fault_plans() {
     use glsx::algorithms::resubstitution::ResubNetwork;
     use glsx::flow::{
-        run_script_guarded, FaultPlan, FlowOptions, FlowScript, GuardOptions, RollbackStrategy,
-        StepStatus, VerifyMode,
+        run_script_guarded, FaultPlan, FlowOptions, FlowScript, GuardOptions, StepStatus,
+        VerifyMode,
     };
 
     fn arbitrary_fault_plan(rng: &mut Rng) -> FaultPlan {
@@ -1250,47 +1157,44 @@ fn guarded_flows_survive_arbitrary_fault_plans() {
         for case in 0..cases {
             let source = build(rng);
             let plan = arbitrary_fault_plan(rng);
-            for rollback in [RollbackStrategy::Snapshot, RollbackStrategy::Journal] {
-                let mut ntk = source.clone();
-                let report = run_script_guarded(
-                    &mut ntk,
-                    &script,
-                    &FlowOptions::default(),
-                    &GuardOptions {
-                        rollback,
-                        verify: VerifyMode::Miter,
-                        fault_plan: plan.clone(),
-                        ..GuardOptions::default()
-                    },
-                );
-                assert_eq!(
-                    report.final_verify,
-                    Some(true),
-                    "{} case {case} plan `{plan}` {rollback:?}: final miter not green: {report:?}",
-                    N::NAME
-                );
-                assert!(
-                    check_equivalence(&source, &ntk).is_equivalent(),
-                    "{} case {case} plan `{plan}` {rollback:?}: output diverged from input",
-                    N::NAME
-                );
-                assert!(
-                    check_network_integrity(&ntk).is_ok(),
-                    "{} case {case} plan `{plan}` {rollback:?}: corrupt output network",
-                    N::NAME
-                );
-                assert!(
-                    report.steps.iter().all(|s| s.status != StepStatus::Skipped),
-                    "{} case {case}: no deadline was set, nothing may be skipped",
-                    N::NAME
-                );
-                assert_eq!(
-                    report.committed + report.rollbacks,
-                    script.steps().len(),
-                    "{} case {case} plan `{plan}` {rollback:?}: steps unaccounted for: {report:?}",
-                    N::NAME
-                );
-            }
+            let mut ntk = source.clone();
+            let report = run_script_guarded(
+                &mut ntk,
+                &script,
+                &FlowOptions::default(),
+                &GuardOptions {
+                    verify: VerifyMode::Miter,
+                    fault_plan: plan.clone(),
+                    ..GuardOptions::default()
+                },
+            );
+            assert_eq!(
+                report.final_verify,
+                Some(true),
+                "{} case {case} plan `{plan}`: final miter not green: {report:?}",
+                N::NAME
+            );
+            assert!(
+                check_equivalence(&source, &ntk).is_equivalent(),
+                "{} case {case} plan `{plan}`: output diverged from input",
+                N::NAME
+            );
+            assert!(
+                check_network_integrity(&ntk).is_ok(),
+                "{} case {case} plan `{plan}`: corrupt output network",
+                N::NAME
+            );
+            assert!(
+                report.steps.iter().all(|s| s.status != StepStatus::Skipped),
+                "{} case {case}: no deadline was set, nothing may be skipped",
+                N::NAME
+            );
+            assert_eq!(
+                report.committed + report.rollbacks,
+                script.steps().len(),
+                "{} case {case} plan `{plan}`: steps unaccounted for: {report:?}",
+                N::NAME
+            );
         }
     }
 
