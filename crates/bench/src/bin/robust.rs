@@ -10,21 +10,24 @@
 //!   resilience machinery alone: per-step snapshots, the `catch_unwind`
 //!   boundary and report bookkeeping.  Both
 //!   runs must produce the identical network; the acceptance bar is a
-//!   suite-aggregate overhead of **≤ 10 %**.  A second guarded run with
-//!   full per-step miter verification is recorded for reference (its
-//!   cost is dominated by SAT and intentionally not barred).
+//!   suite-aggregate overhead of **≤ 10 %**.  Two more guarded runs verify
+//!   every step against the flow input: by random simulation
+//!   (`simulation_seconds`) and by the sweeping SAT proof
+//!   (`verified_seconds`).  On `multiplier_8` the proof must cost at most
+//!   **3 ×** the simulation.
 //! * **Recovery.**  One flow runs under the standard fault plan
 //!   `panic@rewrite:1,exhaust@fraig:1,unknown@verify:2` with per-step
-//!   miters: the injected panic and the starved verification must each
-//!   force a rollback, the injected exhaustion must stop its step early
-//!   without failing it, the remaining steps must still run, and the
-//!   final miter against the flow input must be green.
+//!   miters: the injected panic and the injected verification unknown
+//!   must each force a rollback, the injected exhaustion must stop its
+//!   step early without failing it, the remaining steps must still run,
+//!   and the final miter against the flow input must be green.
 //!
 //! Timings report the best of several runs.  Setting
 //! `GLSX_WRITE_BENCH_BASELINE=1` records the results at the repository
 //! root.  `--smoke` skips the timing loops and runs the recovery section
-//! (plus a guarded-equals-unguarded identity check) on a small circuit —
-//! the CI guard of the resilience layer.
+//! (plus a guarded-equals-unguarded identity check) on a small circuit,
+//! and the fault-free miter-verified flow on `multiplier_8` — the CI
+//! guard of the resilience layer.
 
 use glsx_benchmarks::arithmetic::{adder, barrel_shifter, multiplier, square};
 use glsx_flow::{
@@ -35,7 +38,8 @@ use glsx_network::{Aig, Network};
 use std::time::Instant;
 
 /// The fault plan exercised by the recovery section (and the CI smoke
-/// step): one pass panic, one budget exhaustion, one starved miter.
+/// step): one pass panic, one budget exhaustion, one verification
+/// unknown.
 const STANDARD_FAULT_PLAN: &str = "panic@rewrite:1,exhaust@fraig:1,unknown@verify:2";
 
 /// Best-of-N wall time of `run`, with a fixed repetition budget.
@@ -59,17 +63,26 @@ fn script() -> FlowScript {
 /// The guard whose cost the ≤10% bar applies to: snapshot checkpoints and
 /// panic isolation on, verification off.
 fn machinery_guard() -> GuardOptions {
+    guard(VerifyMode::None)
+}
+
+fn guard(verify: VerifyMode) -> GuardOptions {
     GuardOptions {
-        verify: VerifyMode::None,
+        verify,
         ..GuardOptions::default()
     }
 }
+
+/// Per-step proofs may cost at most this many times per-step simulation
+/// on `multiplier_8`.
+const PROOF_OVER_SIMULATION_BAR: f64 = 3.0;
 
 struct Row {
     circuit: &'static str,
     gates: usize,
     unguarded_seconds: f64,
     guarded_seconds: f64,
+    simulation_seconds: f64,
     verified_seconds: f64,
 }
 
@@ -80,7 +93,7 @@ impl Row {
 }
 
 /// Guarded (verification off) and unguarded flows must produce the
-/// identical network; then all three configurations are timed.
+/// identical network; then all four configurations are timed.
 fn bench_overhead(name: &'static str, source: &Aig, timed: bool) -> Row {
     let options = FlowOptions::default();
     let mut plain = source.clone();
@@ -114,12 +127,25 @@ fn bench_overhead(name: &'static str, source: &Aig, timed: bool) -> Row {
         repeats,
         budget,
     );
+    let simulation_seconds = best_seconds(
+        || {
+            let mut ntk = source.clone();
+            run_script_guarded(
+                &mut ntk,
+                &script(),
+                &options,
+                &guard(VerifyMode::Simulation),
+            );
+        },
+        repeats,
+        budget,
+    );
     let verified_seconds = best_seconds(
         || {
             let mut ntk = source.clone();
-            run_script_guarded(&mut ntk, &script(), &options, &GuardOptions::default());
+            run_script_guarded(&mut ntk, &script(), &options, &guard(VerifyMode::Miter));
         },
-        if timed { 3 } else { 1 },
+        repeats,
         budget,
     );
     Row {
@@ -127,6 +153,7 @@ fn bench_overhead(name: &'static str, source: &Aig, timed: bool) -> Row {
         gates: source.num_gates(),
         unguarded_seconds,
         guarded_seconds,
+        simulation_seconds,
         verified_seconds,
     }
 }
@@ -146,7 +173,7 @@ fn recovery_run(source: &Aig) -> FlowReport {
     );
     assert!(
         report.rollbacks >= 2,
-        "the injected panic and the starved miter must each roll back: {report:?}"
+        "the injected panic and the injected unknown must each roll back: {report:?}"
     );
     assert_eq!(report.panics, 1, "{report:?}");
     assert_eq!(report.verify_failures, 1, "{report:?}");
@@ -166,17 +193,39 @@ fn recovery_run(source: &Aig) -> FlowReport {
     report
 }
 
+/// The fault-free flow with a proof after every step: every step must
+/// commit and the final miter must be green.
+fn verified_run(name: &str, source: &Aig) -> FlowReport {
+    let mut ntk = source.clone();
+    let report = run_script_guarded(
+        &mut ntk,
+        &script(),
+        &FlowOptions::default(),
+        &guard(VerifyMode::Miter),
+    );
+    assert_eq!(
+        report.committed,
+        script().steps().len(),
+        "{name}: every proven step commits: {report:?}"
+    );
+    assert_eq!(report.final_verify, Some(true), "{name}: {report:?}");
+    report
+}
+
 /// `--smoke`: the recovery section plus a guarded-equals-unguarded
-/// identity check on a small circuit.
+/// identity check on a small circuit, and the miter-verified flow on
+/// `multiplier_8`.
 fn smoke() {
     let aig: Aig = multiplier(6);
     bench_overhead("multiplier_6", &aig, false);
     let report = recovery_run(&aig);
+    let verified = verified_run("multiplier_8", &multiplier(8));
     println!(
         "smoke: guarded flow recovered from `{STANDARD_FAULT_PLAN}` \
-         ({} rollbacks, {} committed steps, final miter green) and the \
-         fault-free guarded flow is identical to the plain flow",
-        report.rollbacks, report.committed
+         ({} rollbacks, {} committed steps, final miter green), the \
+         fault-free guarded flow is identical to the plain flow, and \
+         multiplier_8 commits {} proven steps",
+        report.rollbacks, report.committed, verified.committed
     );
 }
 
@@ -201,12 +250,13 @@ fn main() {
     for row in &rows {
         println!(
             "{:<18} {:>6} gates  unguarded {:>9.4}s  guarded {:>9.4}s  \
-             (+{:>5.1}%)  verified {:>9.4}s",
+             (+{:>5.1}%)  simulated {:>9.4}s  verified {:>9.4}s",
             row.circuit,
             row.gates,
             row.unguarded_seconds,
             row.guarded_seconds,
             100.0 * row.overhead(),
+            row.simulation_seconds,
             row.verified_seconds
         );
     }
@@ -224,7 +274,21 @@ fn main() {
     );
     println!("suite overhead: +{:.2}% (bar: 10%)", 100.0 * overhead);
 
-    let recovery = recovery_run(&suite[2].1);
+    // the proof bar: per-step proofs within 3x per-step simulation
+    let (name, source) = &suite[2];
+    verified_run(name, source);
+    let proof = &rows[2];
+    let proof_ratio = proof.verified_seconds / proof.simulation_seconds;
+    assert!(
+        proof_ratio <= PROOF_OVER_SIMULATION_BAR,
+        "{name}: per-step proofs take {:.4}s, {proof_ratio:.2}x the {:.4}s of \
+         per-step simulation (bar: {PROOF_OVER_SIMULATION_BAR}x)",
+        proof.verified_seconds,
+        proof.simulation_seconds
+    );
+    println!("{name}: proof / simulation {proof_ratio:.2}x (bar: {PROOF_OVER_SIMULATION_BAR}x)");
+
+    let recovery = recovery_run(source);
 
     let json_rows: Vec<String> = rows
         .iter()
@@ -233,12 +297,14 @@ fn main() {
                 concat!(
                     "    {{\"circuit\": \"{}\", \"gates\": {}, ",
                     "\"unguarded_seconds\": {:.6}, \"guarded_seconds\": {:.6}, ",
-                    "\"verified_seconds\": {:.6}, \"overhead\": {:.4}}}"
+                    "\"simulation_seconds\": {:.6}, \"verified_seconds\": {:.6}, ",
+                    "\"overhead\": {:.4}}}"
                 ),
                 r.circuit,
                 r.gates,
                 r.unguarded_seconds,
                 r.guarded_seconds,
+                r.simulation_seconds,
                 r.verified_seconds,
                 r.overhead()
             )
@@ -249,6 +315,8 @@ fn main() {
             "{{\n  \"bench\": \"resilient_flow\",\n",
             "  \"suite_overhead\": {:.4},\n",
             "  \"overhead_bar\": 0.10,\n",
+            "  \"proof_over_simulation\": {:.4},\n",
+            "  \"proof_over_simulation_bar\": {:.1},\n",
             "  \"circuits\": [\n{}\n  ],\n",
             "  \"recovery\": {{\n",
             "    \"fault_plan\": \"{}\",\n",
@@ -264,9 +332,11 @@ fn main() {
             "  }}\n}}\n"
         ),
         overhead,
+        proof_ratio,
+        PROOF_OVER_SIMULATION_BAR,
         json_rows.join(",\n"),
         STANDARD_FAULT_PLAN,
-        suite[2].0,
+        name,
         recovery.steps.len(),
         recovery.committed,
         recovery.rollbacks,

@@ -61,6 +61,6 @@ pub use resubstitution::{resubstitute, ResubNetwork, ResubParams, ResubStats, Re
 pub use rewriting::{rewrite, rewrite_with, CutMaintenance, RewriteParams, RewriteStats};
 
 pub use sweeping::{
-    check_equivalence, check_equivalence_with, check_equivalence_with_limits, sweep,
-    sweep_with_engine, EquivalenceOutcome, EquivalenceResult, SweepEngine, SweepParams, SweepStats,
+    check_equivalence, check_equivalence_with_limits, sweep, sweep_with_engine, CecStats,
+    EquivalenceOutcome, EquivalenceResult, SweepEngine, SweepParams, SweepStats,
 };

@@ -1,5 +1,5 @@
 //! SAT sweeping (fraiging): proving and merging functionally equivalent
-//! nodes, plus the miter-based combinational equivalence checker.
+//! nodes, plus the sweeping combinational equivalence checker.
 //!
 //! The subsystem follows the classic fraig recipe, expressed entirely
 //! through the network interface API so one implementation serves AIGs,
@@ -35,9 +35,20 @@
 //!
 //! Merges happen only on `UNSAT` answers — there are no simulation-only
 //! merges, so a sweep is an equivalence-preserving transformation by
-//! construction.  The same CNF machinery powers [`check_equivalence`], the
-//! public miter entry point used by the test suite and the bench smoke
-//! mode to verify whole optimisation passes end to end.
+//! construction.
+//!
+//! The same simulation and CNF machinery powers [`check_equivalence`],
+//! the public equivalence checker the guarded executor, the test suite
+//! and the bench smoke modes use to prove whole optimisation passes.  It
+//! sweeps *across* two networks instead of inside one (Kuehlmann et al.,
+//! TCAD 2002; Mishchenko et al., ICCAD 2006): both are simulated on shared
+//! input words, a differing output is refuted at once, the gates of the
+//! second network are mapped onto the first bottom-up — structurally when
+//! the same gate over already-mapped fanins exists, by an `UNSAT` answer
+//! against a simulation candidate otherwise — and one SAT miter compares
+//! only the outputs left unmapped.  A network checked against a copy of
+//! itself needs no SAT call at all; see
+//! [`check_equivalence_with_limits`] for the details.
 //!
 //! Each class's CNF is built lazily: one variable per encoded node, cones
 //! encoded on demand with the cone walk's visited set in an encoder-owned
@@ -51,7 +62,7 @@ use glsx_network::{
     Budget, GateKind, LocalScratch, Network, NodeId, Parallelism, Signal, StepOutcome,
 };
 use glsx_sat::{Lit, SatResult, Solver, SolverStats, Var};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Parameters of SAT sweeping.
 #[derive(Clone, Copy, Debug)]
@@ -162,7 +173,7 @@ pub enum EquivalenceResult {
     /// The networks differ; the payload is a distinguishing primary-input
     /// assignment (indexed like `pi_nodes()`).
     Inequivalent(Vec<bool>),
-    /// The conflict budget ran out before a verdict.
+    /// A conflict or propagation budget ran out before a verdict.
     Unknown,
 }
 
@@ -180,9 +191,12 @@ impl EquivalenceResult {
 pub struct EquivalenceOutcome {
     /// The verdict.
     pub result: EquivalenceResult,
-    /// Aggregate statistics of the miter solve (conflicts, decisions,
-    /// propagations, restarts).
+    /// Statistics of the check's solver, summed over every solve it ran
+    /// (conflicts, decisions, propagations, restarts).
     pub solver: SolverStats,
+    /// How the check got there: gates mapped structurally or by proof,
+    /// refuted and undecided candidates, residual outputs.
+    pub work: CecStats,
     /// `true` when an [`EquivalenceResult::Unknown`] verdict was caused by
     /// a resource limit running out (conflict or propagation budget)
     /// rather than a genuine solver failure — callers use this to tell
@@ -295,7 +309,13 @@ impl CnfEncoder {
         }
     }
 
-    /// Emits the Tseitin clauses of one gate whose fanins are all encoded.
+    /// The literal of `signal`, encoding its cone on first demand.
+    fn encode_signal<N: Network>(&mut self, ntk: &N, solver: &mut Solver, signal: Signal) -> Lit {
+        self.var_of(ntk, solver, signal.node());
+        self.lit_of(signal)
+    }
+
+    /// Encodes one gate whose fanins are all encoded.
     fn encode_gate<N: Network>(&mut self, ntk: &N, solver: &mut Solver, node: NodeId) {
         self.fanin_lits.clear();
         for index in 0..ntk.fanin_size(node) {
@@ -303,49 +323,77 @@ impl CnfEncoder {
         }
         let g = solver.new_var();
         self.vars[node as usize] = g.index() as u32;
-        let g_pos = Lit::positive(g);
-        let g_neg = Lit::negative(g);
-        match ntk.gate_kind(node) {
-            GateKind::And => {
-                let (a, b) = (self.fanin_lits[0], self.fanin_lits[1]);
-                solver.add_clause(&[g_neg, a]);
-                solver.add_clause(&[g_neg, b]);
-                solver.add_clause(&[g_pos, !a, !b]);
-            }
-            GateKind::Xor => {
-                let (a, b) = (self.fanin_lits[0], self.fanin_lits[1]);
-                solver.add_clause(&[g_neg, a, b]);
-                solver.add_clause(&[g_neg, !a, !b]);
-                solver.add_clause(&[g_pos, !a, b]);
-                solver.add_clause(&[g_pos, a, !b]);
-            }
-            GateKind::Maj => {
-                let (a, b, c) = (self.fanin_lits[0], self.fanin_lits[1], self.fanin_lits[2]);
-                solver.add_clause(&[g_neg, a, b]);
-                solver.add_clause(&[g_neg, a, c]);
-                solver.add_clause(&[g_neg, b, c]);
-                solver.add_clause(&[g_pos, !a, !b]);
-                solver.add_clause(&[g_pos, !a, !c]);
-                solver.add_clause(&[g_pos, !b, !c]);
-            }
-            _ => {
-                // generic kinds (XOR3, LUT): one clause per input minterm
-                // forbidding the output that disagrees with the function
-                let function = ntk.node_function(node);
-                debug_assert_eq!(function.num_bits(), 1 << self.fanin_lits.len());
-                for m in 0..function.num_bits() {
-                    self.clause.clear();
-                    for (i, &lit) in self.fanin_lits.iter().enumerate() {
-                        // literal falsified exactly under minterm m
-                        self.clause.push(if (m >> i) & 1 == 1 { !lit } else { lit });
-                    }
-                    self.clause
-                        .push(if function.bit(m) { g_pos } else { g_neg });
-                    solver.add_clause(&self.clause);
+        encode_gate_clauses(ntk, node, &self.fanin_lits, g, solver, &mut self.clause);
+    }
+}
+
+/// Emits the Tseitin clauses of `out <-> node(fanins)`: the gate function
+/// of `node` in `ntk`, applied to the given fanin literals (which need not
+/// be the node's own fanins' variables).  The one gate encoder of the
+/// module, shared by the sweep's lazy cone encoder and the equivalence
+/// checker's second-network side.
+fn encode_gate_clauses<N: Network>(
+    ntk: &N,
+    node: NodeId,
+    fanins: &[Lit],
+    out: Var,
+    solver: &mut Solver,
+    clause: &mut Vec<Lit>,
+) {
+    let g_pos = Lit::positive(out);
+    let g_neg = Lit::negative(out);
+    match ntk.gate_kind(node) {
+        GateKind::And => {
+            let (a, b) = (fanins[0], fanins[1]);
+            solver.add_clause(&[g_neg, a]);
+            solver.add_clause(&[g_neg, b]);
+            solver.add_clause(&[g_pos, !a, !b]);
+        }
+        GateKind::Xor => {
+            let (a, b) = (fanins[0], fanins[1]);
+            solver.add_clause(&[g_neg, a, b]);
+            solver.add_clause(&[g_neg, !a, !b]);
+            solver.add_clause(&[g_pos, !a, b]);
+            solver.add_clause(&[g_pos, a, !b]);
+        }
+        GateKind::Maj => {
+            let (a, b, c) = (fanins[0], fanins[1], fanins[2]);
+            solver.add_clause(&[g_neg, a, b]);
+            solver.add_clause(&[g_neg, a, c]);
+            solver.add_clause(&[g_neg, b, c]);
+            solver.add_clause(&[g_pos, !a, !b]);
+            solver.add_clause(&[g_pos, !a, !c]);
+            solver.add_clause(&[g_pos, !b, !c]);
+        }
+        _ => {
+            // generic kinds (XOR3, LUT): one clause per input minterm
+            // forbidding the output that disagrees with the function
+            let function = ntk.node_function(node);
+            debug_assert_eq!(function.num_bits(), 1 << fanins.len());
+            for m in 0..function.num_bits() {
+                clause.clear();
+                for (i, &lit) in fanins.iter().enumerate() {
+                    // literal falsified exactly under minterm m
+                    clause.push(if (m >> i) & 1 == 1 { !lit } else { lit });
                 }
+                clause.push(if function.bit(m) { g_pos } else { g_neg });
+                solver.add_clause(clause);
             }
         }
     }
+}
+
+/// Adds a fresh variable `t <-> (a xor b)` and returns it: asking for a
+/// model with `t` set to the opposite of a claimed relation between `a`
+/// and `b` is asking for an input that violates it.
+fn xor_tap(solver: &mut Solver, a: Lit, b: Lit) -> Var {
+    let t = solver.new_var();
+    let (tp, tn) = (Lit::positive(t), Lit::negative(t));
+    solver.add_clause(&[tn, a, b]);
+    solver.add_clause(&[tn, !a, !b]);
+    solver.add_clause(&[tp, !a, b]);
+    solver.add_clause(&[tp, a, !b]);
+    t
 }
 
 /// Outcome of one candidate-pair proof attempt.
@@ -390,15 +438,7 @@ impl MiterEngine {
     ) -> PairOutcome {
         let va = self.enc.var_of(ntk, &mut self.solver, repr);
         let vb = self.enc.var_of(ntk, &mut self.solver, cand);
-        // t <-> va xor vb; asking for a model of t == !antivalent is asking
-        // for an input where the claimed relation is violated
-        let t = self.solver.new_var();
-        let (tp, tn) = (Lit::positive(t), Lit::negative(t));
-        let (a, b) = (Lit::positive(va), Lit::positive(vb));
-        self.solver.add_clause(&[tn, a, b]);
-        self.solver.add_clause(&[tn, !a, !b]);
-        self.solver.add_clause(&[tp, !a, b]);
-        self.solver.add_clause(&[tp, a, !b]);
+        let t = xor_tap(&mut self.solver, Lit::positive(va), Lit::positive(vb));
         self.solver.set_conflict_limit(Some(conflict_limit.max(1)));
         self.solver.set_propagation_limit(propagation_limit);
         match self
@@ -999,48 +1039,108 @@ impl MetricsSource for SweepStats {
 
 /// Default conflict budget of [`check_equivalence`] (generous: the check
 /// is complete for every workload in this repository; use
-/// [`check_equivalence_with`] to bound or unbound it explicitly).
+/// [`check_equivalence_with_limits`] to bound or unbound it explicitly).
 pub const DEFAULT_CEC_CONFLICT_LIMIT: u64 = 10_000_000;
 
-/// Checks combinational equivalence of two networks with a SAT miter:
-/// shared primary-input variables, both networks Tseitin-encoded, and one
-/// clause asserting that some output pair differs.  `UNSAT` is a *proof*
-/// of equivalence — unlike
+/// Random 64-bit pattern words the equivalence checker simulates both
+/// networks on (the sweep's default, [`SweepParams::num_words`]).
+const CEC_WORDS: usize = 4;
+
+/// Work counters of one equivalence check: how each gate of the second
+/// network was matched to the first, and how many outputs the final SAT
+/// miter still had to compare.  Absorbed by the guarded executor as
+/// `verify.*`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CecStats {
+    /// Gates mapped by structural identity: same gate kind over fanins
+    /// already mapped onto the first network.  No SAT call.
+    pub structural: usize,
+    /// Gates mapped by an `UNSAT` answer against their simulation
+    /// candidate.
+    pub proven: usize,
+    /// Candidate pairs a satisfying assignment refuted; the gate keeps its
+    /// own variable.
+    pub refuted: usize,
+    /// Candidate pairs the per-pair conflict cap left undecided; the gate
+    /// keeps its own variable.
+    pub undecided: usize,
+    /// Output pairs whose mapped signals differ, compared by the final
+    /// miter (0 when the mapping alone proves every output).
+    pub residual_outputs: usize,
+}
+
+impl MetricsSource for CecStats {
+    fn visit_metrics(&self, visit: &mut dyn FnMut(&str, u64)) {
+        visit("structural", self.structural as u64);
+        visit("proven", self.proven as u64);
+        visit("refuted", self.refuted as u64);
+        visit("undecided", self.undecided as u64);
+        visit("residual_outputs", self.residual_outputs as u64);
+    }
+}
+
+/// Checks combinational equivalence of two networks by SAT sweeping.
+/// `UNSAT` answers and structural identity are *proofs* of equivalence —
+/// unlike
 /// [`equivalent_by_random_simulation`](glsx_network::simulation::equivalent_by_random_simulation),
 /// which can only refute.
 ///
-/// Outputs are compared position by position.  Returns the verdict
-/// together with the solver's proof-effort statistics
-/// ([`EquivalenceOutcome`]), so regression harnesses can track how hard a
-/// proof was, not just whether it succeeded.
+/// Outputs are compared position by position, inputs are shared by
+/// position.  Returns the verdict together with the solver's proof-effort
+/// statistics and the checker's work counters ([`EquivalenceOutcome`]), so
+/// regression harnesses can track how hard a proof was, not just whether
+/// it succeeded.  The conflict budget is [`DEFAULT_CEC_CONFLICT_LIMIT`].
 ///
 /// # Panics
 ///
 /// Panics if the networks have different numbers of primary inputs or
 /// outputs.
 pub fn check_equivalence<A: Network, B: Network>(a: &A, b: &B) -> EquivalenceOutcome {
-    check_equivalence_with(a, b, Some(DEFAULT_CEC_CONFLICT_LIMIT))
+    check_equivalence_with_limits(a, b, Some(DEFAULT_CEC_CONFLICT_LIMIT), None)
 }
 
-/// [`check_equivalence`] with an explicit conflict budget (`None` solves
-/// to completion).  The verdict is [`EquivalenceResult::Unknown`] when the
-/// budget runs out.
-pub fn check_equivalence_with<A: Network, B: Network>(
-    a: &A,
-    b: &B,
-    conflict_limit: Option<u64>,
-) -> EquivalenceOutcome {
-    check_equivalence_with_limits(a, b, conflict_limit, None)
-}
-
-/// [`check_equivalence`] with explicit conflict *and* propagation budgets
-/// (`None` lifts the respective limit).  The propagation limit is the
-/// deterministic knob effort budgets drive
+/// [`check_equivalence`] with explicit conflict and propagation budgets
+/// for the whole check (`None` lifts the respective limit).
+///
+/// The check runs in three phases over one solver whose input variables
+/// are shared by the two networks:
+///
+/// 1. **Simulation.**  Both networks are simulated on the same random
+///    input words; a differing output bit is returned as a counterexample
+///    without any SAT call.
+/// 2. **Mapping.**  The gates of `b` are visited in topological order and
+///    mapped onto signals of `a`.  A gate whose fanins are all mapped and
+///    whose kind exists in `a` over exactly those (normalised) fanin
+///    signals is mapped structurally.  Any other gate is Tseitin-encoded
+///    over its fanins' literals — mapped fanins use `a`'s lazily encoded
+///    literals — and proven against the first node of `a` (constant,
+///    inputs, gates) with the same polarity-normalised simulation
+///    signature, under an assumption and a per-pair cap of
+///    [`SweepParams::conflict_limit`] conflicts.  On `UNSAT` the gate is
+///    mapped (with the simulated phase) and the two equality clauses are
+///    added; on `SAT` or at the cap it keeps its own variable.
+/// 3. **Residual miter.**  Only the output pairs whose mapped signals
+///    differ get an XOR tap; no tap is a proof, otherwise one solve
+///    decides.
+///
+/// Nothing is mapped on simulation alone, so every
+/// [`EquivalenceResult::Equivalent`] rests on structural identity over
+/// mapped fanins or on `UNSAT` answers.  The check is deterministic: the
+/// simulation seed is fixed and gates are visited in topological order.
+///
+/// Every solve runs under the remaining allowance of both budgets, and
+/// [`EquivalenceOutcome::solver`] covers all of them.  The propagation
+/// limit is the deterministic knob effort budgets drive
 /// ([`glsx_network::Budget::sat_propagation_allowance`]); when either
-/// limit runs out the verdict is [`EquivalenceResult::Unknown`] and
+/// budget runs out the verdict is [`EquivalenceResult::Unknown`] and
 /// [`EquivalenceOutcome::limit_exhausted`] is `true`, which is how
 /// callers tell a too-small verification budget apart from a genuine
 /// solver failure.
+///
+/// # Panics
+///
+/// Panics if the networks have different numbers of primary inputs or
+/// outputs.
 pub fn check_equivalence_with_limits<A: Network, B: Network>(
     a: &A,
     b: &B,
@@ -1057,53 +1157,283 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
         b.num_pos(),
         "networks must have the same number of outputs"
     );
-    let mut solver = Solver::new();
-    let mut enc_a = CnfEncoder::new(a.size());
-    let mut enc_b = CnfEncoder::new(b.size());
-    // shared input space: the i-th primary input of both networks is the
-    // same SAT variable
-    let pi_vars: Vec<Var> = (0..a.num_pis()).map(|_| solver.new_var()).collect();
-    for (i, pi) in a.pi_nodes().iter().enumerate() {
-        enc_a.vars[*pi as usize] = pi_vars[i].index() as u32;
-    }
-    for (i, pi) in b.pi_nodes().iter().enumerate() {
-        enc_b.vars[*pi as usize] = pi_vars[i].index() as u32;
-    }
-
-    // one XOR tap per output pair; at least one must differ
-    let mut taps: Vec<Lit> = Vec::with_capacity(a.num_pos());
-    for (sa, sb) in a.po_signals().into_iter().zip(b.po_signals()) {
-        enc_a.var_of(a, &mut solver, sa.node());
-        enc_b.var_of(b, &mut solver, sb.node());
-        let la = enc_a.lit_of(sa);
-        let lb = enc_b.lit_of(sb);
-        let t = solver.new_var();
-        let (tp, tn) = (Lit::positive(t), Lit::negative(t));
-        solver.add_clause(&[tn, la, lb]);
-        solver.add_clause(&[tn, !la, !lb]);
-        solver.add_clause(&[tp, !la, lb]);
-        solver.add_clause(&[tp, la, !lb]);
-        taps.push(tp);
-    }
-    solver.add_clause(&taps);
-
-    solver.set_conflict_limit(conflict_limit);
-    solver.set_propagation_limit(propagation_limit);
-    let result = match solver.solve() {
-        SatResult::Unsat => EquivalenceResult::Equivalent,
-        SatResult::Unknown => EquivalenceResult::Unknown,
-        SatResult::Sat => {
-            let assignment = pi_vars
-                .iter()
-                .map(|&v| solver.value(v).unwrap_or(false))
-                .collect();
-            EquivalenceResult::Inequivalent(assignment)
+    let defaults = SweepParams::default();
+    let sim_a = WordSimulator::random(a, CEC_WORDS, defaults.seed);
+    let patterns = sim_a.pi_patterns(a);
+    let sim_b = WordSimulator::from_pi_patterns(b, &patterns);
+    let (pos_a, pos_b) = (a.po_signals(), b.po_signals());
+    for (&sa, &sb) in pos_a.iter().zip(&pos_b) {
+        for (w, word) in patterns.iter().enumerate() {
+            let diff = sim_a.signal_word(w, sa) ^ sim_b.signal_word(w, sb);
+            if diff != 0 {
+                let bit = diff.trailing_zeros();
+                let cex = word.iter().map(|&p| (p >> bit) & 1 == 1).collect();
+                return EquivalenceOutcome {
+                    result: EquivalenceResult::Inequivalent(cex),
+                    solver: SolverStats::default(),
+                    work: CecStats::default(),
+                    limit_exhausted: false,
+                };
+            }
         }
+    }
+
+    let gates_a = a.gate_nodes();
+    // structural table of `a`: normalised gate -> the signal computing it
+    let mut structural: HashMap<GateKey, Signal> = HashMap::with_capacity(gates_a.len());
+    let mut fanins: Vec<Signal> = Vec::with_capacity(3);
+    for &g in &gates_a {
+        fanins.clear();
+        a.foreach_fanin(g, |f| fanins.push(f));
+        if let Some((key, complement)) = gate_key(a.gate_kind(g), &fanins) {
+            structural.entry(key).or_insert(Signal::new(g, complement));
+        }
+    }
+    // proof candidates: polarity-normalised signature -> first node of `a`
+    let signature = |sim: &WordSimulator, node: NodeId| -> [u64; CEC_WORDS] {
+        std::array::from_fn(|w| sim.canonical_word(w, node))
     };
-    EquivalenceOutcome {
-        result,
-        solver: solver.stats(),
-        limit_exhausted: solver.last_limit().is_some(),
+    let constant_a = a.get_constant(false);
+    let mut candidates: HashMap<[u64; CEC_WORDS], NodeId> =
+        HashMap::with_capacity(gates_a.len() + a.num_pis() + 1);
+    for node in std::iter::once(constant_a.node())
+        .chain(a.pi_nodes())
+        .chain(gates_a.iter().copied())
+    {
+        candidates.entry(signature(&sim_a, node)).or_insert(node);
+    }
+
+    let mut checker = Checker {
+        a,
+        solver: Solver::new(),
+        enc_a: CnfEncoder::new(a.size()),
+        images: vec![None; b.size()],
+        conflict_limit,
+        propagation_limit,
+        work: CecStats::default(),
+    };
+    // shared inputs: the i-th input of `b` is the i-th input of `a`
+    checker.images[b.get_constant(false).node() as usize] = Some(Image::Mapped(constant_a));
+    for (pa, pb) in a.pi_nodes().into_iter().zip(b.pi_nodes()) {
+        checker.images[pb as usize] = Some(Image::Mapped(Signal::new(pa, false)));
+    }
+
+    let mut fanin_lits: Vec<Lit> = Vec::with_capacity(3);
+    let mut clause: Vec<Lit> = Vec::new();
+    for h in b.gate_nodes() {
+        // structural: the same gate over the fanins' images exists in `a`
+        fanins.clear();
+        let mut all_mapped = true;
+        b.foreach_fanin(h, |f| match checker.image(f) {
+            Some(s) => fanins.push(s),
+            None => all_mapped = false,
+        });
+        let same_gate = match gate_key(b.gate_kind(h), &fanins) {
+            Some((key, complement)) if all_mapped => {
+                structural.get(&key).map(|s| s.complement_if(complement))
+            }
+            _ => None,
+        };
+        if let Some(s) = same_gate {
+            checker.images[h as usize] = Some(Image::Mapped(s));
+            checker.work.structural += 1;
+            continue;
+        }
+        // by proof: encode the gate over its fanins' literals and prove it
+        // against its simulation candidate
+        fanin_lits.clear();
+        for i in 0..b.fanin_size(h) {
+            let lit = checker.lit_of(b.fanin(h, i));
+            fanin_lits.push(lit);
+        }
+        let v = checker.solver.new_var();
+        encode_gate_clauses(b, h, &fanin_lits, v, &mut checker.solver, &mut clause);
+        checker.images[h as usize] = Some(Image::Free(v));
+        let Some(&cand) = candidates.get(&signature(&sim_b, h)) else {
+            continue;
+        };
+        let image = Signal::new(cand, sim_a.phase(cand) != sim_b.phase(h));
+        let lc = checker.enc_a.encode_signal(a, &mut checker.solver, image);
+        let lh = Lit::positive(v);
+        let t = xor_tap(&mut checker.solver, lh, lc);
+        match checker.solve(&[Lit::positive(t)], Some(defaults.conflict_limit)) {
+            None => return checker.finish(EquivalenceResult::Unknown),
+            Some(SatResult::Unsat) => {
+                checker.images[h as usize] = Some(Image::Mapped(image));
+                checker.solver.add_clause(&[!lh, lc]);
+                checker.solver.add_clause(&[lh, !lc]);
+                checker.work.proven += 1;
+            }
+            Some(SatResult::Sat) => checker.work.refuted += 1,
+            Some(SatResult::Unknown) => checker.work.undecided += 1,
+        }
+    }
+
+    // residual miter over the outputs the mapping did not prove
+    let mut taps: Vec<Lit> = Vec::new();
+    for (&sa, &sb) in pos_a.iter().zip(&pos_b) {
+        if checker.image(sb) == Some(sa) {
+            continue;
+        }
+        let la = checker.enc_a.encode_signal(a, &mut checker.solver, sa);
+        let lb = checker.lit_of(sb);
+        taps.push(Lit::positive(xor_tap(&mut checker.solver, la, lb)));
+    }
+    checker.work.residual_outputs = taps.len();
+    if taps.is_empty() {
+        return checker.finish(EquivalenceResult::Equivalent);
+    }
+    checker.solver.add_clause(&taps);
+    let result = match checker.solve(&[], None) {
+        Some(SatResult::Unsat) => EquivalenceResult::Equivalent,
+        Some(SatResult::Sat) => EquivalenceResult::Inequivalent(
+            a.pi_nodes()
+                .into_iter()
+                .map(|pi| {
+                    // an input outside every encoded cone cannot matter:
+                    // pick false
+                    let var = checker.enc_a.vars[pi as usize];
+                    var != NO_VAR
+                        && checker
+                            .solver
+                            .value(Var::from_index(var as usize))
+                            .unwrap_or(false)
+                })
+                .collect(),
+        ),
+        // without a cap, only the check's own budgets end a solve early
+        Some(SatResult::Unknown) | None => EquivalenceResult::Unknown,
+    };
+    checker.finish(result)
+}
+
+/// Structural-lookup key of a gate: its kind and normalised fanins
+/// (slots past the kind's arity hold the constant).
+type GateKey = (GateKind, [Signal; 3]);
+
+/// Normalises a gate for structural lookup into a key `k` and an output
+/// complement `c` with `kind(fanins) == F(k) ^ c`: commutative fanins are
+/// sorted, XOR kinds move fanin complements to the output, and majority,
+/// being self-dual, keeps at most one complemented fanin.  `None` for LUTs
+/// (their function is not determined by the kind) and malformed arities.
+fn gate_key(kind: GateKind, fanins: &[Signal]) -> Option<(GateKey, bool)> {
+    if kind.arity() != Some(fanins.len()) {
+        return None;
+    }
+    let mut key = [Signal::constant(false); 3];
+    let slots = &mut key[..fanins.len()];
+    slots.copy_from_slice(fanins);
+    let mut complement = false;
+    match kind {
+        GateKind::And => {}
+        GateKind::Xor | GateKind::Xor3 => {
+            for s in slots.iter_mut() {
+                complement ^= s.is_complemented();
+                *s = s.regular();
+            }
+        }
+        GateKind::Maj => {
+            if slots.iter().filter(|s| s.is_complemented()).count() >= 2 {
+                complement = true;
+                for s in slots.iter_mut() {
+                    *s = !*s;
+                }
+            }
+        }
+        _ => return None,
+    }
+    slots.sort_unstable();
+    Some(((kind, key), complement))
+}
+
+/// What a node of the second network stands for in the checker.
+#[derive(Clone, Copy, Debug)]
+enum Image {
+    /// A signal of the first network proven to compute the same function.
+    Mapped(Signal),
+    /// The gate's own variable: no equivalent signal of the first network
+    /// was proven.
+    Free(Var),
+}
+
+/// State of one [`check_equivalence_with_limits`] call: the shared solver,
+/// the lazy encoder of the first network and the image of every node of
+/// the second (`None` until visited; fanins are visited first).
+struct Checker<'n, A: Network> {
+    a: &'n A,
+    solver: Solver,
+    enc_a: CnfEncoder,
+    images: Vec<Option<Image>>,
+    conflict_limit: Option<u64>,
+    propagation_limit: Option<u64>,
+    work: CecStats,
+}
+
+impl<A: Network> Checker<'_, A> {
+    /// The outcome of the check.  An [`EquivalenceResult::Unknown`] verdict
+    /// only ever comes from the check's budgets running out.
+    fn finish(self, result: EquivalenceResult) -> EquivalenceOutcome {
+        EquivalenceOutcome {
+            limit_exhausted: result == EquivalenceResult::Unknown,
+            result,
+            solver: self.solver.stats(),
+            work: self.work,
+        }
+    }
+
+    /// The signal of the first network a signal of the second is mapped
+    /// to, if any.
+    fn image(&self, signal: Signal) -> Option<Signal> {
+        match self.images[signal.node() as usize] {
+            Some(Image::Mapped(s)) => Some(s.complement_if(signal.is_complemented())),
+            _ => None,
+        }
+    }
+
+    /// The literal of a visited signal of the second network.
+    fn lit_of(&mut self, signal: Signal) -> Lit {
+        match self.images[signal.node() as usize] {
+            Some(Image::Mapped(s)) => self.enc_a.encode_signal(
+                self.a,
+                &mut self.solver,
+                s.complement_if(signal.is_complemented()),
+            ),
+            Some(Image::Free(v)) => Lit::new(v, !signal.is_complemented()),
+            None => unreachable!("fanins are visited before their gate"),
+        }
+    }
+
+    /// Whether the whole check's conflict or propagation allowance is used
+    /// up.
+    fn exhausted(&self) -> bool {
+        let spent = self.solver.stats();
+        self.conflict_limit
+            .is_some_and(|limit| spent.conflicts >= limit)
+            || self
+                .propagation_limit
+                .is_some_and(|limit| spent.propagations >= limit)
+    }
+
+    /// Solves under `assumptions` with at most `cap` conflicts, within the
+    /// whole check's remaining conflict and propagation allowance.
+    /// `None` when that allowance is used up.
+    fn solve(&mut self, assumptions: &[Lit], cap: Option<u64>) -> Option<SatResult> {
+        if self.exhausted() {
+            return None;
+        }
+        let spent = self.solver.stats();
+        let conflicts_left = self.conflict_limit.map(|limit| limit - spent.conflicts);
+        self.solver
+            .set_conflict_limit([cap, conflicts_left].into_iter().flatten().min());
+        self.solver.set_propagation_limit(
+            self.propagation_limit
+                .map(|limit| limit - spent.propagations),
+        );
+        let result = self.solver.solve_with_assumptions(assumptions);
+        if matches!(result, SatResult::Unknown) && self.exhausted() {
+            return None;
+        }
+        Some(result)
     }
 }
 
@@ -1182,19 +1512,18 @@ mod tests {
         assert!(equivalent_by_simulation(&reference, &aig));
     }
 
-    /// Two structurally different parity trees over the same inputs: the
-    /// roots are equivalent, but proving it needs real conflicts, so a
-    /// one-conflict budget must skip the pair and leave it unmerged.
-    fn parity_pair() -> (Aig, usize) {
-        let mut aig = Aig::new();
-        let pis: Vec<Signal> = (0..6).map(|_| aig.create_pi()).collect();
-        // left-to-right chain
+    /// Left-to-right XOR chain over `pis`.
+    fn xor_chain(aig: &mut Aig, pis: &[Signal]) -> Signal {
         let mut chain = pis[0];
         for &pi in &pis[1..] {
             chain = aig.create_xor(chain, pi);
         }
-        // balanced tree
-        let mut layer = pis.clone();
+        chain
+    }
+
+    /// Balanced XOR tree over `pis`.
+    fn xor_tree(aig: &mut Aig, pis: &[Signal]) -> Signal {
+        let mut layer = pis.to_vec();
         while layer.len() > 1 {
             let mut next = Vec::new();
             for pair in layer.chunks(2) {
@@ -1206,10 +1535,39 @@ mod tests {
             }
             layer = next;
         }
+        layer[0]
+    }
+
+    /// Two structurally different parity trees over the same inputs: the
+    /// roots are equivalent, but proving it needs real conflicts, so a
+    /// one-conflict budget must skip the pair and leave it unmerged.
+    fn parity_pair() -> (Aig, usize) {
+        let mut aig = Aig::new();
+        let pis: Vec<Signal> = (0..6).map(|_| aig.create_pi()).collect();
+        let chain = xor_chain(&mut aig, &pis);
+        let tree = xor_tree(&mut aig, &pis);
         aig.create_po(chain);
-        aig.create_po(layer[0]);
+        aig.create_po(tree);
         let gates = aig.num_gates();
         (aig, gates)
+    }
+
+    /// The two parity structures of [`parity_pair`] as two one-output
+    /// networks over six inputs: equivalent, but only the first XOR is
+    /// shared structure, so the check needs real SAT work.
+    fn parity_chain_and_tree() -> (Aig, Aig) {
+        let build = |tree: bool| {
+            let mut aig = Aig::new();
+            let pis: Vec<Signal> = (0..6).map(|_| aig.create_pi()).collect();
+            let root = if tree {
+                xor_tree(&mut aig, &pis)
+            } else {
+                xor_chain(&mut aig, &pis)
+            };
+            aig.create_po(root);
+            aig
+        };
+        (build(false), build(true))
     }
 
     #[test]
@@ -1460,16 +1818,158 @@ mod tests {
     /// The equivalence outcome carries real proof-effort numbers.
     #[test]
     fn check_equivalence_reports_solver_stats() {
-        let (aig, _) = parity_pair();
-        // the two parity POs differ only in structure; comparing the
-        // network against itself forces real XOR reasoning
-        let outcome = check_equivalence(&aig, &aig.clone());
+        let (chain, tree) = parity_chain_and_tree();
+        // the two parity networks differ only in structure, which forces
+        // real XOR reasoning
+        let outcome = check_equivalence(&chain, &tree);
         assert!(outcome.is_equivalent());
         assert!(
             outcome.solver.propagations > 0,
             "a nontrivial miter must propagate: {:?}",
             outcome.solver
         );
+    }
+
+    /// A copy of a network maps gate by gate through the structural table:
+    /// the check proves it without a single SAT call.
+    #[test]
+    fn structurally_identical_networks_are_proven_without_sat() {
+        let (aig, gates) = parity_pair();
+        let outcome = check_equivalence(&aig, &aig.clone());
+        assert!(outcome.is_equivalent());
+        assert_eq!(outcome.solver.conflicts, 0, "{outcome:?}");
+        assert_eq!(outcome.solver.propagations, 0, "{outcome:?}");
+        assert_eq!(outcome.work.structural, gates, "{outcome:?}");
+        assert_eq!(outcome.work.residual_outputs, 0, "{outcome:?}");
+        assert!(!outcome.limit_exhausted);
+    }
+
+    /// Structural keys are sound: for every fixed-function kind, fanin
+    /// order and complement pattern, the gate computes its key's gate with
+    /// the returned output complement; every complement pattern of an XOR
+    /// kind shares one key, and a majority key has at most one complemented
+    /// fanin.
+    #[test]
+    fn gate_keys_preserve_the_gate_function() {
+        use glsx_network::simulation::evaluate_function;
+        let function = TruthTable::zero(3);
+        let evaluate = |kind: GateKind, fanins: &[Signal]| {
+            let tts: Vec<TruthTable> = fanins
+                .iter()
+                .map(|s| {
+                    let tt = TruthTable::nth_var(3, s.node() as usize - 1);
+                    if s.is_complemented() {
+                        !&tt
+                    } else {
+                        tt
+                    }
+                })
+                .collect();
+            evaluate_function(&function, kind, &tts)
+        };
+        for kind in [GateKind::And, GateKind::Xor, GateKind::Maj, GateKind::Xor3] {
+            let arity = kind.arity().unwrap();
+            let mut keys = HashSet::new();
+            for mask in 0..1u32 << arity {
+                for reversed in [false, true] {
+                    let mut fanins: Vec<Signal> = (0..arity)
+                        .map(|i| Signal::new(i as NodeId + 1, (mask >> i) & 1 == 1))
+                        .collect();
+                    if reversed {
+                        fanins.reverse();
+                    }
+                    let ((key_kind, key), complement) = gate_key(kind, &fanins).unwrap();
+                    assert_eq!(key_kind, kind);
+                    let expected = evaluate(kind, &fanins);
+                    let keyed = evaluate(kind, &key[..arity]);
+                    let keyed = if complement { !&keyed } else { keyed };
+                    assert_eq!(keyed, expected, "{kind:?} {fanins:?}");
+                    if kind == GateKind::Maj {
+                        assert!(key.iter().filter(|s| s.is_complemented()).count() <= 1);
+                    }
+                    keys.insert(key);
+                }
+            }
+            let distinct = match kind {
+                GateKind::And => 1 << arity,
+                GateKind::Maj => 4,
+                _ => 1,
+            };
+            assert_eq!(keys.len(), distinct, "{kind:?}");
+        }
+        assert!(gate_key(GateKind::Lut, &[Signal::new(1, false)]).is_none());
+    }
+
+    /// Two 16-input AND chains that differ in the polarity of the last
+    /// input: they disagree on two of 65,536 patterns, which the random
+    /// simulation words miss.  The shared prefix maps structurally, the
+    /// last gate's simulation candidate (the constant) is refuted by SAT,
+    /// and the residual miter finds a distinguishing input.
+    #[test]
+    fn rare_differences_are_refuted_by_sat() {
+        let build = |last_complemented: bool| {
+            let mut aig = Aig::new();
+            let pis: Vec<Signal> = (0..16).map(|_| aig.create_pi()).collect();
+            let mut chain = pis[0];
+            for &pi in &pis[1..15] {
+                chain = aig.create_and(chain, pi);
+            }
+            let root = aig.create_and(chain, pis[15].complement_if(last_complemented));
+            aig.create_po(root);
+            aig
+        };
+        let (a, b) = (build(false), build(true));
+        let outcome = check_equivalence(&a, &b);
+        let EquivalenceResult::Inequivalent(cex) = &outcome.result else {
+            panic!("expected a refutation: {outcome:?}");
+        };
+        let patterns: Vec<u64> = cex.iter().map(|&v| u64::from(v)).collect();
+        assert_ne!(
+            simulate_patterns(&a, &patterns)[0] & 1,
+            simulate_patterns(&b, &patterns)[0] & 1,
+            "cex does not distinguish"
+        );
+        assert_eq!(outcome.work.structural, 14, "{outcome:?}");
+        assert_eq!(outcome.work.refuted, 1, "{outcome:?}");
+        assert_eq!(outcome.work.residual_outputs, 1, "{outcome:?}");
+        assert!(!outcome.limit_exhausted);
+    }
+
+    /// Both 16-input AND chains of the test above as the two outputs of one
+    /// network, checked against the same network with its outputs swapped.
+    /// Every gate maps structurally, but each output maps onto the other
+    /// chain, and the two differ on too few patterns for simulation: only
+    /// the residual miter can refute the pair.
+    #[test]
+    fn outputs_mapped_onto_other_nodes_are_compared_by_the_residual_miter() {
+        let build = |swapped: bool| {
+            let mut aig = Aig::new();
+            let pis: Vec<Signal> = (0..16).map(|_| aig.create_pi()).collect();
+            let mut chain = pis[0];
+            for &pi in &pis[1..15] {
+                chain = aig.create_and(chain, pi);
+            }
+            let roots = [
+                aig.create_and(chain, pis[15]),
+                aig.create_and(chain, !pis[15]),
+            ];
+            aig.create_po(roots[usize::from(swapped)]);
+            aig.create_po(roots[usize::from(!swapped)]);
+            aig
+        };
+        let (a, b) = (build(false), build(true));
+        let outcome = check_equivalence(&a, &b);
+        let EquivalenceResult::Inequivalent(cex) = &outcome.result else {
+            panic!("expected a refutation: {outcome:?}");
+        };
+        let patterns: Vec<u64> = cex.iter().map(|&v| u64::from(v)).collect();
+        assert_ne!(
+            simulate_patterns(&a, &patterns),
+            simulate_patterns(&b, &patterns),
+            "cex does not distinguish"
+        );
+        assert_eq!(outcome.work.structural, b.num_gates(), "{outcome:?}");
+        assert_eq!(outcome.work.residual_outputs, 2, "{outcome:?}");
     }
 
     /// `record_choices` keeps every proven cone alive as a ring member of
@@ -1621,8 +2121,7 @@ mod tests {
     /// reports `limit_exhausted: false`.
     #[test]
     fn exhausted_verification_budgets_are_flagged_as_limit_unknowns() {
-        let (aig, _) = parity_pair();
-        let reference = aig.clone();
+        let (reference, aig) = parity_chain_and_tree();
         let starved = check_equivalence_with_limits(&reference, &aig, None, Some(1));
         assert_eq!(starved.result, EquivalenceResult::Unknown);
         assert!(starved.limit_exhausted, "{starved:?}");

@@ -18,10 +18,13 @@
 //!   the flow continues with the next step.
 //! * **Verification.**  After a committed step the network is checked
 //!   against the *flow input* (one clone taken up front) — by random
-//!   simulation or a full SAT miter ([`VerifyMode`]).  A refuted or
-//!   unprovable step is rolled back like a panic.  Budget-starved miters
-//!   are distinguishable from genuine failures via
-//!   [`EquivalenceOutcome::limit_exhausted`](glsx_core::sweeping::EquivalenceOutcome).
+//!   simulation or a SAT-sweeping equivalence proof ([`VerifyMode`]).
+//!   The proof maps every gate the flow left untouched onto the input
+//!   structurally, so its SAT work follows what the flow has changed.  A
+//!   refuted or unprovable step is rolled back like a panic.
+//!   Budget-starved proofs are distinguishable from genuine failures via
+//!   [`EquivalenceOutcome::limit_exhausted`](glsx_core::sweeping::EquivalenceOutcome),
+//!   and the proof's work counters are absorbed as `verify.*`.
 //! * **Budgets and deadlines.**  Per-step effort budgets come from the
 //!   script (`rw -budget 2M`) or [`GuardOptions::step_budget`]; a
 //!   flow-level wall-clock deadline is threaded into every budget and
@@ -30,7 +33,9 @@
 //!   `panic@rewrite:3,exhaust@fraig:1,unknown@verify:2`) deterministically
 //!   injects pass panics, budget exhaustions and verification unknowns at
 //!   exact sites, which is how the recovery paths are tested — no mocks,
-//!   the real rollback machinery runs.
+//!   the real rollback machinery runs.  An injected verification unknown
+//!   does not call the checker, so it fires however little proof effort
+//!   the step would have needed.
 //!
 //! In debug builds every rollback is followed by a full structural audit
 //! ([`check_network_integrity`], which includes the structural-hash and
@@ -63,7 +68,10 @@ pub enum VerifyMode {
     None,
     /// Random word-parallel simulation — fast, refutation-only.
     Simulation,
-    /// Full SAT miter per step — a proof, at solver cost.
+    /// A SAT-sweeping equivalence proof per step
+    /// ([`check_equivalence_with_limits`]) against the flow input: logic
+    /// the flow left unchanged maps structurally, the rest is proven by
+    /// SAT.
     #[default]
     Miter,
 }
@@ -75,9 +83,10 @@ pub enum FaultAction {
     Panic,
     /// Force the step's budget to exhaust at its first poll.
     Exhaust,
-    /// Starve the verification miter (propagation limit 1) so it returns
-    /// `Unknown` with `limit_exhausted` set.  Only meaningful at the
-    /// `verify` site.
+    /// Record the step's miter verification as `Unknown` with
+    /// `verify_limit_exhausted` set, as if its budget had run out, without
+    /// calling the checker.  Only meaningful at the `verify` site under
+    /// [`VerifyMode::Miter`].
     Unknown,
 }
 
@@ -119,8 +128,8 @@ impl Error for ParseFaultPlanError {}
 /// Parsed from `action@site:occurrence` entries separated by commas, e.g.
 /// `panic@rewrite:3,exhaust@fraig:1,unknown@verify:2` — panic inside the
 /// third rewriting step, exhaust the first fraig step's budget
-/// immediately, and starve the second per-step verification into
-/// `Unknown`.  Sites are the step names (`balance`, `rewrite`,
+/// immediately, and report the second per-step verification as a
+/// budget-starved `Unknown`.  Sites are the step names (`balance`, `rewrite`,
 /// `refactor`, `resub`, `fraig`, `lut_map`) plus `verify`; occurrences
 /// are 1-based.  The plan is consulted by [`run_script_guarded`]; the
 /// `GLSX_FAULT_PLAN` environment variable feeds [`FaultPlan::from_env`].
@@ -259,7 +268,7 @@ pub enum FailureKind {
     Panic,
     /// Verification refuted the step (a counterexample exists).
     VerifyInequivalent,
-    /// Verification could not prove the step (budget-starved miter); the
+    /// Verification could not prove the step (its budget ran out); the
     /// step is rolled back conservatively.
     VerifyUnknown,
 }
@@ -308,7 +317,8 @@ pub struct StepReport {
     pub outcome: StepOutcome,
     /// Budget ticks the step charged.
     pub ticks: u64,
-    /// Whether the step's verification miter hit a resource limit.
+    /// Whether the step's verification proof hit a resource limit (or an
+    /// injected `unknown@verify` fault stood for one).
     pub verify_limit_exhausted: bool,
     /// Which checkpoint strategy ran before the step
     /// ([`CheckpointStrategy::None`] for read-only and deadline-skipped
@@ -573,15 +583,19 @@ where
                     }
                     VerifyMode::Miter => {
                         verify_count += 1;
-                        let propagation_limit =
-                            match guard.fault_plan.fault_at("verify", verify_count) {
-                                Some(FaultAction::Unknown) => Some(1),
-                                _ => None,
-                            };
-                        let outcome =
-                            check_equivalence_with_limits(&input, ntk, None, propagation_limit);
-                        step_report.verify_limit_exhausted = outcome.limit_exhausted;
-                        Some(outcome.result)
+                        if guard.fault_plan.fault_at("verify", verify_count)
+                            == Some(FaultAction::Unknown)
+                        {
+                            // stands for a verification budget that ran out
+                            step_report.verify_limit_exhausted = true;
+                            Some(EquivalenceResult::Unknown)
+                        } else {
+                            let outcome = check_equivalence_with_limits(&input, ntk, None, None);
+                            tracer.absorb("verify", &outcome.work);
+                            tracer.absorb("verify.sat", &outcome.solver);
+                            step_report.verify_limit_exhausted = outcome.limit_exhausted;
+                            Some(outcome.result)
+                        }
                     }
                 };
                 drop(verify_span);
@@ -907,6 +921,48 @@ mod tests {
                 .any(|(name, _)| name == "rewrite.ticks_spent"),
             "the step budget is absorbed under the site prefix: {rewrite_step:?}"
         );
+    }
+
+    /// Each verified step's checker work lands in its counter deltas: the
+    /// gates a step left alone are proven structurally, and the flow-wide
+    /// counters add up the per-step deltas.
+    #[test]
+    fn verification_work_is_counted_per_step() {
+        use glsx_network::telemetry::{TraceMode, Tracer};
+        let mut ntk: Aig = adder(4);
+        let tracer = Tracer::new(TraceMode::Counters);
+        let report = run_script_guarded_traced(
+            &mut ntk,
+            &guarded_script(),
+            &FlowOptions::default(),
+            &GuardOptions::default(),
+            &tracer,
+        );
+        assert_eq!(report.rollbacks, 0, "{report:?}");
+        let delta = |step: &StepReport, name: &str| {
+            step.metric_deltas
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |(_, v)| *v)
+        };
+        let structural: u64 = report
+            .steps
+            .iter()
+            .map(|s| delta(s, "verify.structural"))
+            .sum();
+        assert!(structural > 0, "{report:?}");
+        assert!(report
+            .steps
+            .iter()
+            .all(|s| delta(s, "verify.structural") > 0));
+        let metrics = tracer.metrics();
+        assert_eq!(metrics.counter("verify.structural"), structural);
+        let conflicts: u64 = report
+            .steps
+            .iter()
+            .map(|s| delta(s, "verify.sat.conflicts"))
+            .sum();
+        assert_eq!(metrics.counter("verify.sat.conflicts"), conflicts);
     }
 
     #[test]

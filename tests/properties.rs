@@ -11,12 +11,13 @@ use glsx::algorithms::balancing::{balance, BalanceParams};
 use glsx::algorithms::cuts::{simulate_cut, Cut, CutFunction, CutManager, CutParams};
 use glsx::algorithms::lut_mapping::{lut_map, lut_map_stats, LutMapParams};
 use glsx::algorithms::refactoring::{refactor, RefactorParams};
-use glsx::algorithms::resubstitution::{resubstitute, ResubParams};
+use glsx::algorithms::resubstitution::{resubstitute, ResubNetwork, ResubParams};
 use glsx::algorithms::rewriting::{rewrite, CutMaintenance, RewriteParams};
-use glsx::algorithms::sweeping::{check_equivalence, sweep, SweepParams};
+use glsx::algorithms::sweeping::{check_equivalence, sweep, EquivalenceResult, SweepParams};
 use glsx::algorithms::Replacer;
 use glsx::benchmarks::SplitMix64 as Rng;
-use glsx::network::simulation::{equivalent_by_simulation, simulate};
+use glsx::flow::{compress2rs, FlowOptions};
+use glsx::network::simulation::{equivalent_by_simulation, simulate, simulate_patterns};
 use glsx::network::views::check_network_integrity;
 use glsx::network::{Aig, ChangeLog, GateBuilder, Mig, Network, NodeId, Signal, Xag};
 use glsx::truth::{isop, npn_canonize, TruthTable};
@@ -439,6 +440,210 @@ fn sweeping_preserves_functions_and_proves_its_merges() {
         },
         &mut rng,
         8,
+    );
+}
+
+/// Random network over 8 to 12 inputs in which half the gates extend the
+/// newest signal, and half the second fanins are primary inputs (`create`
+/// gets a random third signal for majority gates).  The
+/// deep, narrow cones this builds are true (or false) on few of the input
+/// patterns, so a flipped edge can change an output on too few patterns
+/// for random simulation to see.
+fn deep_network<N: Network + GateBuilder>(
+    rng: &mut Rng,
+    create: impl Fn(&mut N, &mut Rng, [Signal; 3]) -> Signal,
+) -> N {
+    let mut ntk = N::new();
+    let num_pis = 8 + rng.gen_range(5);
+    let mut signals: Vec<Signal> = (0..num_pis).map(|_| ntk.create_pi()).collect();
+    for _ in 0..5 * num_pis {
+        let x = if rng.gen_bool() {
+            signals[signals.len() - 1]
+        } else {
+            signals[rng.gen_range(signals.len())].complement_if(rng.gen_bool())
+        };
+        let y = if rng.gen_bool() {
+            signals[rng.gen_range(num_pis)]
+        } else {
+            signals[rng.gen_range(signals.len())]
+        };
+        let y = y.complement_if(rng.gen_bool());
+        let z = signals[rng.gen_range(signals.len())].complement_if(rng.gen_bool());
+        let s = create(&mut ntk, rng, [x, y, z]);
+        signals.push(s);
+    }
+    for s in signals.iter().rev().take(3) {
+        ntk.create_po(*s);
+    }
+    ntk
+}
+
+/// Rebuilds `ntk` gate by gate with fanin `index` of gate `target`
+/// complemented.
+fn rebuild_with_flipped_edge<N: Network + GateBuilder>(ntk: &N, target: NodeId, index: usize) -> N {
+    let mut copy = N::new();
+    let mut map = vec![copy.get_constant(false); ntk.size()];
+    for pi in ntk.pi_nodes() {
+        map[pi as usize] = copy.create_pi();
+    }
+    for g in ntk.gate_nodes() {
+        let fanins: Vec<Signal> = (0..ntk.fanin_size(g))
+            .map(|i| {
+                let f = ntk.fanin(g, i);
+                let s = map[f.node() as usize].complement_if(f.is_complemented());
+                s.complement_if(g == target && i == index)
+            })
+            .collect();
+        map[g as usize] = copy.create_gate(ntk.gate_kind(g), &fanins);
+    }
+    for po in ntk.po_signals() {
+        copy.create_po(map[po.node() as usize].complement_if(po.is_complemented()));
+    }
+    copy
+}
+
+/// Number of input patterns, out of all of them, on which some output
+/// pair of `a` and `b` differs.
+fn differing_patterns<A: Network, B: Network>(a: &A, b: &B) -> usize {
+    let (ta, tb) = (simulate(a), simulate(b));
+    let mut diff = &ta[0] ^ &tb[0];
+    for (x, y) in ta.iter().zip(&tb).skip(1) {
+        diff = &diff | &(x ^ y);
+    }
+    diff.count_ones()
+}
+
+/// The sweeping equivalence checker against an independent oracle,
+/// exhaustive simulation.  Seeded random AIGs, XAGs and MIGs with at most
+/// twelve inputs are checked, in both directions, against their
+/// `compress2rs` result, a rebuilt copy with one random fanin edge
+/// complemented, and their 6-LUT mapping.  A fourth copy flips the edge
+/// whose flip changes the outputs on the fewest input patterns: a
+/// difference random simulation is likely to miss, so the checker must
+/// refute it by SAT.  Every verdict must equal the oracle's, and every
+/// counterexample must make some output pair differ.
+#[test]
+fn equivalence_checker_agrees_with_exhaustive_simulation() {
+    /// Checks `a` against `b`; returns the oracle's verdict and whether the
+    /// checker needed SAT to refute.
+    fn agree<A: Network, B: Network>(a: &A, b: &B, what: &str) -> (bool, bool) {
+        let expected = equivalent_by_simulation(a, b);
+        let outcome = check_equivalence(a, b);
+        match &outcome.result {
+            EquivalenceResult::Equivalent => assert!(expected, "{what}: false proof {outcome:?}"),
+            EquivalenceResult::Inequivalent(cex) => {
+                assert!(!expected, "{what}: false refutation {outcome:?}");
+                let patterns: Vec<u64> = cex.iter().map(|&v| u64::from(v)).collect();
+                let (oa, ob) = (
+                    simulate_patterns(a, &patterns),
+                    simulate_patterns(b, &patterns),
+                );
+                assert!(
+                    oa.iter().zip(&ob).any(|(x, y)| (x ^ y) & 1 == 1),
+                    "{what}: the counterexample distinguishes no output"
+                );
+            }
+            EquivalenceResult::Unknown => panic!("{what}: no verdict {outcome:?}"),
+        }
+        let refuted_by_sat = !expected && outcome.solver.propagations > 0;
+        (expected, refuted_by_sat)
+    }
+    #[derive(Debug, Default)]
+    struct Tally {
+        equivalent: usize,
+        inequivalent: usize,
+        refuted_by_sat: usize,
+    }
+    fn check<N: Network + GateBuilder + ResubNetwork + Clone>(
+        build: impl Fn(&mut Rng) -> N,
+        rng: &mut Rng,
+        cases: u32,
+        tally: &mut Tally,
+    ) {
+        for case in 0..cases {
+            let ntk = build(rng);
+            let mut optimised = ntk.clone();
+            compress2rs(&mut optimised, &FlowOptions::default());
+            let klut = lut_map(&ntk, &LutMapParams::with_lut_size(6));
+            let edges: Vec<(NodeId, usize)> = ntk
+                .gate_nodes()
+                .into_iter()
+                .flat_map(|g| (0..ntk.fanin_size(g)).map(move |i| (g, i)))
+                .collect();
+            let mut flips = Vec::new();
+            if !edges.is_empty() {
+                let (g, i) = edges[rng.gen_range(edges.len())];
+                flips.push(rebuild_with_flipped_edge(&ntk, g, i));
+                let rarest = edges
+                    .iter()
+                    .map(|&(g, i)| rebuild_with_flipped_edge(&ntk, g, i))
+                    .map(|copy| (differing_patterns(&ntk, &copy), copy))
+                    .filter(|(differing, _)| *differing > 0)
+                    .min_by_key(|(differing, _)| *differing);
+                flips.extend(rarest.map(|(_, copy)| copy));
+            }
+            let what = |other: &str| format!("{} case {case} vs {other}", N::NAME);
+            let mut verdicts = vec![
+                agree(&ntk, &optimised, &what("compress2rs")),
+                agree(&optimised, &ntk, &what("compress2rs, reversed")),
+                agree(&ntk, &klut, &what("6-LUT mapping")),
+                agree(&klut, &ntk, &what("6-LUT mapping, reversed")),
+            ];
+            for flipped in &flips {
+                verdicts.push(agree(&ntk, flipped, &what("flipped edge")));
+                verdicts.push(agree(flipped, &ntk, &what("flipped edge, reversed")));
+            }
+            for (equivalent, refuted_by_sat) in verdicts {
+                if equivalent {
+                    tally.equivalent += 1;
+                } else {
+                    tally.inequivalent += 1;
+                }
+                tally.refuted_by_sat += usize::from(refuted_by_sat);
+            }
+        }
+    }
+    let mut rng = Rng::seed_from_u64(0x150c);
+    let mut tally = Tally::default();
+    check(
+        |rng| deep_network(rng, |aig: &mut Aig, _, [x, y, _]| aig.create_and(x, y)),
+        &mut rng,
+        12,
+        &mut tally,
+    );
+    check(
+        |rng| {
+            deep_network(rng, |xag: &mut Xag, rng, [x, y, _]| {
+                if rng.gen_range(4) == 0 {
+                    xag.create_xor(x, y)
+                } else {
+                    xag.create_and(x, y)
+                }
+            })
+        },
+        &mut rng,
+        12,
+        &mut tally,
+    );
+    check(
+        |rng| {
+            deep_network(rng, |mig: &mut Mig, rng, [x, y, z]| {
+                // a constant third fanin makes an AND or an OR
+                let z = if rng.gen_bool() {
+                    mig.get_constant(rng.gen_bool())
+                } else {
+                    z
+                };
+                mig.create_maj(x, y, z)
+            })
+        },
+        &mut rng,
+        12,
+        &mut tally,
+    );
+    assert!(
+        tally.equivalent > 0 && tally.inequivalent > 0 && tally.refuted_by_sat > 0,
+        "{tally:?}"
     );
 }
 
