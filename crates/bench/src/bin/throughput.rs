@@ -4,12 +4,15 @@
 //!
 //! The rewrite section measures end-to-end `rewrite` pass time (cut
 //! enumeration, truth tables, gain estimation and substitution) in gates
-//! per second.  The sweep section injects seeded structural redundancy
-//! into each circuit (`glsx_benchmarks::inject_redundancy`) and measures
-//! a full `sweep` pass — simulation, class partitioning, SAT proving and
-//! merging — in nodes per second, asserting that every run merges proven
-//! duplicates and that the swept network is miter-equivalent to its
-//! redundant input.  Setting `GLSX_WRITE_BENCH_BASELINE=1` records the
+//! per second, and the NPN canonisation kernel behind its database in
+//! canonisations per second over all 65,536 four-input functions,
+//! asserting that they fall into the 222 known NPN classes.  The sweep
+//! section injects seeded structural redundancy into each circuit
+//! (`glsx_benchmarks::inject_redundancy`) and measures a full `sweep`
+//! pass — simulation, class partitioning, SAT proving and merging — in
+//! nodes per second, asserting that every run merges proven duplicates
+//! and that the swept network is miter-equivalent to its redundant
+//! input.  Setting `GLSX_WRITE_BENCH_BASELINE=1` records the
 //! results at the repository root.
 //!
 //! The mapping section (`BENCH_map.json`) injects *restructured
@@ -29,7 +32,8 @@
 //! identical gate counts: the CI guard proving both pass soundness and
 //! the incremental-vs-full contract end to end (SAT-complete, unlike the
 //! former random-simulation assertion).  It then runs the choice
-//! pipeline (choices on AND off) with the same miter guards.
+//! pipeline (choices on AND off) with the same miter guards, and counts
+//! the 4-input NPN classes.
 
 use glsx_benchmarks::arithmetic::{adder, barrel_shifter, multiplier, square};
 use glsx_benchmarks::{inject_redundancy, inject_restructured};
@@ -39,6 +43,9 @@ use glsx_core::rewriting::{rewrite, RewriteParams};
 use glsx_core::sweeping::{check_equivalence, sweep, SweepParams};
 use glsx_flow::{run_script_and_map, run_step, FlowOptions, FlowScript};
 use glsx_network::{Aig, Network};
+use glsx_truth::{npn_canonize, TruthTable};
+use std::collections::HashSet;
+use std::hint::black_box;
 use std::time::Instant;
 
 struct Row {
@@ -121,6 +128,48 @@ fn measure(name: &'static str, aig: &Aig, budget_ms: u128) -> Row {
         full_rebuild_nodes: full_stats.cuts.reenumerated_nodes,
         seconds_per_pass: seconds,
         gates_per_sec: aig.num_gates() as f64 / seconds,
+    }
+}
+
+/// The number of NPN classes of 4-input functions.
+const NPN4_CLASSES: usize = 222;
+
+struct NpnRow {
+    functions: usize,
+    classes: usize,
+    seconds_per_pass: f64,
+    canonisations_per_sec: f64,
+}
+
+/// Canonises every 4-input function once, asserting the class count, then
+/// times passes over all of them until the budget is spent (at least one,
+/// at most 20), reporting the best pass like [`measure`].
+fn measure_npn(budget_ms: u128) -> NpnRow {
+    let functions: Vec<TruthTable> = (0..1u64 << 16)
+        .map(|bits| TruthTable::from_bits(4, bits))
+        .collect();
+    let classes: HashSet<TruthTable> = functions.iter().map(|f| npn_canonize(f).0).collect();
+    assert_eq!(
+        classes.len(),
+        NPN4_CLASSES,
+        "4-input functions must fall into {NPN4_CLASSES} NPN classes"
+    );
+    let started = Instant::now();
+    let mut runs = 0u32;
+    let mut seconds = f64::INFINITY;
+    while runs == 0 || (runs < 20 && started.elapsed().as_millis() < budget_ms) {
+        let t = Instant::now();
+        for f in &functions {
+            black_box(npn_canonize(black_box(f)));
+        }
+        seconds = seconds.min(t.elapsed().as_secs_f64());
+        runs += 1;
+    }
+    NpnRow {
+        functions: functions.len(),
+        classes: classes.len(),
+        seconds_per_pass: seconds,
+        canonisations_per_sec: functions.len() as f64 / seconds,
     }
 }
 
@@ -308,6 +357,12 @@ fn smoke() {
          {} choices recorded), both miter-proven",
         row.gates, row.luts_off, row.luts_on, row.choice_wins, row.choices_recorded
     );
+
+    let npn = measure_npn(0);
+    println!(
+        "smoke npn: {} 4-input functions in {} classes, {:.0} canonisations/s",
+        npn.functions, npn.classes, npn.canonisations_per_sec
+    );
 }
 
 fn main() {
@@ -326,6 +381,12 @@ fn main() {
         ("multiplier_8", multiplier(8)),
         ("square_8", square(8)),
     ];
+
+    let npn = measure_npn(2000);
+    println!(
+        "npn     {} 4-input functions  {} classes  {:.6} s/pass  {:>10.0} canonisations/s",
+        npn.functions, npn.classes, npn.seconds_per_pass, npn.canonisations_per_sec
+    );
 
     let mut rows = Vec::new();
     let mut sweep_rows = Vec::new();
@@ -424,8 +485,15 @@ fn main() {
             )
         })
         .collect();
+    let npn_json = format!(
+        concat!(
+            "{{\"functions\": {}, \"classes\": {}, ",
+            "\"seconds_per_pass\": {:.6}, \"canonisations_per_sec\": {:.0}}}"
+        ),
+        npn.functions, npn.classes, npn.seconds_per_pass, npn.canonisations_per_sec
+    );
     let json = format!(
-        "{{\n  \"bench\": \"rewrite_pass\",\n  \"circuits\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"rewrite_pass\",\n  \"npn\": {npn_json},\n  \"circuits\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
     let sweep_json_rows: Vec<String> = sweep_rows

@@ -169,7 +169,9 @@ where
                 },
                 ..RewriteParams::default()
             };
-            let stats = rewrite_traced(ntk, &mut NpnDatabase::new(), &params, budget, tracer);
+            let mut database = NpnDatabase::new();
+            let stats = rewrite_traced(ntk, &mut database, &params, budget, tracer);
+            tracer.absorb("rewrite.npn", &database.stats());
             stats.substitutions
         }
         FlowStep::Refactor { zero_gain } => {
@@ -443,6 +445,26 @@ mod tests {
         let stats = compress2rs(&mut opt_xag, &FlowOptions::default());
         assert!(stats.final_size <= stats.initial_size);
         assert!(equivalent_by_simulation(&aig, &opt_xag));
+    }
+
+    /// Every `rw` step pours its own NPN database's memo counters into
+    /// the tracer, so a second step canonises again from an empty memo.
+    #[test]
+    fn rewrite_steps_report_their_npn_memo_work() {
+        use glsx_network::telemetry::{TraceMode, Tracer};
+        let npn_counters = |script: &str| {
+            let tracer = Tracer::new(TraceMode::Counters);
+            let mut aig: Aig = adder(8);
+            let script = FlowScript::parse(script).unwrap();
+            run_script_traced(&mut aig, &script, &FlowOptions::default(), &tracer);
+            let metrics = tracer.metrics();
+            ["canonisations", "cache_hits", "chains_built"]
+                .map(|name| metrics.counter(&format!("rewrite.npn.{name}")))
+        };
+        let [canonisations, hits, chains] = npn_counters("rw");
+        assert!(hits > 0 && chains > 0 && chains <= canonisations);
+        let [twice, _, _] = npn_counters("rw; rw");
+        assert!(twice > canonisations, "{twice} vs {canonisations}");
     }
 
     #[test]

@@ -204,10 +204,12 @@ fn parse_header<'a>(
     if num_latches != 0 {
         return Err(ParseAigerError::new("latches are not supported"));
     }
-    if max_index < num_inputs + num_ands {
+    if num_inputs
+        .checked_add(num_ands)
+        .is_none_or(|defined| max_index < defined)
+    {
         return Err(ParseAigerError::new(format!(
-            "maximum index {max_index} is below inputs + ANDs ({})",
-            num_inputs + num_ands
+            "maximum index {max_index} is below inputs + ANDs ({num_inputs} + {num_ands})"
         )));
     }
     Ok(Header {
@@ -227,6 +229,30 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
     let text = text.trim_start();
     let (header_line, rest) = text.split_once('\n').unwrap_or((text, ""));
     let header = parse_header("aag", header_line.split_whitespace())?;
+    // the header is untrusted: every table below is sized from it, so its
+    // counts are first bounded by the body.  Each record is a decimal
+    // token plus a separator (the last may end the input), and a strict
+    // file's maximum index is at most its number of definitions.
+    let records = header.num_ands.checked_mul(3).and_then(|ands| {
+        ands.checked_add(header.num_inputs)?
+            .checked_add(header.num_outputs)
+    });
+    if records.is_none_or(|records| records > rest.len().div_ceil(2)) {
+        return Err(ParseAigerError::new(format!(
+            "header declares {} inputs, {} outputs and {} ANDs, more than the {}-byte body holds",
+            header.num_inputs,
+            header.num_outputs,
+            header.num_ands,
+            rest.len()
+        )));
+    }
+    if header.max_index > rest.len() {
+        return Err(ParseAigerError::new(format!(
+            "maximum index {} exceeds the {}-byte body (literal tables are sized by it)",
+            header.max_index,
+            rest.len()
+        )));
+    }
     let mut tokens = rest.split_whitespace();
     let mut next_literal = |what: &str| -> Result<usize, ParseAigerError> {
         let token = tokens
@@ -337,6 +363,24 @@ fn read_aiger_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
         return Err(ParseAigerError::new(format!(
             "binary AIGER requires M = I + A (got M={}, I={}, A={})",
             header.max_index, header.num_inputs, header.num_ands
+        )));
+    }
+    // the header is untrusted: bound every count that sizes a table or a
+    // loop by the file length.  Literals must fit the `u32` varint
+    // arithmetic; each output line takes at least two bytes and each AND
+    // two varints of at least one byte.  Inputs are implicit, but every
+    // input a circuit uses costs at least one byte of output or AND data.
+    if header.max_index > (u32::MAX / 2) as usize {
+        return Err(ParseAigerError::new(format!(
+            "maximum index {} exceeds the 32-bit literal range",
+            header.max_index
+        )));
+    }
+    let len = bytes.len();
+    if header.num_inputs > len || header.num_outputs > len / 2 || header.num_ands > len / 2 {
+        return Err(ParseAigerError::new(format!(
+            "header declares {} inputs, {} outputs and {} ANDs, more than the {len}-byte file holds",
+            header.num_inputs, header.num_outputs, header.num_ands
         )));
     }
     let mut output_literals = Vec::with_capacity(header.num_outputs);

@@ -128,6 +128,45 @@ mod tests {
     }
 
     #[test]
+    fn aiger_header_counts_cannot_drive_allocations() {
+        // each header claims far more than its body holds; sizing tables
+        // from these counts would abort the process on allocation
+        let ascii = [
+            "aag 3000000000 1 0 1 0",
+            "aag 3000000000 1 0 1 0\n2\n2\n",
+            "aag 1 1 0 3000000000 0\n2\n2\n",
+            "aag 3000000001 1 0 1 3000000000\n2\n2\n",
+            "aag 18446744073709551615 1 0 1 18446744073709551615\n2\n2\n",
+        ];
+        for text in ascii {
+            assert!(read_aiger(text).is_err(), "{text:?}");
+        }
+        let binary: [&[u8]; 5] = [
+            b"aig 2000000000 2000000000 0 1 0\n2\n",
+            b"aig 1 1 0 2000000000 0\n2\n",
+            b"aig 2000000001 1 0 1 2000000000\n2\n",
+            b"aig 3000000000 3000000000 0 1 0\n2\n",
+            b"aig 18446744073709551615 18446744073709551615 0 1 0\n2\n",
+        ];
+        for bytes in binary {
+            assert!(
+                read_aiger(bytes).is_err(),
+                "{:?}",
+                String::from_utf8_lossy(bytes)
+            );
+        }
+        // the bounds leave every well-formed file alone, including one
+        // whose maximum index leaves gaps
+        assert_eq!(read_aiger("aag 3 1 0 1 0\n2\n3\n").unwrap().num_pis(), 1);
+        assert_eq!(
+            read_aiger(b"aig 1 1 0 1 0\n3\n".as_slice())
+                .unwrap()
+                .num_pos(),
+            1
+        );
+    }
+
+    #[test]
     fn gbc_roundtrip_is_bit_identical() {
         let aig: Aig = adder(4);
         let bytes = write_gbc(&aig).unwrap();

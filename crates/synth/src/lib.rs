@@ -43,7 +43,8 @@ mod sop;
 pub use chain::{Chain, ChainOperand, ChainStep};
 pub use exact::{exact_chain_synthesis, ChainGateSet, ExactSynthesisParams};
 pub use resynthesis::{
-    record_chain, NpnDatabase, NpnDatabaseParams, Resynthesis, ShannonResynthesis, SopResynthesis,
+    record_chain, NpnDatabase, NpnDatabaseParams, NpnDatabaseStats, Resynthesis,
+    ShannonResynthesis, SopResynthesis,
 };
 pub use shannon::shannon_resynthesize;
 pub use sop::sop_resynthesize;

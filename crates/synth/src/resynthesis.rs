@@ -12,7 +12,7 @@ use crate::chain::{Chain, ChainOperand, ChainStep};
 use crate::exact::{exact_chain_synthesis, ExactSynthesisParams};
 use crate::shannon::shannon_resynthesize;
 use crate::sop::sop_resynthesize;
-use glsx_network::{GateBuilder, Network, NodeId, Signal, Xag};
+use glsx_network::{GateBuilder, MetricsSource, Network, NodeId, Signal, Xag};
 use glsx_truth::{npn_canonize, NpnTransform, TruthTable};
 use std::collections::HashMap;
 
@@ -109,6 +109,26 @@ pub struct NpnDatabaseParams {
     pub exact: ExactSynthesisParams,
 }
 
+/// Work counters of an [`NpnDatabase`]: how often its canonisation memo
+/// was consulted and what it had to compute.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NpnDatabaseStats {
+    /// Non-constant functions canonised (canonisation-memo misses).
+    pub canonisations: u64,
+    /// Non-constant functions served from the canonisation memo.
+    pub cache_hits: u64,
+    /// Replacement chains built, one per NPN class met.
+    pub chains_built: u64,
+}
+
+impl MetricsSource for NpnDatabaseStats {
+    fn visit_metrics(&self, visit: &mut dyn FnMut(&str, u64)) {
+        visit("canonisations", self.canonisations);
+        visit("cache_hits", self.cache_hits);
+        visit("chains_built", self.chains_built);
+    }
+}
+
 /// A lazily computed database of replacement structures indexed by NPN
 /// class.
 ///
@@ -121,14 +141,19 @@ pub struct NpnDatabaseParams {
 #[derive(Debug, Default)]
 pub struct NpnDatabase {
     params: NpnDatabaseParams,
-    cache: HashMap<TruthTable, Chain>,
-    /// Memoised canonisation results keyed by the *original* function.
-    /// Cut functions repeat massively across candidates of one pass, and
-    /// exhaustive NPN canonisation (all `2^{n+1} n!` transforms) is far
-    /// more expensive than a hash lookup, so this cache dominates the
-    /// rewrite loop's speed.  Bounded by the number of distinct cut
-    /// functions (≤ 2^16 for 4-input cuts).
-    canon_cache: HashMap<TruthTable, (TruthTable, NpnTransform)>,
+    /// One chain per NPN class met, in discovery order.
+    chains: Vec<Chain>,
+    /// Index into `chains` by class representative.
+    classes: HashMap<TruthTable, usize>,
+    /// Memoised canonisation results keyed by the *original* function:
+    /// the transform to the representative and the class's index into
+    /// `chains`.  Cut functions repeat massively across the candidates of
+    /// one pass, so a repeat costs one probe and no table clone.  Bounded
+    /// by the number of distinct cut functions (≤ 2^16 for 4-input cuts).
+    canon_cache: HashMap<TruthTable, (NpnTransform, usize)>,
+    /// Leaf buffer of the chain replay, reused across calls.
+    mapped: Vec<Signal>,
+    stats: NpnDatabaseStats,
 }
 
 impl NpnDatabase {
@@ -142,8 +167,7 @@ impl NpnDatabase {
     pub fn with_params(params: NpnDatabaseParams) -> Self {
         Self {
             params,
-            cache: HashMap::new(),
-            canon_cache: HashMap::new(),
+            ..Self::default()
         }
     }
 
@@ -158,30 +182,35 @@ impl NpnDatabase {
 
     /// Number of NPN classes cached so far.
     pub fn num_classes(&self) -> usize {
-        self.cache.len()
+        self.chains.len()
+    }
+
+    /// The database's work counters since it was created.
+    pub fn stats(&self) -> NpnDatabaseStats {
+        self.stats
     }
 
     /// Returns the chain stored for the NPN representative of `function`,
     /// computing and caching it if necessary.
     pub fn chain_for(&mut self, canonical: &TruthTable) -> &Chain {
-        chain_for_in(&mut self.cache, &self.params, canonical)
+        let class = self.class_of(canonical);
+        &self.chains[class]
     }
-}
 
-/// [`NpnDatabase::chain_for`] as a free function over the chain cache, so
-/// callers holding a borrow of another database field (the canonisation
-/// cache) can still resolve chains.
-fn chain_for_in<'c>(
-    cache: &'c mut HashMap<TruthTable, Chain>,
-    params: &NpnDatabaseParams,
-    canonical: &TruthTable,
-) -> &'c Chain {
-    if !cache.contains_key(canonical) {
-        let chain = compute_chain(params, canonical);
+    /// The index into `chains` of the class represented by `canonical`,
+    /// building its chain on first sight.
+    fn class_of(&mut self, canonical: &TruthTable) -> usize {
+        if let Some(&class) = self.classes.get(canonical) {
+            return class;
+        }
+        let chain = compute_chain(&self.params, canonical);
         debug_assert_eq!(chain.simulate(), *canonical);
-        cache.insert(canonical.clone(), chain);
+        self.chains.push(chain);
+        self.stats.chains_built += 1;
+        self.classes
+            .insert(canonical.clone(), self.chains.len() - 1);
+        self.chains.len() - 1
     }
-    &cache[canonical]
 }
 
 fn compute_chain(params: &NpnDatabaseParams, canonical: &TruthTable) -> Chain {
@@ -223,22 +252,30 @@ impl<N: GateBuilder> Resynthesis<N> for NpnDatabase {
         if function.is_const() {
             return Some(ntk.get_constant(function.is_one()));
         }
-        if !self.canon_cache.contains_key(function) {
-            let computed = npn_canonize(function);
-            self.canon_cache.insert(function.clone(), computed);
-        }
-        // hit path: probe by reference — no key clone, no table clone (the
-        // chain cache is resolved through a free function so the borrow of
-        // the canonisation cache can be held across it)
-        let (canonical, transform) = &self.canon_cache[function];
+        let (transform, class) = match self.canon_cache.get(function) {
+            Some(hit) => {
+                self.stats.cache_hits += 1;
+                hit
+            }
+            None => {
+                self.stats.canonisations += 1;
+                let (canonical, transform) = npn_canonize(function);
+                let class = self.class_of(&canonical);
+                &*self
+                    .canon_cache
+                    .entry(function.clone())
+                    .or_insert((transform, class))
+            }
+        };
         // chain input j is canonical variable y_j; original input i maps to
         // y_{perm[i]} with the recorded input negation
-        let mut mapped = vec![Signal::constant(false); function.num_vars()];
+        self.mapped.clear();
+        self.mapped
+            .resize(function.num_vars(), Signal::constant(false));
         for (i, &leaf) in leaves.iter().enumerate() {
-            mapped[transform.perm[i]] = leaf.complement_if(transform.input_negated(i));
+            self.mapped[transform.perm[i]] = leaf.complement_if(transform.input_negated(i));
         }
-        let chain = chain_for_in(&mut self.cache, &self.params, canonical);
-        let out = chain.replay(ntk, &mapped);
+        let out = self.chains[*class].replay(ntk, &self.mapped);
         Some(out.complement_if(transform.output_negation))
     }
 }
@@ -330,6 +367,34 @@ mod tests {
         check_resynthesis::<Aig, _>(ShannonResynthesis, &tt);
         check_resynthesis::<Mig, _>(SopResynthesis, &tt);
         check_resynthesis::<Mig, _>(ShannonResynthesis, &tt);
+    }
+
+    #[test]
+    fn npn_database_counts_its_memo_work() {
+        // majority and its complement share a class, as do the two
+        // parities and AND/OR; two functions repeat and two are constant
+        let functions: Vec<TruthTable> =
+            ["e8", "17", "96", "69", "e8", "80", "00", "fe", "96", "ff"]
+                .iter()
+                .map(|hex| TruthTable::from_hex(3, hex).unwrap())
+                .collect();
+        let mut db = NpnDatabase::new();
+        let mut aig = Aig::new();
+        let leaves: Vec<Signal> = (0..3).map(|_| aig.create_pi()).collect();
+        for tt in &functions {
+            Resynthesis::<Aig>::resynthesize(&mut db, &mut aig, tt, &leaves).unwrap();
+        }
+        let non_constant: Vec<&TruthTable> = functions.iter().filter(|f| !f.is_const()).collect();
+        let distinct: std::collections::HashSet<&TruthTable> =
+            non_constant.iter().copied().collect();
+        let stats = db.stats();
+        assert_eq!(
+            stats.canonisations + stats.cache_hits,
+            non_constant.len() as u64
+        );
+        assert_eq!(stats.canonisations, distinct.len() as u64);
+        assert_eq!(stats.chains_built, 3);
+        assert_eq!(db.num_classes(), 3);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! database structure synthesised for the representative can be
 //! instantiated on the original cut leaves.
 
+use crate::table::VAR_MASKS;
 use crate::TruthTable;
 
 /// The transformation relating a function to its NPN representative.
@@ -85,24 +86,83 @@ impl NpnTransform {
     }
 }
 
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    let mut result = Vec::new();
-    let mut items: Vec<usize> = (0..n).collect();
-    heap_permute(&mut items, n, &mut result);
-    result
+/// Complements variable `var` of a one-word truth table.
+#[inline]
+fn flip_var(word: u64, var: usize) -> u64 {
+    let shift = 1 << var;
+    ((word & VAR_MASKS[var]) >> shift) | ((word & !VAR_MASKS[var]) << shift)
 }
 
-fn heap_permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
-    if k <= 1 {
-        out.push(items.clone());
-        return;
+/// Exchanges variables `a` and `b` of a one-word truth table (a delta
+/// swap: every minterm with `x_a = 1, x_b = 0` trades places with its
+/// partner that has `x_a = 0, x_b = 1`).
+#[inline]
+fn swap_vars(word: u64, a: usize, b: usize) -> u64 {
+    let (a, b) = (a.min(b), a.max(b));
+    let shift = (1 << b) - (1 << a);
+    let delta = ((word >> shift) ^ word) & VAR_MASKS[a] & !VAR_MASKS[b];
+    word ^ delta ^ (delta << shift)
+}
+
+/// State of the exhaustive search of [`npn_canonize_exact`], kept in
+/// registers and one stack array: no transform or table is allocated
+/// until the winner is known.
+struct ExactSearch {
+    num_vars: usize,
+    /// The `2^num_vars` valid bits of a table.
+    mask: u64,
+    /// The current permutation and `permute(f, perm)` under it.
+    perm: [usize; 6],
+    permuted: u64,
+    /// `negated[neg]` is the permuted table with the inputs in `neg`
+    /// complemented, filled in ascending `neg` order.
+    negated: [u64; 64],
+    best: u64,
+    best_perm: [usize; 6],
+    best_negations: u32,
+    best_output_negation: bool,
+}
+
+impl ExactSearch {
+    /// Walks the permutations in the order of Heap's algorithm (as the
+    /// recursive variant that swaps after every sub-walk, including the
+    /// last), updating `permuted` with one variable swap per position swap.
+    fn walk(&mut self, k: usize) {
+        if k <= 1 {
+            self.visit();
+            return;
+        }
+        for i in 0..k {
+            self.walk(k - 1);
+            let j = if k.is_multiple_of(2) { i } else { 0 };
+            if j != k - 1 {
+                self.permuted = swap_vars(self.permuted, self.perm[j], self.perm[k - 1]);
+                self.perm.swap(j, k - 1);
+            }
+        }
     }
-    for i in 0..k {
-        heap_permute(items, k - 1, out);
-        if k.is_multiple_of(2) {
-            items.swap(i, k - 1);
-        } else {
-            items.swap(0, k - 1);
+
+    /// Tries every input negation (ascending) and both output polarities
+    /// of the current permutation.  Flipping input `i` before permuting
+    /// equals flipping variable `perm[i]` after it, so each negation set
+    /// is one flip away from the set without its lowest input.
+    fn visit(&mut self) {
+        for neg in 0..1usize << self.num_vars {
+            let word = if neg == 0 {
+                self.permuted
+            } else {
+                let lowest = neg.trailing_zeros() as usize;
+                flip_var(self.negated[neg & (neg - 1)], self.perm[lowest])
+            };
+            self.negated[neg] = word;
+            for (output_negation, candidate) in [(false, word), (true, !word & self.mask)] {
+                if candidate < self.best {
+                    self.best = candidate;
+                    self.best_perm = self.perm;
+                    self.best_negations = neg as u32;
+                    self.best_output_negation = output_negation;
+                }
+            }
         }
     }
 }
@@ -111,8 +171,14 @@ fn heap_permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
 /// permutations, input negations and output negation.
 ///
 /// The representative is the lexicographically smallest truth table in the
-/// NPN class.  Exhaustive enumeration is practical up to five or six
-/// variables, which covers the cut sizes used by rewriting.
+/// NPN class.  Transforms are tried permutation by permutation (in the
+/// order of Heap's algorithm), then by ascending input-negation mask, then
+/// output polarity (plain first), and a candidate replaces the best only
+/// when it is strictly smaller, so the returned transform is the first one
+/// in that order reaching the minimum.  The search works on one masked
+/// `u64` word without allocating: each permutation is derived from the
+/// previous one by variable swaps and each negation set by a single
+/// mask-and-shift, so a 4-input function costs 768 word comparisons.
 ///
 /// # Panics
 ///
@@ -123,25 +189,28 @@ pub fn npn_canonize_exact(tt: &TruthTable) -> (TruthTable, NpnTransform) {
         n <= 6,
         "exact NPN canonisation supports at most 6 variables"
     );
-    let mut best = tt.clone();
-    let mut best_transform = NpnTransform::identity(n);
-    for perm in permutations(n) {
-        for neg in 0u32..(1 << n) {
-            for out in [false, true] {
-                let transform = NpnTransform {
-                    input_negations: neg,
-                    output_negation: out,
-                    perm: perm.clone(),
-                };
-                let candidate = transform.apply(tt);
-                if candidate < best {
-                    best = candidate;
-                    best_transform = transform;
-                }
-            }
-        }
-    }
-    (best, best_transform)
+    let word = tt.words()[0];
+    let identity = [0, 1, 2, 3, 4, 5];
+    let mut search = ExactSearch {
+        num_vars: n,
+        mask: u64::MAX >> (64 - (1 << n)),
+        perm: identity,
+        permuted: word,
+        negated: [0; 64],
+        best: word,
+        best_perm: identity,
+        best_negations: 0,
+        best_output_negation: false,
+    };
+    search.walk(n);
+    (
+        TruthTable::from_bits(n, search.best),
+        NpnTransform {
+            input_negations: search.best_negations,
+            output_negation: search.best_output_negation,
+            perm: search.best_perm[..n].to_vec(),
+        },
+    )
 }
 
 /// Heuristic NPN canonisation by greedy sifting: repeatedly applies single
@@ -228,6 +297,137 @@ mod tests {
     fn all_functions(num_vars: usize) -> impl Iterator<Item = TruthTable> {
         let bits = 1usize << num_vars;
         (0u64..(1u64 << bits)).map(move |v| TruthTable::from_bits(num_vars, v))
+    }
+
+    /// The exhaustive enumeration that [`npn_canonize_exact`] replaced,
+    /// kept as its oracle: every transform is materialised as an
+    /// [`NpnTransform`] and applied to a fresh table, in the kernel's
+    /// order and with its strict tie-break.
+    fn reference_canonize(tt: &TruthTable) -> (TruthTable, NpnTransform) {
+        let n = tt.num_vars();
+        let mut best = tt.clone();
+        let mut best_transform = NpnTransform::identity(n);
+        for perm in permutations(n) {
+            for neg in 0u32..(1 << n) {
+                for out in [false, true] {
+                    let transform = NpnTransform {
+                        input_negations: neg,
+                        output_negation: out,
+                        perm: perm.clone(),
+                    };
+                    let candidate = transform.apply(tt);
+                    if candidate < best {
+                        best = candidate;
+                        best_transform = transform;
+                    }
+                }
+            }
+        }
+        (best, best_transform)
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        let mut result = Vec::new();
+        let mut items: Vec<usize> = (0..n).collect();
+        heap_permute(&mut items, n, &mut result);
+        result
+    }
+
+    fn heap_permute(items: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
+        if k <= 1 {
+            out.push(items.clone());
+            return;
+        }
+        for i in 0..k {
+            heap_permute(items, k - 1, out);
+            if k.is_multiple_of(2) {
+                items.swap(i, k - 1);
+            } else {
+                items.swap(0, k - 1);
+            }
+        }
+    }
+
+    /// SplitMix64, so the sampled oracle comparisons are reproducible.
+    fn next_random(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The totally symmetric function whose value on an input of weight
+    /// `w` is bit `w` of `spectrum`: the functions with the most
+    /// transforms tying for the minimum, which exercise the tie-break.
+    fn symmetric(num_vars: usize, spectrum: u64) -> TruthTable {
+        let mut bits = 0u64;
+        for m in 0..1u64 << num_vars {
+            bits |= ((spectrum >> m.count_ones()) & 1) << m;
+        }
+        TruthTable::from_bits(num_vars, bits)
+    }
+
+    /// `count` seeded random functions plus every totally symmetric one
+    /// whose spectrum index is a multiple of `symmetric_stride`.
+    fn sample(num_vars: usize, count: usize, symmetric_stride: u64, seed: u64) -> Vec<TruthTable> {
+        let mut state = seed;
+        let mut functions: Vec<TruthTable> = (0..count)
+            .map(|_| TruthTable::from_bits(num_vars, next_random(&mut state)))
+            .collect();
+        functions.extend(
+            (0..1u64 << (num_vars + 1))
+                .step_by(symmetric_stride as usize)
+                .map(|spectrum| symmetric(num_vars, spectrum)),
+        );
+        functions
+    }
+
+    fn assert_matches_reference(functions: impl IntoIterator<Item = TruthTable>) {
+        for f in functions {
+            assert_eq!(npn_canonize_exact(&f), reference_canonize(&f), "{f:?}");
+        }
+    }
+
+    #[test]
+    fn heap_order_visits_every_permutation_once() {
+        let mut factorial = 1;
+        for n in 0..=6 {
+            factorial *= n.max(1);
+            let perms = permutations(n);
+            let distinct: std::collections::HashSet<_> = perms.iter().collect();
+            assert_eq!((perms.len(), distinct.len()), (factorial, factorial));
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_every_function_of_up_to_3_inputs() {
+        for n in 0..=3 {
+            assert_matches_reference(all_functions(n));
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_sampled_4_input_functions() {
+        assert_matches_reference(sample(4, 4096, 1, 0x4e50_4e04));
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_sampled_5_and_6_input_functions() {
+        assert_matches_reference(sample(5, 160, 4, 0x4e50_4e05));
+        assert_matches_reference(sample(6, 6, 32, 0x4e50_4e06));
+    }
+
+    #[test]
+    fn all_4_input_functions_fall_into_222_classes() {
+        let mut classes = std::collections::HashSet::new();
+        for f in all_functions(4) {
+            let (canon, t) = npn_canonize_exact(&f);
+            assert_eq!(t.apply(&f), canon);
+            assert_eq!(t.apply_inverse(&canon), f);
+            classes.insert(canon);
+        }
+        assert_eq!(classes.len(), 222);
     }
 
     #[test]
