@@ -27,6 +27,19 @@
 //! * each literal defined at most once, all literals ≤ `2·M + 1`,
 //! * an optional symbol/comment section after the last AND definition,
 //!   which is ignored.
+//!
+//! # Untrusted headers
+//!
+//! An `aag` body holds at most one record per two bytes, so a header
+//! declaring more `I + O + 3·A` records is rejected before any table is
+//! sized.  `M` only bounds literals: the reader stores the defined
+//! variables by index, so a sparse numbering costs nothing extra.  A
+//! binary `aig` file's outputs (a line of at least two bytes each) and
+//! ANDs (two varints of at least one byte each) are bounded the same
+//! way, and its literals must fit 32 bits.  Binary inputs are implicit
+//! and cost no bytes, so any input count in that range is valid; the
+//! reader reserves their tables fallibly, so a count the allocator
+//! refuses is a parse error, not an abort.
 
 use glsx_network::{Aig, GateBuilder, Network, NodeId, Signal};
 use std::collections::HashMap;
@@ -220,6 +233,42 @@ fn parse_header<'a>(
     })
 }
 
+/// The ASCII reader's defined variables by index: `Some(None)` for an
+/// AND whose fanins are not resolved yet, `Some(Some(signal))` once it
+/// (or an input) has its signal.  Indices up to the number of
+/// definitions, every index of a densely numbered file, sit in a table;
+/// the larger ones a sparse numbering may use, in a map.  Neither is
+/// sized by the header's maximum index.
+struct Variables {
+    dense: Vec<Option<Option<Signal>>>,
+    sparse: HashMap<usize, Option<Signal>>,
+}
+
+impl Variables {
+    fn new(num_defined: usize) -> Self {
+        Self {
+            dense: vec![None; num_defined + 1],
+            sparse: HashMap::new(),
+        }
+    }
+
+    /// Sets the entry of `var` and returns whether it was undefined
+    /// before (resolving a pending AND overwrites its `None`).
+    fn define(&mut self, var: usize, signal: Option<Signal>) -> bool {
+        match self.dense.get_mut(var) {
+            Some(slot) => slot.replace(signal).is_none(),
+            None => self.sparse.insert(var, signal).is_none(),
+        }
+    }
+
+    fn get(&self, var: usize) -> Option<Signal> {
+        match self.dense.get(var) {
+            Some(slot) => slot.flatten(),
+            None => self.sparse.get(&var).copied().flatten(),
+        }
+    }
+}
+
 fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
     // records are plain whitespace-separated decimal tokens: consuming a
     // token stream (instead of exact lines) tolerates blank lines, `\r`,
@@ -229,10 +278,10 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
     let text = text.trim_start();
     let (header_line, rest) = text.split_once('\n').unwrap_or((text, ""));
     let header = parse_header("aag", header_line.split_whitespace())?;
-    // the header is untrusted: every table below is sized from it, so its
-    // counts are first bounded by the body.  Each record is a decimal
-    // token plus a separator (the last may end the input), and a strict
-    // file's maximum index is at most its number of definitions.
+    // the header is untrusted and sizes the tables below, so its record
+    // counts are first bounded by the body: each record is a decimal token
+    // plus a separator (the last may end the input).  The maximum index
+    // sizes nothing (see `Variables`).
     let records = header.num_ands.checked_mul(3).and_then(|ands| {
         ands.checked_add(header.num_inputs)?
             .checked_add(header.num_outputs)
@@ -243,13 +292,6 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
             header.num_inputs,
             header.num_outputs,
             header.num_ands,
-            rest.len()
-        )));
-    }
-    if header.max_index > rest.len() {
-        return Err(ParseAigerError::new(format!(
-            "maximum index {} exceeds the {}-byte body (literal tables are sized by it)",
-            header.max_index,
             rest.len()
         )));
     }
@@ -269,26 +311,24 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
     };
 
     let mut aig = Aig::new();
-    let mut signals: Vec<Option<Signal>> = vec![None; header.max_index + 1];
-    signals[0] = Some(aig.get_constant(false));
+    let mut signals = Variables::new(header.num_inputs + header.num_ands);
+    signals.define(0, Some(aig.get_constant(false)));
+    let duplicate =
+        |lit: usize| ParseAigerError::new(format!("literal {lit} defined more than once"));
     for _ in 0..header.num_inputs {
         let lit = next_literal("input literal")?;
         if lit % 2 != 0 {
             return Err(ParseAigerError::new(format!("invalid input literal {lit}")));
         }
-        if signals[lit / 2].is_some() {
-            return Err(ParseAigerError::new(format!(
-                "literal {lit} defined more than once"
-            )));
+        if !signals.define(lit / 2, Some(aig.create_pi())) {
+            return Err(duplicate(lit));
         }
-        signals[lit / 2] = Some(aig.create_pi());
     }
     let mut output_literals = Vec::with_capacity(header.num_outputs);
     for _ in 0..header.num_outputs {
         output_literals.push(next_literal("output literal")?);
     }
     let mut and_definitions = Vec::with_capacity(header.num_ands);
-    let mut defined = vec![false; header.max_index + 1];
     for _ in 0..header.num_ands {
         let lhs = next_literal("AND definition")?;
         let rhs0 = next_literal("AND fanin")?;
@@ -298,31 +338,24 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
                 "AND defines complemented literal {lhs}"
             )));
         }
-        if signals[lhs / 2].is_some() || defined[lhs / 2] {
-            return Err(ParseAigerError::new(format!(
-                "literal {lhs} defined more than once"
-            )));
+        if !signals.define(lhs / 2, None) {
+            return Err(duplicate(lhs));
         }
-        defined[lhs / 2] = true;
         and_definitions.push((lhs, rhs0, rhs1));
     }
+    let resolve = |lit: usize, signals: &Variables| -> Option<Signal> {
+        signals.get(lit / 2).map(|s| s.complement_if(lit % 2 == 1))
+    };
     // ANDs may be listed in any order in which every fanin is eventually
     // defined; resolve iteratively
     let mut remaining = and_definitions;
     while !remaining.is_empty() {
         let before = remaining.len();
         remaining.retain(|&(lhs, rhs0, rhs1)| {
-            let resolve = |lit: usize, signals: &[Option<Signal>]| -> Option<Signal> {
-                signals
-                    .get(lit / 2)
-                    .copied()
-                    .flatten()
-                    .map(|s| s.complement_if(lit % 2 == 1))
-            };
             match (resolve(rhs0, &signals), resolve(rhs1, &signals)) {
                 (Some(a), Some(b)) => {
                     let gate = aig.create_and(a, b);
-                    signals[lhs / 2] = Some(gate);
+                    signals.define(lhs / 2, Some(gate));
                     false
                 }
                 _ => true,
@@ -333,12 +366,9 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
         }
     }
     for lit in output_literals {
-        let signal = signals
-            .get(lit / 2)
-            .copied()
-            .flatten()
+        let signal = resolve(lit, &signals)
             .ok_or_else(|| ParseAigerError::new(format!("undefined output literal {lit}")))?;
-        aig.create_po(signal.complement_if(lit % 2 == 1));
+        aig.create_po(signal);
     }
     Ok(aig)
 }
@@ -365,11 +395,12 @@ fn read_aiger_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
             header.max_index, header.num_inputs, header.num_ands
         )));
     }
-    // the header is untrusted: bound every count that sizes a table or a
-    // loop by the file length.  Literals must fit the `u32` varint
-    // arithmetic; each output line takes at least two bytes and each AND
-    // two varints of at least one byte.  Inputs are implicit, but every
-    // input a circuit uses costs at least one byte of output or AND data.
+    // the header is untrusted.  Literals must fit the `u32` varint
+    // arithmetic, and the outputs and ANDs, which size tables and loops,
+    // are bounded by the file length: each output line takes at least two
+    // bytes and each AND two varints of at least one byte.  Inputs are
+    // implicit and cost no bytes, so any count within the literal range
+    // is valid; their tables are reserved fallibly below instead.
     if header.max_index > (u32::MAX / 2) as usize {
         return Err(ParseAigerError::new(format!(
             "maximum index {} exceeds the 32-bit literal range",
@@ -377,10 +408,10 @@ fn read_aiger_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
         )));
     }
     let len = bytes.len();
-    if header.num_inputs > len || header.num_outputs > len / 2 || header.num_ands > len / 2 {
+    if header.num_outputs > len / 2 || header.num_ands > len / 2 {
         return Err(ParseAigerError::new(format!(
-            "header declares {} inputs, {} outputs and {} ANDs, more than the {len}-byte file holds",
-            header.num_inputs, header.num_outputs, header.num_ands
+            "header declares {} outputs and {} ANDs, more than the {len}-byte file holds",
+            header.num_outputs, header.num_ands
         )));
     }
     let mut output_literals = Vec::with_capacity(header.num_outputs);
@@ -397,7 +428,17 @@ fn read_aiger_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
     }
 
     let mut aig = Aig::new();
-    let mut signals: Vec<Signal> = Vec::with_capacity(header.max_index + 1);
+    let mut signals: Vec<Signal> = Vec::new();
+    let refused = |_| {
+        ParseAigerError::new(format!(
+            "cannot allocate the {} declared inputs",
+            header.num_inputs
+        ))
+    };
+    signals
+        .try_reserve_exact(header.max_index + 1)
+        .map_err(refused)?;
+    aig.try_reserve_pis(header.num_inputs).map_err(refused)?;
     signals.push(aig.get_constant(false));
     for _ in 0..header.num_inputs {
         let pi = aig.create_pi();

@@ -71,7 +71,7 @@ mod tests {
     use glsx_core::lut_mapping::{lut_map, LutMapParams};
     use glsx_network::simulation::equivalent_by_simulation;
     use glsx_network::views::DepthView;
-    use glsx_network::{Aig, GateBuilder, Mig, Network, Xag};
+    use glsx_network::{Aig, GateBuilder, Mig, Network, Signal, Xag};
 
     #[test]
     fn aiger_roundtrip_preserves_function() {
@@ -129,11 +129,12 @@ mod tests {
 
     #[test]
     fn aiger_header_counts_cannot_drive_allocations() {
-        // each header claims far more than its body holds; sizing tables
+        // each header claims more records than its body holds, or
+        // literals beyond the binary format's 32-bit range; sizing tables
         // from these counts would abort the process on allocation
         let ascii = [
             "aag 3000000000 1 0 1 0",
-            "aag 3000000000 1 0 1 0\n2\n2\n",
+            "aag 3000000000 3000000000 0 1 0\n2\n2\n",
             "aag 1 1 0 3000000000 0\n2\n2\n",
             "aag 3000000001 1 0 1 3000000000\n2\n2\n",
             "aag 18446744073709551615 1 0 1 18446744073709551615\n2\n2\n",
@@ -141,8 +142,7 @@ mod tests {
         for text in ascii {
             assert!(read_aiger(text).is_err(), "{text:?}");
         }
-        let binary: [&[u8]; 5] = [
-            b"aig 2000000000 2000000000 0 1 0\n2\n",
+        let binary: [&[u8]; 4] = [
             b"aig 1 1 0 2000000000 0\n2\n",
             b"aig 2000000001 1 0 1 2000000000\n2\n",
             b"aig 3000000000 3000000000 0 1 0\n2\n",
@@ -155,15 +155,43 @@ mod tests {
                 String::from_utf8_lossy(bytes)
             );
         }
-        // the bounds leave every well-formed file alone, including one
-        // whose maximum index leaves gaps
-        assert_eq!(read_aiger("aag 3 1 0 1 0\n2\n3\n").unwrap().num_pis(), 1);
+        // the maximum index sizes nothing, so a huge one with few
+        // definitions is fine, as are gaps in the numbering
+        let sparse = read_aiger("aag 3000000000 1 0 1 0\n2\n2\n").unwrap();
+        assert_eq!((sparse.num_pis(), sparse.num_pos()), (1, 1));
+        let gappy = read_aiger("aag 10 1 0 1 0\n20\n20\n").unwrap();
+        assert_eq!((gappy.num_pis(), gappy.num_pos()), (1, 1));
+        let gappy_and = read_aiger("aag 40 2 0 1 1\n20\n6\n81\n80 21 6\n").unwrap();
+        assert_eq!(gappy_and.num_gates(), 1);
         assert_eq!(
             read_aiger(b"aig 1 1 0 1 0\n3\n".as_slice())
                 .unwrap()
                 .num_pos(),
             1
         );
+    }
+
+    #[test]
+    fn aiger_roundtrips_inputs_the_body_does_not_mention() {
+        // binary inputs are implicit, so a network with many inputs and
+        // little logic writes fewer bytes than it has inputs
+        for (num_pis, output) in [(32, Some(0)), (1000, Some(999)), (1000, None)] {
+            let mut aig = Aig::new();
+            let pis: Vec<Signal> = (0..num_pis).map(|_| aig.create_pi()).collect();
+            aig.create_po(output.map_or(aig.get_constant(true), |i| pis[i]));
+            let binary = write_aiger_binary(&aig);
+            assert!(binary.len() < num_pis, "{} bytes", binary.len());
+            for back in [
+                read_aiger(&binary).unwrap(),
+                read_aiger(write_aiger(&aig)).unwrap(),
+            ] {
+                assert_eq!(back.num_pis(), num_pis);
+                let expected = output.map_or(back.get_constant(true), |i| {
+                    Signal::new(back.pi_nodes()[i], false)
+                });
+                assert_eq!(back.po_signals(), [expected]);
+            }
+        }
     }
 
     #[test]

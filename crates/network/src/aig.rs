@@ -3,6 +3,7 @@
 use crate::common::impl_network_common;
 use crate::storage::Storage;
 use crate::{GateBuilder, GateKind, Network, Signal};
+use std::collections::TryReserveError;
 
 /// An And-inverter graph: a homogeneous network of two-input AND gates with
 /// complemented edges.
@@ -38,6 +39,18 @@ impl Aig {
     /// Creates an empty AIG (alias of [`Network::new`]).
     pub fn empty() -> Self {
         <Self as Network>::new()
+    }
+
+    /// Reserves room for `additional` primary inputs up front, so a
+    /// reader that must create an untrusted number of them (binary
+    /// AIGER's inputs are implicit) gets the allocator's refusal as an
+    /// error instead of a process abort.
+    ///
+    /// # Errors
+    ///
+    /// Returns the allocator's error when the room cannot be reserved.
+    pub fn try_reserve_pis(&mut self, additional: usize) -> Result<(), TryReserveError> {
+        self.storage.try_reserve_pis(additional)
     }
 }
 

@@ -22,7 +22,7 @@ use crate::changes::{ChangeEvent, ChangeLog};
 use crate::choices::ChoiceStore;
 use crate::{FaninArray, GateKind, NodeId, Signal};
 use glsx_truth::TruthTable;
-use std::collections::HashMap;
+use std::collections::{HashMap, TryReserveError};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One generic scratch word: interior-mutable (read-only traversals can
@@ -501,6 +501,15 @@ impl Storage {
             .as_mut()
             .expect("choices enabled")
             .remove(old, promote);
+    }
+
+    /// Reserves room for `additional` upcoming primary inputs, returning
+    /// the allocator's refusal instead of aborting on it.
+    pub fn try_reserve_pis(&mut self, additional: usize) -> Result<(), TryReserveError> {
+        self.nodes.try_reserve(additional)?;
+        self.fanout_lists.try_reserve(additional)?;
+        self.scratch.try_reserve(additional)?;
+        self.pis.try_reserve(additional)
     }
 
     pub fn create_pi(&mut self) -> Signal {

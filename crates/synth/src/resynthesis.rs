@@ -153,7 +153,8 @@ pub struct NpnDatabase {
     canon_cache: HashMap<TruthTable, (NpnTransform, usize)>,
     /// Leaf buffer of the chain replay, reused across calls.
     mapped: Vec<Signal>,
-    stats: NpnDatabaseStats,
+    /// Non-constant functions served from `canon_cache`.
+    cache_hits: u64,
 }
 
 impl NpnDatabase {
@@ -185,9 +186,15 @@ impl NpnDatabase {
         self.chains.len()
     }
 
-    /// The database's work counters since it was created.
+    /// The database's work counters since it was created.  Every memo
+    /// miss adds one `canon_cache` entry and every class one chain, so
+    /// only the hits are counted separately.
     pub fn stats(&self) -> NpnDatabaseStats {
-        self.stats
+        NpnDatabaseStats {
+            canonisations: self.canon_cache.len() as u64,
+            cache_hits: self.cache_hits,
+            chains_built: self.chains.len() as u64,
+        }
     }
 
     /// Returns the chain stored for the NPN representative of `function`,
@@ -206,7 +213,6 @@ impl NpnDatabase {
         let chain = compute_chain(&self.params, canonical);
         debug_assert_eq!(chain.simulate(), *canonical);
         self.chains.push(chain);
-        self.stats.chains_built += 1;
         self.classes
             .insert(canonical.clone(), self.chains.len() - 1);
         self.chains.len() - 1
@@ -254,11 +260,10 @@ impl<N: GateBuilder> Resynthesis<N> for NpnDatabase {
         }
         let (transform, class) = match self.canon_cache.get(function) {
             Some(hit) => {
-                self.stats.cache_hits += 1;
+                self.cache_hits += 1;
                 hit
             }
             None => {
-                self.stats.canonisations += 1;
                 let (canonical, transform) = npn_canonize(function);
                 let class = self.class_of(&canonical);
                 &*self
