@@ -4,9 +4,12 @@
 //!
 //! The rewrite section measures end-to-end `rewrite` pass time (cut
 //! enumeration, truth tables, gain estimation and substitution) in gates
-//! per second, and the NPN canonisation kernel behind its database in
+//! per second, the NPN canonisation kernel behind its database in
 //! canonisations per second over all 65,536 four-input functions,
-//! asserting that they fall into the 222 known NPN classes.  The sweep
+//! asserting that they fall into the 222 known NPN classes, and the ISOP
+//! kernel behind refactoring in cover pairs per second over a seeded set
+//! of 10-input functions, asserting that every cover reproduces its
+//! function.  The sweep
 //! section injects seeded structural redundancy into each circuit
 //! (`glsx_benchmarks::inject_redundancy`) and measures a full `sweep`
 //! pass — simulation, class partitioning, SAT proving and merging — in
@@ -32,18 +35,18 @@
 //! identical gate counts: the CI guard proving both pass soundness and
 //! the incremental-vs-full contract end to end (SAT-complete, unlike the
 //! former random-simulation assertion).  It then runs the choice
-//! pipeline (choices on AND off) with the same miter guards, and counts
-//! the 4-input NPN classes.
+//! pipeline (choices on AND off) with the same miter guards, counts the
+//! 4-input NPN classes and checks the ISOP covers.
 
 use glsx_benchmarks::arithmetic::{adder, barrel_shifter, multiplier, square};
-use glsx_benchmarks::{inject_redundancy, inject_restructured};
+use glsx_benchmarks::{inject_redundancy, inject_restructured, SplitMix64};
 use glsx_core::cuts::CutCounters;
 use glsx_core::lut_mapping::LutMapParams;
 use glsx_core::rewriting::{rewrite, RewriteParams};
 use glsx_core::sweeping::{check_equivalence, sweep, SweepParams};
 use glsx_flow::{run_script_and_map, run_step, FlowOptions, FlowScript};
 use glsx_network::{Aig, Network};
-use glsx_truth::{npn_canonize, TruthTable};
+use glsx_truth::{isop, npn_canonize, TruthTable};
 use std::collections::HashSet;
 use std::hint::black_box;
 use std::time::Instant;
@@ -170,6 +173,68 @@ fn measure_npn(budget_ms: u128) -> NpnRow {
         classes: classes.len(),
         seconds_per_pass: seconds,
         canonisations_per_sec: functions.len() as f64 / seconds,
+    }
+}
+
+struct IsopRow {
+    functions: usize,
+    inputs: usize,
+    cubes: usize,
+    seconds_per_pass: f64,
+    pairs_per_sec: f64,
+}
+
+/// Inputs of the functions [`measure_isop`] covers: the largest cut
+/// refactoring collapses.
+const ISOP_INPUTS: usize = 10;
+
+/// Covers a fixed seeded set of 10-input functions and their complements,
+/// the pair `sop_resynthesize` computes per refactoring candidate,
+/// asserting once that every cover reproduces its function, then times
+/// passes over the set until the budget is spent (at least one, at most
+/// 20), reporting the best pass like [`measure`].  The total cube count is
+/// a deterministic checksum of the covers.
+fn measure_isop(budget_ms: u128) -> IsopRow {
+    let mut rng = SplitMix64::seed_from_u64(0x150b);
+    let words = 1 << (ISOP_INPUTS - 6);
+    let pairs: Vec<(TruthTable, TruthTable)> = (0..256)
+        .map(|_| {
+            let f =
+                TruthTable::from_words(ISOP_INPUTS, (0..words).map(|_| rng.next_u64()).collect());
+            let complement = !&f;
+            (f, complement)
+        })
+        .collect();
+    let mut cubes = 0;
+    for (f, complement) in &pairs {
+        for g in [f, complement] {
+            let cover = isop(g);
+            assert_eq!(
+                cover.to_truth_table(),
+                *g,
+                "isop cover differs from its function"
+            );
+            cubes += cover.num_cubes();
+        }
+    }
+    let started = Instant::now();
+    let mut runs = 0u32;
+    let mut seconds = f64::INFINITY;
+    while runs == 0 || (runs < 20 && started.elapsed().as_millis() < budget_ms) {
+        let t = Instant::now();
+        for (f, complement) in &pairs {
+            black_box(isop(black_box(f)));
+            black_box(isop(black_box(complement)));
+        }
+        seconds = seconds.min(t.elapsed().as_secs_f64());
+        runs += 1;
+    }
+    IsopRow {
+        functions: pairs.len(),
+        inputs: ISOP_INPUTS,
+        cubes,
+        seconds_per_pass: seconds,
+        pairs_per_sec: pairs.len() as f64 / seconds,
     }
 }
 
@@ -363,6 +428,11 @@ fn smoke() {
         "smoke npn: {} 4-input functions in {} classes, {:.0} canonisations/s",
         npn.functions, npn.classes, npn.canonisations_per_sec
     );
+    let isop_row = measure_isop(0);
+    println!(
+        "smoke isop: {} {}-input cover pairs reproduce their functions ({} cubes), {:.0} pairs/s",
+        isop_row.functions, isop_row.inputs, isop_row.cubes, isop_row.pairs_per_sec
+    );
 }
 
 fn main() {
@@ -386,6 +456,16 @@ fn main() {
     println!(
         "npn     {} 4-input functions  {} classes  {:.6} s/pass  {:>10.0} canonisations/s",
         npn.functions, npn.classes, npn.seconds_per_pass, npn.canonisations_per_sec
+    );
+
+    let isop_row = measure_isop(2000);
+    println!(
+        "isop    {} {}-input functions  {} cubes  {:.6} s/pass  {:>10.0} cover pairs/s",
+        isop_row.functions,
+        isop_row.inputs,
+        isop_row.cubes,
+        isop_row.seconds_per_pass,
+        isop_row.pairs_per_sec
     );
 
     let mut rows = Vec::new();
@@ -492,8 +572,19 @@ fn main() {
         ),
         npn.functions, npn.classes, npn.seconds_per_pass, npn.canonisations_per_sec
     );
+    let isop_json = format!(
+        concat!(
+            "{{\"functions\": {}, \"inputs\": {}, \"cubes\": {}, ",
+            "\"seconds_per_pass\": {:.6}, \"cover_pairs_per_sec\": {:.0}}}"
+        ),
+        isop_row.functions,
+        isop_row.inputs,
+        isop_row.cubes,
+        isop_row.seconds_per_pass,
+        isop_row.pairs_per_sec
+    );
     let json = format!(
-        "{{\n  \"bench\": \"rewrite_pass\",\n  \"npn\": {npn_json},\n  \"circuits\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"rewrite_pass\",\n  \"npn\": {npn_json},\n  \"isop\": {isop_json},\n  \"circuits\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
     let sweep_json_rows: Vec<String> = sweep_rows

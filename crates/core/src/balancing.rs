@@ -8,7 +8,9 @@
 
 use glsx_network::telemetry::{self, BatchSpans, MetricsSource, Tracer, BATCH_INTERVAL};
 use glsx_network::views::DepthView;
-use glsx_network::{Budget, GateBuilder, GateKind, Network, NodeId, Signal, StepOutcome};
+use glsx_network::{
+    Budget, GateBuilder, GateKind, Network, NodeId, Signal, StepOutcome, Traversal,
+};
 
 /// Parameters of tree balancing.
 #[derive(Clone, Copy, Debug)]
@@ -86,9 +88,18 @@ pub fn balance_traced<N: Network + GateBuilder>(
             continue;
         }
         stats.groups += 1;
-        let depth = DepthView::new(ntk);
+        let arrivals = leaf_levels(ntk, &leaves);
+        debug_assert!(
+            {
+                let depth = DepthView::new(ntk);
+                arrivals
+                    .iter()
+                    .all(|&(level, leaf)| level == depth.level(leaf.node()))
+            },
+            "leaf levels disagree with a whole-network depth view"
+        );
         let size_before = ntk.num_gates();
-        let new_root = rebuild_balanced(ntk, kind, &leaves, &depth);
+        let new_root = rebuild_balanced(ntk, kind, arrivals);
         if new_root.node() == node {
             continue;
         }
@@ -144,16 +155,53 @@ fn grow_group<N: Network>(ntk: &N, root: NodeId, kind: GateKind) -> Vec<Signal> 
     leaves
 }
 
-/// Rebuilds a balanced tree over the group leaves: the two leaves with the
-/// smallest arrival times (levels) are combined first, Huffman style.
+/// Pairs every group leaf with its level, by the recurrence of
+/// [`DepthView`] (inputs and constants at 0, a gate one above its deepest
+/// fanin).  A memoised DFS on a scratch-slot [`Traversal`] visits only the
+/// leaves' transitive fanin, where a whole-network view would walk every
+/// node id, dead ones included.
+fn leaf_levels<N: Network>(ntk: &N, leaves: &[Signal]) -> Vec<(u32, Signal)> {
+    let levels = Traversal::new(ntk);
+    let mut stack = Vec::new();
+    let mut level_of = |root: NodeId| {
+        stack.push(root);
+        while let Some(&node) = stack.last() {
+            if levels.value(ntk, node).is_some() {
+                stack.pop();
+                continue;
+            }
+            let mut level = 0;
+            let mut ready = true;
+            if ntk.is_gate(node) {
+                ntk.foreach_fanin(node, |fanin| match levels.value(ntk, fanin.node()) {
+                    Some(l) => level = level.max(l + 1),
+                    None => {
+                        stack.push(fanin.node());
+                        ready = false;
+                    }
+                });
+            }
+            if ready {
+                levels.set_value(ntk, node, level);
+                stack.pop();
+            }
+        }
+        levels.value(ntk, root).expect("the DFS levels its root")
+    };
+    leaves
+        .iter()
+        .map(|&leaf| (level_of(leaf.node()), leaf))
+        .collect()
+}
+
+/// Rebuilds a balanced tree over the group leaves, given with their
+/// arrival times (levels): the two leaves with the smallest levels are
+/// combined first, Huffman style.
 fn rebuild_balanced<N: Network + GateBuilder>(
     ntk: &mut N,
     kind: GateKind,
-    leaves: &[Signal],
-    depth: &DepthView,
+    mut queue: Vec<(u32, Signal)>,
 ) -> Signal {
-    let mut queue: Vec<(u32, Signal)> =
-        leaves.iter().map(|&s| (depth.level(s.node()), s)).collect();
     // sort descending so that pop() removes the smallest level
     queue.sort_by_key(|&(level, _)| std::cmp::Reverse(level));
     while queue.len() > 1 {
@@ -199,6 +247,34 @@ mod tests {
         assert_eq!(network_depth(&aig), 3);
         assert!(aig.num_gates() <= reference.num_gates());
         assert!(equivalent_by_simulation(&reference, &aig));
+    }
+
+    #[test]
+    fn leaf_levels_match_a_whole_network_depth_view() {
+        let mut aig = Aig::new();
+        let mut signals: Vec<Signal> = (0..8).map(|_| aig.create_pi()).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut pick = |len: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % len
+        };
+        for _ in 0..300 {
+            let a = signals[pick(signals.len())].complement_if(pick(2) == 1);
+            let b = signals[pick(signals.len())].complement_if(pick(2) == 1);
+            let gate = aig.create_and(a, b);
+            signals.push(gate);
+        }
+        aig.create_po(*signals.last().unwrap());
+        let depth = DepthView::new(&aig);
+        // deepest first, so later leaves hit memoised levels
+        signals.reverse();
+        let levels = leaf_levels(&aig, &signals);
+        assert_eq!(levels.len(), signals.len());
+        for (level, leaf) in levels {
+            assert_eq!(level, depth.level(leaf.node()), "{leaf:?}");
+        }
     }
 
     #[test]

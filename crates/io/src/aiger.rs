@@ -22,8 +22,9 @@
 //!   one-line-per-record layout,
 //! * AND definitions in **any order**, as long as every fanin is
 //!   eventually defined (the strict format requires fanins to precede
-//!   uses; this reader resolves out-of-order definitions iteratively and
-//!   rejects only genuinely cyclic or undefined ones),
+//!   uses; this reader builds each AND after its fanins in one depth-first
+//!   pass over the definitions, so a file in strict order builds its ANDs
+//!   in file order, and rejects only genuinely cyclic or undefined ones),
 //! * each literal defined at most once, all literals ≤ `2·M + 1`,
 //! * an optional symbol/comment section after the last AND definition,
 //!   which is ignored.
@@ -233,15 +234,25 @@ fn parse_header<'a>(
     })
 }
 
-/// The ASCII reader's defined variables by index: `Some(None)` for an
-/// AND whose fanins are not resolved yet, `Some(Some(signal))` once it
-/// (or an input) has its signal.  Indices up to the number of
-/// definitions, every index of a densely numbered file, sit in a table;
-/// the larger ones a sparse numbering may use, in a map.  Neither is
-/// sized by the header's maximum index.
+/// The ASCII reader's state of one defined variable.
+#[derive(Clone, Copy)]
+enum Var {
+    /// An input, or an AND already built.
+    Built(Signal),
+    /// The AND with this index in the definition list, not built yet.
+    Pending(usize),
+    /// An AND whose fanins are being built: reaching it again closes a
+    /// cycle.
+    Building,
+}
+
+/// The ASCII reader's defined variables by index.  Indices up to the
+/// number of definitions, every index of a densely numbered file, sit in
+/// a table; the larger ones a sparse numbering may use, in a map.  Neither
+/// is sized by the header's maximum index.
 struct Variables {
-    dense: Vec<Option<Option<Signal>>>,
-    sparse: HashMap<usize, Option<Signal>>,
+    dense: Vec<Option<Var>>,
+    sparse: HashMap<usize, Var>,
 }
 
 impl Variables {
@@ -252,19 +263,27 @@ impl Variables {
         }
     }
 
-    /// Sets the entry of `var` and returns whether it was undefined
-    /// before (resolving a pending AND overwrites its `None`).
-    fn define(&mut self, var: usize, signal: Option<Signal>) -> bool {
+    /// Sets the state of `var` and returns whether it was undefined
+    /// before.
+    fn define(&mut self, var: usize, state: Var) -> bool {
         match self.dense.get_mut(var) {
-            Some(slot) => slot.replace(signal).is_none(),
-            None => self.sparse.insert(var, signal).is_none(),
+            Some(slot) => slot.replace(state).is_none(),
+            None => self.sparse.insert(var, state).is_none(),
         }
     }
 
-    fn get(&self, var: usize) -> Option<Signal> {
+    fn get(&self, var: usize) -> Option<Var> {
         match self.dense.get(var) {
-            Some(slot) => slot.flatten(),
-            None => self.sparse.get(&var).copied().flatten(),
+            Some(slot) => *slot,
+            None => self.sparse.get(&var).copied(),
+        }
+    }
+
+    /// The signal of literal `lit`, once its variable is built.
+    fn signal(&self, lit: usize) -> Option<Signal> {
+        match self.get(lit / 2) {
+            Some(Var::Built(s)) => Some(s.complement_if(lit % 2 == 1)),
+            _ => None,
         }
     }
 }
@@ -312,7 +331,7 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
 
     let mut aig = Aig::new();
     let mut signals = Variables::new(header.num_inputs + header.num_ands);
-    signals.define(0, Some(aig.get_constant(false)));
+    signals.define(0, Var::Built(aig.get_constant(false)));
     let duplicate =
         |lit: usize| ParseAigerError::new(format!("literal {lit} defined more than once"));
     for _ in 0..header.num_inputs {
@@ -320,7 +339,7 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
         if lit % 2 != 0 {
             return Err(ParseAigerError::new(format!("invalid input literal {lit}")));
         }
-        if !signals.define(lit / 2, Some(aig.create_pi())) {
+        if !signals.define(lit / 2, Var::Built(aig.create_pi())) {
             return Err(duplicate(lit));
         }
     }
@@ -338,35 +357,59 @@ fn read_aiger_ascii(text: &str) -> Result<Aig, ParseAigerError> {
                 "AND defines complemented literal {lhs}"
             )));
         }
-        if !signals.define(lhs / 2, None) {
+        if !signals.define(lhs / 2, Var::Pending(and_definitions.len())) {
             return Err(duplicate(lhs));
         }
-        and_definitions.push((lhs, rhs0, rhs1));
+        and_definitions.push([lhs, rhs0, rhs1]);
     }
-    let resolve = |lit: usize, signals: &Variables| -> Option<Signal> {
-        signals.get(lit / 2).map(|s| s.complement_if(lit % 2 == 1))
-    };
     // ANDs may be listed in any order in which every fanin is eventually
-    // defined; resolve iteratively
-    let mut remaining = and_definitions;
-    while !remaining.is_empty() {
-        let before = remaining.len();
-        remaining.retain(|&(lhs, rhs0, rhs1)| {
-            match (resolve(rhs0, &signals), resolve(rhs1, &signals)) {
-                (Some(a), Some(b)) => {
-                    let gate = aig.create_and(a, b);
-                    signals.define(lhs / 2, Some(gate));
-                    false
+    // defined.  One depth-first pass in file order builds each AND after
+    // its fanins, so a file in strict order builds its ANDs in file order.
+    let mut stack = Vec::new();
+    for root in 0..and_definitions.len() {
+        if matches!(
+            signals.get(and_definitions[root][0] / 2),
+            Some(Var::Built(_))
+        ) {
+            continue;
+        }
+        signals.define(and_definitions[root][0] / 2, Var::Building);
+        stack.push(root);
+        while let Some(&index) = stack.last() {
+            let [lhs, rhs0, rhs1] = and_definitions[index];
+            let mut ready = true;
+            for rhs in [rhs0, rhs1] {
+                match signals.get(rhs / 2) {
+                    Some(Var::Built(_)) => {}
+                    Some(Var::Pending(fanin)) => {
+                        signals.define(rhs / 2, Var::Building);
+                        stack.push(fanin);
+                        ready = false;
+                        break;
+                    }
+                    Some(Var::Building) => {
+                        return Err(ParseAigerError::new(format!(
+                            "cyclic AND definitions through literal {lhs}"
+                        )))
+                    }
+                    None => {
+                        return Err(ParseAigerError::new(format!(
+                            "AND {lhs} uses undefined literal {rhs}"
+                        )))
+                    }
                 }
-                _ => true,
             }
-        });
-        if remaining.len() == before {
-            return Err(ParseAigerError::new("cyclic or undefined AND definitions"));
+            if ready {
+                let fanin = |lit| signals.signal(lit).expect("fanins are built");
+                let gate = aig.create_and(fanin(rhs0), fanin(rhs1));
+                signals.define(lhs / 2, Var::Built(gate));
+                stack.pop();
+            }
         }
     }
     for lit in output_literals {
-        let signal = resolve(lit, &signals)
+        let signal = signals
+            .signal(lit)
             .ok_or_else(|| ParseAigerError::new(format!("undefined output literal {lit}")))?;
         aig.create_po(signal);
     }

@@ -44,8 +44,18 @@
 //! The per-block `first_id`/`max_level` index records let
 //! [`read_gbc_info`] summarise a file (and a future parallel decoder split
 //! it) by reading 17-byte block headers and seeking past bodies.
+//!
+//! # Untrusted headers
+//!
+//! Every stream id must fit a 32-bit literal, so a header declaring more
+//! than `2^31` nodes is rejected.  Gates and outputs occupy bytes: where
+//! the input length is known ([`read_gbc`]) counts the rest of the input
+//! cannot hold are rejected before anything is sized, and the streaming
+//! [`GbcReader`] reserves nothing from them.  Inputs are implicit and
+//! cost no bytes, so their tables are reserved fallibly: a count the
+//! allocator refuses is an [`IoError`], not an abort.
 
-use crate::stream::{CircuitHeader, CircuitSink, CircuitSource, IoError, Record};
+use crate::stream::{refused_inputs, CircuitHeader, CircuitSink, CircuitSource, IoError, Record};
 use crate::NetworkSource;
 use glsx_network::views::DepthView;
 use glsx_network::{
@@ -87,6 +97,13 @@ fn parse_header(header_bytes: &[u8; HEADER_LEN as usize]) -> Result<(CircuitHead
         num_gates: field(12),
         num_pos: field(16),
     };
+    // a stream id is half a 32-bit fanin or output literal
+    if 1 + u64::from(header.num_pis) + u64::from(header.num_gates) > 1 << 31 {
+        return Err(IoError::format(format!(
+            "header declares {} inputs and {} gates, more nodes than 32-bit literals address",
+            header.num_pis, header.num_gates
+        )));
+    }
     Ok((header, field(20)))
 }
 
@@ -302,8 +319,12 @@ pub struct GbcReader<R: Read> {
     header: CircuitHeader,
     kind: CircuitKind,
     arity: usize,
-    /// Stream level per stream id (recomputed for index-record validation;
-    /// also what makes this a *levelizing* reader).
+    /// Stream id of the first gate; the constant and the inputs below it
+    /// are at level 0 and take no slot.
+    first_gate: usize,
+    /// Stream level per gate, indexed from `first_gate` (recomputed for
+    /// index-record validation; also what makes this a *levelizing*
+    /// reader).
     levels: Vec<u32>,
     blocks_left: u32,
     /// Decoded records of the current block, consumed front to back.
@@ -318,22 +339,24 @@ impl<R: Read> GbcReader<R> {
     ///
     /// # Errors
     ///
-    /// Fails on a bad magic, unknown representation code or inconsistent
-    /// arity.
+    /// Fails on a bad magic, unknown representation code, inconsistent
+    /// arity or node counts beyond the 32-bit literal range.
     pub fn new(mut input: R) -> Result<Self, IoError> {
         let mut header_bytes = [0u8; HEADER_LEN as usize];
         input.read_exact(&mut header_bytes)?;
         let (header, blocks_left) = parse_header(&header_bytes)?;
         let kind = header.kind;
         let k = kind.max_arity();
-        let mut levels = vec![0u32; 1 + header.num_pis as usize];
-        levels.reserve(header.num_gates as usize);
+        // the header is untrusted and the stream's length unknown, so the
+        // gate levels grow block by block instead of being reserved from
+        // the declared count
         Ok(Self {
             input,
             header,
             kind,
             arity: k,
-            levels,
+            first_gate: 1 + header.num_pis as usize,
+            levels: Vec::new(),
             blocks_left,
             pending: Vec::new().into_iter(),
             pos_left: header.num_pos,
@@ -345,6 +368,17 @@ impl<R: Read> GbcReader<R> {
         let mut buf = [0u8; 4];
         self.input.read_exact(&mut buf)?;
         Ok(u32::from_le_bytes(buf))
+    }
+
+    /// Stream id the next gate record gets.
+    fn next_id(&self) -> usize {
+        self.first_gate + self.levels.len()
+    }
+
+    /// Level of an already-defined stream id.
+    fn level(&self, id: usize) -> u32 {
+        id.checked_sub(self.first_gate)
+            .map_or(0, |gate| self.levels[gate])
     }
 
     /// Decodes the next block into `pending`.
@@ -364,10 +398,10 @@ impl<R: Read> GbcReader<R> {
         if !(1..=4).contains(&width) {
             return Err(IoError::format(format!("bad delta width {width}")));
         }
-        if first_id != self.levels.len() as u32 {
+        if first_id as usize != self.next_id() {
             return Err(IoError::format(format!(
                 "block first id {first_id} does not continue the stream (expected {})",
-                self.levels.len()
+                self.next_id()
             )));
         }
         let has_kind_bits = self.kind.alternate_gate().is_some();
@@ -407,7 +441,7 @@ impl<R: Read> GbcReader<R> {
                 }
                 let literal = 2 * id - delta;
                 let fanin = Signal::from_literal(literal);
-                level = level.max(self.levels[fanin.node() as usize]);
+                level = level.max(self.level(fanin.node() as usize));
                 fanins.push(fanin);
             }
             self.levels.push(level + 1);
@@ -450,7 +484,7 @@ impl<R: Read> CircuitSource for GbcReader<R> {
                 self.pos_left -= 1;
                 let literal = self.read_u32()?;
                 let signal = Signal::from_literal(literal);
-                if signal.node() as usize >= self.levels.len() {
+                if signal.node() as usize >= self.next_id() {
                     return Err(IoError::format(format!(
                         "output references undefined node {}",
                         signal.node()
@@ -610,8 +644,23 @@ pub fn read_gbc<N: BulkTarget>(bytes: &[u8]) -> Result<(N, DepthView), IoError> 
     let arity = header.kind.max_arity();
     let default_gate = header.kind.default_gate();
     let alternate_gate = header.kind.alternate_gate();
-    let mut builder =
-        NetworkBuilder::with_capacity(N::KIND, header.num_pis as usize, header.num_gates as usize);
+    // the header is untrusted.  Every gate takes at least one byte per
+    // fanin and every output four, so counts the rest of the input cannot
+    // hold are rejected before anything is sized.  Inputs are implicit and
+    // take no bytes, so their tables are reserved fallibly instead.
+    let rest = (bytes.len() - at) as u64;
+    if u64::from(header.num_gates) * arity as u64 + 4 * u64::from(header.num_pos) > rest {
+        return Err(IoError::format(format!(
+            "header declares {} gates and {} outputs, more than the {rest}-byte body holds",
+            header.num_gates, header.num_pos
+        )));
+    }
+    let mut builder = NetworkBuilder::try_with_capacity(
+        N::KIND,
+        header.num_pis as usize,
+        header.num_gates as usize,
+    )
+    .map_err(|_| refused_inputs(&header))?;
     for _ in 0..header.num_pis {
         builder.add_pi();
     }

@@ -68,8 +68,9 @@ pub use stream::{
 mod tests {
     use super::*;
     use glsx_benchmarks::arithmetic::adder;
+    use glsx_benchmarks::SplitMix64;
     use glsx_core::lut_mapping::{lut_map, LutMapParams};
-    use glsx_network::simulation::equivalent_by_simulation;
+    use glsx_network::simulation::{equivalent_by_random_simulation, equivalent_by_simulation};
     use glsx_network::views::DepthView;
     use glsx_network::{Aig, GateBuilder, Mig, Network, Signal, Xag};
 
@@ -264,6 +265,158 @@ mod tests {
         let mut bad_level = bytes.clone();
         bad_level[24 + 8] ^= 1; // block max_level index record
         assert!(read_gbc::<Aig>(&bad_level).is_err());
+    }
+
+    /// A 24-byte AIG GBC header declaring `num_pis` inputs, `num_gates`
+    /// gates, `num_pos` outputs and no blocks.
+    fn gbc_header(num_pis: u32, num_gates: u32, num_pos: u32) -> Vec<u8> {
+        let mut bytes = b"GBC1".to_vec();
+        bytes.extend_from_slice(&[0, 0, 2, 0]);
+        for field in [num_pis, num_gates, num_pos, 0] {
+            bytes.extend_from_slice(&field.to_le_bytes());
+        }
+        bytes
+    }
+
+    #[test]
+    fn gbc_header_counts_cannot_drive_allocations() {
+        // more nodes than 32-bit literals address: sizing tables from
+        // these counts would abort the process on allocation
+        let hostile = gbc_header(0xFFFF_FFF0, 0xFFFF_FFF0, 1);
+        assert_eq!(hostile.len(), 24);
+        assert!(read_gbc::<Aig>(&hostile).is_err());
+        assert!(read_gbc_info(std::io::Cursor::new(&hostile)).is_err());
+        assert!(GbcReader::new(hostile.as_slice()).is_err());
+        assert!(
+            transfer_gbc(&gbc_header(0x8000_0000, 0, 0)).is_err(),
+            "ids beyond the literal range"
+        );
+        // gates and outputs occupy bytes, so counts the body cannot hold
+        // are refused before anything is sized
+        for (num_gates, num_pos) in [(0x7000_0000, 0), (0, 0x4000_0000), (1, 1)] {
+            let bytes = gbc_header(1, num_gates, num_pos);
+            assert!(read_gbc::<Aig>(&bytes).is_err(), "{num_gates} / {num_pos}");
+        }
+        // a stream's length is unknown, so the reader reserves nothing
+        // from the claim and fails once the blocks run out
+        let claim = gbc_header(1, 0x7000_0000, 0);
+        let mut reader = GbcReader::new(claim.as_slice()).unwrap();
+        assert!(reader.next_record().is_err());
+        // inputs are implicit and cost no bytes, so many are fine
+        let mut many = gbc_header(1000, 0, 1);
+        many.extend_from_slice(&2000u32.to_le_bytes());
+        let (aig, _) = read_gbc::<Aig>(&many).unwrap();
+        assert_eq!((aig.num_pis(), aig.num_gates()), (1000, 0));
+        assert_eq!(aig.po_signals(), [Signal::new(aig.pi_nodes()[999], false)]);
+        let (streamed, _) = transfer_gbc(&many).unwrap();
+        assert_eq!(streamed.po_signals(), aig.po_signals());
+    }
+
+    /// Streams GBC bytes through the generic reader into the bulk sink.
+    fn transfer_gbc(bytes: &[u8]) -> Result<(Aig, DepthView), IoError> {
+        let mut reader = GbcReader::new(bytes)?;
+        transfer(&mut reader, NetworkSink::<Aig>::new())
+    }
+
+    /// ASCII AIGER text of a chain of `num_ands` ANDs over 16 inputs, each
+    /// AND taking the complement of the previous one and an input of
+    /// alternating polarity; every 1000th AND is an output.  With
+    /// `reverse`, the definitions are listed last to first.
+    fn and_chain_text(num_ands: usize, reverse: bool) -> String {
+        let num_inputs = 16;
+        let outputs: Vec<usize> = (0..num_ands).step_by(1000).collect();
+        let mut text = format!(
+            "aag {} {num_inputs} 0 {} {num_ands}\n",
+            num_inputs + num_ands,
+            outputs.len()
+        );
+        for i in 1..=num_inputs {
+            text.push_str(&format!("{}\n", 2 * i));
+        }
+        let lhs = |i: usize| 2 * (num_inputs + 1 + i);
+        for &i in &outputs {
+            text.push_str(&format!("{}\n", lhs(i)));
+        }
+        let mut ands: Vec<String> = (0..num_ands)
+            .map(|i| {
+                let previous = if i == 0 {
+                    2 * num_inputs
+                } else {
+                    lhs(i - 1) + 1
+                };
+                let input = 2 * (1 + i % num_inputs) + i % 2;
+                format!("{} {previous} {input}\n", lhs(i))
+            })
+            .collect();
+        if reverse {
+            ands.reverse();
+        }
+        text.extend(ands);
+        text
+    }
+
+    #[test]
+    fn ascii_aiger_resolves_reverse_listed_chains_in_one_pass() {
+        // a reader resolving one AND per pass over the remaining
+        // definitions would take minutes on the reversed file
+        let forward = read_aiger(and_chain_text(100_000, false)).unwrap();
+        let backward = read_aiger(and_chain_text(100_000, true)).unwrap();
+        assert_eq!(forward.num_gates(), 100_000);
+        assert_eq!(backward.num_gates(), forward.num_gates());
+        assert!(equivalent_by_random_simulation(
+            &forward, &backward, 8, 0xa16e
+        ));
+    }
+
+    #[test]
+    fn ascii_aiger_builds_in_order_files_in_file_order() {
+        let text = write_aiger(&adder(8));
+        let aig = read_aiger(&text).unwrap();
+        // the constant, then the inputs, then one node per AND in file
+        // order: every variable's node id is its index
+        let header: Vec<usize> = text
+            .lines()
+            .next()
+            .unwrap()
+            .split_whitespace()
+            .skip(1)
+            .map(|t| t.parse().unwrap())
+            .collect();
+        let (num_inputs, num_outputs, num_ands) = (header[1], header[3], header[4]);
+        assert_eq!(aig.size(), 1 + num_inputs + num_ands);
+        for line in text.lines().skip(1 + num_inputs + num_outputs) {
+            let lits: Vec<u32> = line
+                .split_whitespace()
+                .map(|t| t.parse().unwrap())
+                .collect();
+            let mut fanins: Vec<u32> = aig
+                .fanins(lits[0] / 2)
+                .iter()
+                .map(|f| f.literal())
+                .collect();
+            fanins.sort_unstable();
+            let mut expected = [lits[1], lits[2]];
+            expected.sort_unstable();
+            assert_eq!(fanins, expected, "{line}");
+        }
+        assert_eq!(write_aiger(&aig), text);
+
+        // the same definitions shuffled build an equivalent network
+        let (head, ands) = text.split_at(
+            text.match_indices('\n')
+                .nth(num_inputs + num_outputs)
+                .unwrap()
+                .0
+                + 1,
+        );
+        let mut lines: Vec<&str> = ands.lines().collect();
+        let mut rng = SplitMix64::seed_from_u64(0xa16e);
+        for i in (1..lines.len()).rev() {
+            lines.swap(i, rng.gen_range(i + 1));
+        }
+        let shuffled = read_aiger(format!("{head}{}\n", lines.join("\n"))).unwrap();
+        assert_eq!(shuffled.num_gates(), aig.num_gates());
+        assert!(equivalent_by_simulation(&aig, &shuffled));
     }
 
     #[test]

@@ -56,6 +56,19 @@ impl IoError {
     }
 }
 
+/// Most gate records a sink reserves from a stream header up front; a
+/// header's count is only a claim, so larger streams grow as their
+/// records arrive.
+const UPFRONT_GATES: usize = 1 << 20;
+
+/// The error for a header whose inputs the allocator refused.
+pub(crate) fn refused_inputs(header: &CircuitHeader) -> IoError {
+    IoError::format(format!(
+        "cannot allocate the {} declared inputs",
+        header.num_pis
+    ))
+}
+
 impl fmt::Display for IoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -391,11 +404,15 @@ impl<N: BulkTarget> CircuitSink for NetworkSink<N> {
                 target: N::KIND,
             }));
         }
-        let mut builder = NetworkBuilder::with_capacity(
+        // a file's header is untrusted and a stream's length unknown:
+        // inputs take no bytes, so they are reserved fallibly, and gates
+        // are reserved up to a bound and grow as records arrive
+        let mut builder = NetworkBuilder::try_with_capacity(
             N::KIND,
             header.num_pis as usize,
-            header.num_gates as usize,
-        );
+            (header.num_gates as usize).min(UPFRONT_GATES),
+        )
+        .map_err(|_| refused_inputs(header))?;
         for _ in 0..header.num_pis {
             builder.add_pi();
         }
@@ -482,8 +499,11 @@ impl<N: Network + GateBuilder> CircuitSink for BuilderSink<N> {
     type Output = N;
 
     fn begin(&mut self, header: &CircuitHeader) -> Result<(), IoError> {
+        // untrusted counts, as in `NetworkSink::begin`
+        let gates = (header.num_gates as usize).min(UPFRONT_GATES);
         self.map
-            .reserve(1 + header.num_pis as usize + header.num_gates as usize);
+            .try_reserve(1 + header.num_pis as usize + gates)
+            .map_err(|_| refused_inputs(header))?;
         self.map.push(self.ntk.get_constant(false));
         for _ in 0..header.num_pis {
             let pi = self.ntk.create_pi();

@@ -31,7 +31,7 @@
 //! ```
 //! use glsx_network::{Aig, CircuitKind, GateKind, Network, NetworkBuilder, Signal};
 //!
-//! let mut builder = NetworkBuilder::with_capacity(CircuitKind::Aig, 2, 1);
+//! let mut builder = NetworkBuilder::try_with_capacity(CircuitKind::Aig, 2, 1).unwrap();
 //! let a = builder.add_pi();
 //! let b = builder.add_pi();
 //! let g = builder.add_gate(GateKind::And, &[a, b]).unwrap();
@@ -43,6 +43,7 @@
 
 use crate::storage::Storage;
 use crate::{Aig, FaninArray, GateBuilder, GateKind, Mig, Network, NodeId, Signal, Xag, Xmg};
+use std::collections::TryReserveError;
 use std::error::Error;
 use std::fmt;
 
@@ -258,12 +259,25 @@ impl NetworkBuilder {
     }
 
     /// Creates a builder with all node arrays reserved up front (the bulk
-    /// ingest path: one allocation instead of amortised growth).
-    pub fn with_capacity(kind: CircuitKind, num_pis: usize, num_gates: usize) -> Self {
+    /// ingest path: one allocation instead of amortised growth).  The
+    /// counts usually come from an untrusted file header, so a reservation
+    /// the allocator refuses is returned as an error instead of aborting
+    /// the process.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the allocator refuses the reservation.
+    pub fn try_with_capacity(
+        kind: CircuitKind,
+        num_pis: usize,
+        num_gates: usize,
+    ) -> Result<Self, TryReserveError> {
         let mut builder = Self::new(kind);
-        builder.storage.reserve_nodes(num_pis + num_gates);
-        builder.levels.reserve(num_pis + num_gates);
-        builder
+        let nodes = num_pis.saturating_add(num_gates);
+        builder.storage.try_reserve_nodes(nodes)?;
+        builder.storage.try_reserve_pis(num_pis)?;
+        builder.levels.try_reserve(nodes)?;
+        Ok(builder)
     }
 
     /// The representation this builder targets.
@@ -516,7 +530,7 @@ mod tests {
         aig.create_po(!g1);
 
         // the same records through the bulk path
-        let mut builder = NetworkBuilder::with_capacity(CircuitKind::Aig, 3, 2);
+        let mut builder = NetworkBuilder::try_with_capacity(CircuitKind::Aig, 3, 2).unwrap();
         let a2 = builder.add_pi();
         let b2 = builder.add_pi();
         let c2 = builder.add_pi();

@@ -615,10 +615,11 @@ impl Storage {
     // into sequential sweeps over dense arrays.
 
     /// Pre-allocates room for `additional` upcoming node records (bulk
-    /// ingest reserves the whole file's worth up front).
-    pub(crate) fn reserve_nodes(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-        self.scratch.reserve(additional);
+    /// ingest reserves the whole file's worth up front), returning the
+    /// allocator's refusal instead of aborting on it.
+    pub(crate) fn try_reserve_nodes(&mut self, additional: usize) -> Result<(), TryReserveError> {
+        self.nodes.try_reserve(additional)?;
+        self.scratch.try_reserve(additional)
     }
 
     /// Bumps the cached fanout count of `id` by one.  Bulk-append

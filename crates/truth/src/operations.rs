@@ -72,6 +72,31 @@ impl Not for TruthTable {
     }
 }
 
+/// Returns `true` if the one-word function `word` depends on variable
+/// `var < 6`: its bits with `x_var = 1`, shifted onto the positions with
+/// `x_var = 0`, differ from those.  Correct on masked tables of fewer than
+/// 6 variables as well as on replicated ones.
+#[inline]
+pub(crate) fn word_depends_on(word: u64, var: usize) -> bool {
+    let low = !VAR_MASKS[var];
+    (word >> (1 << var)) & low != word & low
+}
+
+/// Returns `true` if the function stored in `words` depends on variable
+/// `var`: within one word for `var < 6`, otherwise by comparing the low
+/// and high halves of every block of `2^(var+1-6)` words.
+#[inline]
+pub(crate) fn depends_on(words: &[u64], var: usize) -> bool {
+    if var < 6 {
+        words.iter().any(|&w| word_depends_on(w, var))
+    } else {
+        let half = 1 << (var - 6);
+        words
+            .chunks_exact(2 * half)
+            .any(|block| block[..half] != block[half..])
+    }
+}
+
 impl TruthTable {
     /// Returns the negative cofactor of the function with respect to
     /// variable `var` (`f` with `x_var = 0`), as a function over the same
@@ -132,8 +157,13 @@ impl TruthTable {
 
     /// Returns `true` if the function functionally depends on variable
     /// `var` (i.e. the two cofactors differ).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
     pub fn has_var(&self, var: usize) -> bool {
-        self.cofactor0(var) != self.cofactor1(var)
+        assert!(var < self.num_vars);
+        depends_on(&self.words, var)
     }
 
     /// Returns the set of variables the function depends on.
@@ -369,6 +399,44 @@ mod tests {
         let other = TruthTable::nth_var(8, 2);
         assert_eq!(other.cofactor0(7), other);
         assert_eq!(other.cofactor1(7), other);
+    }
+
+    #[test]
+    fn has_var_matches_the_cofactor_definition() {
+        let mut state = 0x6a09_e667_f3bc_c908u64;
+        for n in 0..=9 {
+            for sample in 0..40 {
+                let words = (0..TruthTable::word_count(n))
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        state
+                    })
+                    .collect();
+                let mut tt = TruthTable::from_words(n, words);
+                // erase some variables so both answers occur at every index
+                for v in 0..n {
+                    if (sample >> (v % 5)) & 1 == 1 {
+                        tt = tt.cofactor0(v);
+                    }
+                }
+                // and confine the function to the top half, so a dependence
+                // shows in the high words (or bits) only
+                let confined = if n > 0 && sample % 2 == 1 {
+                    &tt & &TruthTable::nth_var(n, n - 1)
+                } else {
+                    tt
+                };
+                for v in 0..n {
+                    assert_eq!(
+                        confined.has_var(v),
+                        confined.cofactor0(v) != confined.cofactor1(v),
+                        "n={n} v={v} tt={confined:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

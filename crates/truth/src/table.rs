@@ -297,7 +297,8 @@ impl TruthTable {
 
     /// Returns `true` if the function is constant one.
     pub fn is_one(&self) -> bool {
-        *self == Self::one(self.num_vars)
+        let full = Self::word_mask(self.num_vars);
+        self.words.iter().all(|&w| w == full)
     }
 
     /// Returns `true` if the function is constant (zero or one).
@@ -339,17 +340,20 @@ impl TruthTable {
         s
     }
 
+    /// The bits a table over `num_vars` variables uses in each word: all
+    /// 64 from 6 variables on, the low `2^num_vars` below.
+    #[inline]
+    fn word_mask(num_vars: usize) -> u64 {
+        if num_vars < 6 {
+            (1u64 << (1 << num_vars)) - 1
+        } else {
+            u64::MAX
+        }
+    }
+
     #[inline]
     pub(crate) fn mask_off_excess(&mut self) {
-        if self.num_vars < 6 {
-            let bits = 1usize << self.num_vars;
-            let mask = if bits == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-            self.words[0] &= mask;
-        }
+        self.words[0] &= Self::word_mask(self.num_vars);
     }
 }
 
