@@ -9,7 +9,10 @@
 //! asserting that they fall into the 222 known NPN classes, and the ISOP
 //! kernel behind refactoring in cover pairs per second over a seeded set
 //! of 10-input functions, asserting that every cover reproduces its
-//! function.  The sweep
+//! function, and one resubstitution pass (`rs -c 10 -d 2`) on
+//! `multiplier(8)` as AIG, XAG and MIG in visited nodes per second,
+//! checking each result against its input by exhaustive simulation.  The
+//! sweep
 //! section injects seeded structural redundancy into each circuit
 //! (`glsx_benchmarks::inject_redundancy`) and measures a full `sweep`
 //! pass — simulation, class partitioning, SAT proving and merging — in
@@ -36,16 +39,19 @@
 //! the incremental-vs-full contract end to end (SAT-complete, unlike the
 //! former random-simulation assertion).  It then runs the choice
 //! pipeline (choices on AND off) with the same miter guards, counts the
-//! 4-input NPN classes and checks the ISOP covers.
+//! 4-input NPN classes, checks the ISOP covers and runs the resubstitution
+//! row once.
 
 use glsx_benchmarks::arithmetic::{adder, barrel_shifter, multiplier, square};
 use glsx_benchmarks::{inject_redundancy, inject_restructured, SplitMix64};
 use glsx_core::cuts::CutCounters;
 use glsx_core::lut_mapping::LutMapParams;
+use glsx_core::resubstitution::{resubstitute, ResubNetwork, ResubParams};
 use glsx_core::rewriting::{rewrite, RewriteParams};
 use glsx_core::sweeping::{check_equivalence, sweep, SweepParams};
 use glsx_flow::{run_script_and_map, run_step, FlowOptions, FlowScript};
-use glsx_network::{Aig, Network};
+use glsx_network::simulation::equivalent_by_simulation;
+use glsx_network::{convert_network, Aig, Mig, Network, Xag};
 use glsx_truth::{isop, npn_canonize, TruthTable};
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -236,6 +242,90 @@ fn measure_isop(budget_ms: u128) -> IsopRow {
         seconds_per_pass: seconds,
         pairs_per_sec: pairs.len() as f64 / seconds,
     }
+}
+
+struct ResubRow {
+    network: &'static str,
+    gates_before: usize,
+    gates_after: usize,
+    visited: usize,
+    substitutions: usize,
+    seconds_per_pass: f64,
+    visited_per_sec: f64,
+}
+
+/// Window leaves and inserted gates of the resubstitution row: the
+/// `rs -c 10 -d 2` step of `compress2rs`.
+const RESUB_LEAVES: usize = 10;
+const RESUB_INSERTS: usize = 2;
+
+/// Times one resubstitution pass over `ntk` until the budget is spent (at
+/// least one, at most 20), reporting the best pass like [`measure`].  The
+/// first result is checked against `ntk` by exhaustive simulation, and
+/// every pass must repeat its statistics and size.  `visited`,
+/// `substitutions` and `gates_after` are deterministic checksums.
+fn measure_resub<N: ResubNetwork + Network + Clone>(
+    network: &'static str,
+    ntk: &N,
+    budget_ms: u128,
+) -> ResubRow {
+    let params = ResubParams {
+        max_leaves: RESUB_LEAVES,
+        max_inserts: RESUB_INSERTS,
+        ..ResubParams::default()
+    };
+    let mut first = ntk.clone();
+    let reference = resubstitute(&mut first, &params);
+    assert!(
+        equivalent_by_simulation(ntk, &first),
+        "{network}: resubstitution changed the function"
+    );
+    let started = Instant::now();
+    let mut runs = 0u32;
+    let mut seconds = f64::INFINITY;
+    while runs == 0 || (runs < 20 && started.elapsed().as_millis() < budget_ms) {
+        let mut pass = ntk.clone();
+        let t = Instant::now();
+        let stats = resubstitute(black_box(&mut pass), &params);
+        seconds = seconds.min(t.elapsed().as_secs_f64());
+        assert_eq!(
+            stats, reference,
+            "{network}: nondeterministic resubstitution"
+        );
+        assert_eq!(
+            pass.num_gates(),
+            first.num_gates(),
+            "{network}: nondeterministic size"
+        );
+        runs += 1;
+    }
+    ResubRow {
+        network,
+        gates_before: ntk.num_gates(),
+        gates_after: first.num_gates(),
+        visited: reference.visited,
+        substitutions: reference.substitutions,
+        seconds_per_pass: seconds,
+        visited_per_sec: reference.visited as f64 / seconds,
+    }
+}
+
+/// The resubstitution row: `multiplier(8)` as AIG, and converted to XAG
+/// and MIG, each timed by [`measure_resub`].
+fn measure_resub_rows(budget_ms: u128) -> Vec<ResubRow> {
+    let aig: Aig = multiplier(8);
+    vec![
+        measure_resub("aig", &aig, budget_ms),
+        measure_resub("xag", &convert_network::<Aig, Xag>(&aig), budget_ms),
+        measure_resub("mig", &convert_network::<Aig, Mig>(&aig), budget_ms),
+    ]
+}
+
+fn print_resub_row(prefix: &str, r: &ResubRow) {
+    println!(
+        "{prefix} multiplier_8 {} {:>5} -> {:>5} gates {:>5} visited {:>4} subs  {:>10.0} visited/s",
+        r.network, r.gates_before, r.gates_after, r.visited, r.substitutions, r.visited_per_sec
+    );
 }
 
 struct SweepRow {
@@ -433,6 +523,9 @@ fn smoke() {
         "smoke isop: {} {}-input cover pairs reproduce their functions ({} cubes), {:.0} pairs/s",
         isop_row.functions, isop_row.inputs, isop_row.cubes, isop_row.pairs_per_sec
     );
+    for r in measure_resub_rows(0) {
+        print_resub_row("smoke rs (exhaustively equivalent):", &r);
+    }
 }
 
 fn main() {
@@ -467,6 +560,11 @@ fn main() {
         isop_row.seconds_per_pass,
         isop_row.pairs_per_sec
     );
+
+    let resub_rows = measure_resub_rows(2000);
+    for r in &resub_rows {
+        print_resub_row("rs     ", r);
+    }
 
     let mut rows = Vec::new();
     let mut sweep_rows = Vec::new();
@@ -583,8 +681,36 @@ fn main() {
         isop_row.seconds_per_pass,
         isop_row.pairs_per_sec
     );
+    let resub_networks: Vec<String> = resub_rows
+        .iter()
+        .map(|r| {
+            format!(
+                concat!(
+                    "{{\"network\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, ",
+                    "\"visited\": {}, \"substitutions\": {}, ",
+                    "\"seconds_per_pass\": {:.6}, \"visited_per_sec\": {:.0}}}"
+                ),
+                r.network,
+                r.gates_before,
+                r.gates_after,
+                r.visited,
+                r.substitutions,
+                r.seconds_per_pass,
+                r.visited_per_sec
+            )
+        })
+        .collect();
+    let resub_json = format!(
+        concat!(
+            "{{\"circuit\": \"multiplier_8\", \"max_leaves\": {}, \"max_inserts\": {}, ",
+            "\"networks\": [\n    {}\n  ]}}"
+        ),
+        RESUB_LEAVES,
+        RESUB_INSERTS,
+        resub_networks.join(",\n    ")
+    );
     let json = format!(
-        "{{\n  \"bench\": \"rewrite_pass\",\n  \"npn\": {npn_json},\n  \"isop\": {isop_json},\n  \"circuits\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"rewrite_pass\",\n  \"npn\": {npn_json},\n  \"isop\": {isop_json},\n  \"rs\": {resub_json},\n  \"circuits\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
     let sweep_json_rows: Vec<String> = sweep_rows

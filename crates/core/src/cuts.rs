@@ -263,17 +263,45 @@ pub struct CutFunction {
     words: [u64; FUNCTION_WORDS],
 }
 
-impl CutFunction {
-    /// Words used by a table over `num_vars` variables.
-    #[inline]
-    fn word_count(num_vars: usize) -> usize {
-        if num_vars <= 6 {
-            1
-        } else {
-            1 << (num_vars - 6)
-        }
+/// Words used by a table over `num_vars` variables (the convention of
+/// [`TruthTable`]).
+#[inline]
+pub(crate) fn word_count(num_vars: usize) -> usize {
+    if num_vars <= 6 {
+        1
+    } else {
+        1 << (num_vars - 6)
     }
+}
 
+/// The bits a table over `num_vars` variables uses in each of its words:
+/// the low `2^num_vars` below 6 variables, all 64 from 6 on.  XOR with it
+/// complements a table exactly as [`TruthTable`]'s `!` does.
+#[inline]
+pub(crate) fn word_mask(num_vars: usize) -> u64 {
+    if num_vars < 6 {
+        (1u64 << (1 << num_vars)) - 1
+    } else {
+        u64::MAX
+    }
+}
+
+/// Writes the projection function of variable `var` into `words`, the
+/// `word_count` words of a table (excess bits of a table below 6
+/// variables are left for the caller to mask).
+fn write_projection(words: &mut [u64], var: usize) {
+    for (i, w) in words.iter_mut().enumerate() {
+        *w = if var < 6 {
+            VAR_MASKS[var]
+        } else if (i >> (var - 6)) & 1 == 1 {
+            u64::MAX
+        } else {
+            0
+        };
+    }
+}
+
+impl CutFunction {
     /// The constant-zero function.
     #[inline]
     pub fn zero(num_vars: usize) -> Self {
@@ -288,23 +316,7 @@ impl CutFunction {
     pub fn nth_var(num_vars: usize, var: usize) -> Self {
         debug_assert!(var < num_vars.max(1) && num_vars <= MAX_CUT_LEAVES);
         let mut f = Self::zero(num_vars);
-        if var < 6 {
-            for w in f.words.iter_mut().take(Self::word_count(num_vars)) {
-                *w = VAR_MASKS[var];
-            }
-        } else {
-            let period = 1usize << (var - 6);
-            for (i, w) in f
-                .words
-                .iter_mut()
-                .enumerate()
-                .take(Self::word_count(num_vars))
-            {
-                if (i / period) & 1 == 1 {
-                    *w = u64::MAX;
-                }
-            }
-        }
+        write_projection(&mut f.words[..word_count(num_vars)], var);
         f.mask_off_excess();
         f
     }
@@ -316,10 +328,8 @@ impl CutFunction {
     }
 
     fn mask_off_excess(&mut self) {
-        if self.num_vars < 6 {
-            self.words[0] &= (1u64 << (1 << self.num_vars)) - 1;
-        }
-        for w in &mut self.words[Self::word_count(self.num_vars as usize)..] {
+        self.words[0] &= word_mask(self.num_vars as usize);
+        for w in &mut self.words[word_count(self.num_vars as usize)..] {
             *w = 0;
         }
     }
@@ -345,7 +355,7 @@ impl CutFunction {
     /// Converts to a heap-backed [`TruthTable`] (bit-identical to
     /// [`simulate_cut`] over the same sorted leaves).
     pub fn to_truth_table(&self) -> TruthTable {
-        let wc = Self::word_count(self.num_vars as usize);
+        let wc = word_count(self.num_vars as usize);
         TruthTable::from_words(self.num_vars as usize, self.words[..wc].to_vec())
     }
 
@@ -373,7 +383,7 @@ impl CutFunction {
     /// the replacement engine to cross the resynthesis boundary without a
     /// per-candidate heap table.
     pub fn write_truth_table(&self, tt: &mut TruthTable) {
-        let wc = Self::word_count(self.num_vars as usize);
+        let wc = word_count(self.num_vars as usize);
         tt.assign_words(self.num_vars as usize, &self.words[..wc]);
     }
 }
@@ -1369,24 +1379,29 @@ fn add_cut_pruned(set: &mut Vec<Cut>, cut: Cut, limit: usize) {
 }
 
 /// Simulates cut cones through the network interface, keeping the window
-/// (node list and truth tables) in reusable flat buffers addressed through
-/// the scratch-slot [`Traversal`] engine — the allocation-free replacement
-/// for the former `BTreeMap` window.
+/// in reusable flat buffers addressed through the scratch-slot
+/// [`Traversal`] engine: a node list and one word arena that holds every
+/// window table at the fixed stride of `word_count(num_leaves)` words, in
+/// [`TruthTable`]'s word layout with the excess bits zero.
+///
+/// AND, XOR, MAJ and XOR3 gates are evaluated word by word straight into
+/// the arena, each complemented fanin read through an XOR mask, so a
+/// window costs no table allocation in the steady state.  LUT gates go
+/// through the generic [`glsx_network::bitops::evaluate_gate`] fallback.
 ///
 /// The traversal stamps are only used while the window is being *built*
 /// (membership tests); reading the finished window via [`Self::nodes`] /
-/// [`Self::value_at`] stays valid even after other traversals have
+/// [`Self::words_at`] stays valid even after other traversals have
 /// recycled the scratch slots.
 #[derive(Debug, Default)]
 pub struct ConeSimulator {
     trav: Option<Traversal>,
     nodes: Vec<NodeId>,
-    values: Vec<TruthTable>,
-    stack: Vec<NodeId>,
-    /// Reused per-gate fanin-table buffer (no `Vec` allocation per
-    /// evaluated node).
-    fanin_buf: Vec<TruthTable>,
+    /// Entry `i` of the window is `words[i * stride..(i + 1) * stride]`.
+    words: Vec<u64>,
+    stride: usize,
     num_leaves: usize,
+    stack: Vec<NodeId>,
 }
 
 impl ConeSimulator {
@@ -1396,54 +1411,54 @@ impl ConeSimulator {
     }
 
     /// Starts a fresh window over `leaves` and simulates the cone of
-    /// `root`, returning `root`'s truth table over the leaves (variable
-    /// `i` is `leaves[i]`).
+    /// `root`, returning the words of `root`'s truth table over the leaves
+    /// (variable `i` is `leaves[i]`).
     ///
     /// # Panics
     ///
-    /// Panics if the cone of `root` reaches a primary input or constant
-    /// that is not among the leaves, or if there are more than 16 leaves.
-    pub fn simulate<N: Network>(
-        &mut self,
-        ntk: &N,
-        root: NodeId,
-        leaves: &[NodeId],
-    ) -> &TruthTable {
+    /// Panics if the cone of `root` reaches a primary input that is not
+    /// among the leaves, or if there are more than 16 leaves.  The constant
+    /// node is always in the window, so a cone may reach it.
+    pub fn simulate<N: Network>(&mut self, ntk: &N, root: NodeId, leaves: &[NodeId]) -> &[u64] {
         self.begin(ntk, leaves);
         self.extend_to(ntk, root);
         let index = self.index_of(ntk, root).expect("root was just simulated");
-        &self.values[index]
+        self.words_at(index)
     }
 
     /// Resets the window: the constant node maps to the all-zero table and
-    /// each leaf to its projection variable.
+    /// each leaf to its projection variable.  A leaf already in the window
+    /// (the constant node, or a repeated leaf) has its table overwritten.
     fn begin<N: Network>(&mut self, ntk: &N, leaves: &[NodeId]) {
         let num_leaves = leaves.len();
         assert!(
             num_leaves <= 16,
             "cut simulation supports at most 16 leaves"
         );
-        self.trav = Some(Traversal::new(ntk));
+        let trav = Traversal::new(ntk);
         self.nodes.clear();
-        self.values.clear();
+        self.words.clear();
         self.num_leaves = num_leaves;
-        self.insert(ntk, 0, TruthTable::zero(num_leaves));
-        for (i, &leaf) in leaves.iter().enumerate() {
-            self.insert(ntk, leaf, TruthTable::nth_var(num_leaves, i));
+        self.stride = word_count(num_leaves);
+        let stride = self.stride;
+        trav.set_value(ntk, 0, 0);
+        self.nodes.push(0);
+        self.words.resize(stride, 0);
+        for (var, &leaf) in leaves.iter().enumerate() {
+            let index = match trav.value(ntk, leaf) {
+                Some(index) => index as usize,
+                None => {
+                    trav.set_value(ntk, leaf, self.nodes.len() as u32);
+                    self.nodes.push(leaf);
+                    self.words.resize(self.words.len() + stride, 0);
+                    self.nodes.len() - 1
+                }
+            };
+            let entry = &mut self.words[index * stride..(index + 1) * stride];
+            write_projection(entry, var);
+            entry[0] &= word_mask(num_leaves);
         }
-    }
-
-    /// Inserts (or overwrites) a window entry for `node`.
-    fn insert<N: Network>(&mut self, ntk: &N, node: NodeId, tt: TruthTable) {
-        let trav = self.trav.as_ref().expect("window started");
-        match trav.value(ntk, node) {
-            Some(index) => self.values[index as usize] = tt,
-            None => {
-                trav.set_value(ntk, node, self.nodes.len() as u32);
-                self.nodes.push(node);
-                self.values.push(tt);
-            }
-        }
+        self.trav = Some(trav);
     }
 
     /// Returns the window index of `node`, if present.
@@ -1472,11 +1487,18 @@ impl ConeSimulator {
         &self.nodes
     }
 
-    /// The truth table at window index `index` (parallel to
-    /// [`Self::nodes`]).
+    /// The truth-table words of window entry `index` (parallel to
+    /// [`Self::nodes`]): a table over [`Self::num_leaves`] variables.
     #[inline]
-    pub fn value_at(&self, index: usize) -> &TruthTable {
-        &self.values[index]
+    pub fn words_at(&self, index: usize) -> &[u64] {
+        &self.words[index * self.stride..(index + 1) * self.stride]
+    }
+
+    /// Number of leaves of the current window (the variables of its
+    /// tables).
+    #[inline]
+    pub fn num_leaves(&self) -> usize {
+        self.num_leaves
     }
 
     /// Number of window entries.
@@ -1491,28 +1513,64 @@ impl ConeSimulator {
         self.nodes.is_empty()
     }
 
-    /// Evaluates `node` from window values of its fanins and inserts the
-    /// result.  All fanins must already be in the window.
+    /// Evaluates `node` from the window tables of its fanins and appends
+    /// the result.  All fanins must already be in the window.
     fn evaluate_into_window<N: Network>(&mut self, ntk: &N, node: NodeId) {
-        let num_leaves = self.num_leaves;
-        let mut fanin_tts = std::mem::take(&mut self.fanin_buf);
-        fanin_tts.clear();
-        for index in 0..ntk.fanin_size(node) {
-            let f = ntk.fanin(node, index);
+        let kind = ntk.gate_kind(node);
+        let stride = self.stride;
+        let mask = word_mask(self.num_leaves);
+        let index = self.nodes.len();
+        // a fanin as the start of its entry and its complement mask
+        let fanin = |j: usize| {
+            let f = ntk.fanin(node, j);
             let i = self
                 .index_of(ntk, f.node())
                 .expect("fanin is in the window");
-            let tt = &self.values[i];
-            debug_assert_eq!(tt.num_vars(), num_leaves);
-            fanin_tts.push(if f.is_complemented() { !tt } else { tt.clone() });
+            (i * stride, if f.is_complemented() { mask } else { 0 })
+        };
+        match kind {
+            GateKind::And | GateKind::Xor | GateKind::Maj | GateKind::Xor3 => {
+                let (a, pa) = fanin(0);
+                let (b, pb) = fanin(1);
+                // two-input kinds read the constant entry as an unused third
+                let (c, pc) = if kind.arity() == Some(3) {
+                    fanin(2)
+                } else {
+                    (0, 0)
+                };
+                self.words.resize((index + 1) * stride, 0);
+                let (window, out) = self.words.split_at_mut(index * stride);
+                let (a, b, c) = (
+                    &window[a..a + stride],
+                    &window[b..b + stride],
+                    &window[c..c + stride],
+                );
+                for (w, o) in out.iter_mut().enumerate() {
+                    let (x, y, z) = (a[w] ^ pa, b[w] ^ pb, c[w] ^ pc);
+                    *o = match kind {
+                        GateKind::And => x & y,
+                        GateKind::Xor => x ^ y,
+                        GateKind::Maj => (x & y) | (y & z) | (x & z),
+                        _ => x ^ y ^ z,
+                    };
+                }
+            }
+            _ => {
+                let fanins: Vec<TruthTable> = (0..ntk.fanin_size(node))
+                    .map(|j| {
+                        let (start, phase) = fanin(j);
+                        let words = self.words[start..start + stride].iter();
+                        TruthTable::from_words(self.num_leaves, words.map(|w| w ^ phase).collect())
+                    })
+                    .collect();
+                let tt =
+                    glsx_network::bitops::evaluate_gate(kind, || ntk.node_function(node), &fanins);
+                self.words.extend_from_slice(tt.words());
+            }
         }
-        let tt = glsx_network::simulation::evaluate_function(
-            &ntk.node_function(node),
-            ntk.gate_kind(node),
-            &fanin_tts,
-        );
-        self.fanin_buf = fanin_tts;
-        self.insert(ntk, node, tt);
+        let trav = self.trav.as_ref().expect("window started");
+        trav.set_value(ntk, node, index as u32);
+        self.nodes.push(node);
     }
 
     /// Simulates every not-yet-simulated gate in the cone between the
@@ -1565,11 +1623,12 @@ impl ConeSimulator {
 ///
 /// # Panics
 ///
-/// Panics if the cone of `root` reaches a primary input or constant that is
-/// not among the leaves, or if there are more than 16 leaves.
+/// Panics if the cone of `root` reaches a primary input that is not among
+/// the leaves, or if there are more than 16 leaves.  The constant node is
+/// always in the window, so a cone may reach it.
 pub fn simulate_cut<N: Network>(ntk: &N, root: NodeId, leaves: &[NodeId]) -> TruthTable {
     let mut sim = ConeSimulator::new();
-    sim.simulate(ntk, root, leaves).clone()
+    TruthTable::from_words(leaves.len(), sim.simulate(ntk, root, leaves).to_vec())
 }
 
 /// Computes truth tables for every node in the cone between `leaves` and
@@ -1585,10 +1644,11 @@ pub fn simulate_cut_cone<N: Network>(
 ) -> BTreeMap<NodeId, TruthTable> {
     let mut sim = ConeSimulator::new();
     sim.simulate(ntk, root, leaves);
+    let table = |i: usize| TruthTable::from_words(leaves.len(), sim.words_at(i).to_vec());
     sim.nodes
         .iter()
-        .copied()
-        .zip(sim.values.iter().cloned())
+        .enumerate()
+        .map(|(i, &node)| (node, table(i)))
         .collect()
 }
 

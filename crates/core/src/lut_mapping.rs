@@ -35,6 +35,7 @@
 use crate::cuts::{ConeSimulator, Cut, CutManager, CutParams};
 use glsx_network::telemetry::{self, MetricsSource, Tracer};
 use glsx_network::{Budget, Klut, Network, NodeId, Signal, StepOutcome, Traversal};
+use glsx_truth::TruthTable;
 
 /// Parameters of LUT mapping.
 #[derive(Clone, Copy, Debug)]
@@ -589,7 +590,8 @@ fn build_klut<N: Network>(ntk: &N, cover: &[NodeId], choices: &[Option<MapChoice
         let choice = choices[node as usize].expect("cover nodes have choices");
         // a choice cut is realised by *its member's* cone, complemented
         // when the member is antivalent to the mapped node
-        let mut function = sim.simulate(ntk, choice.root, choice.cut.leaves()).clone();
+        let words = sim.simulate(ntk, choice.root, choice.cut.leaves());
+        let mut function = TruthTable::from_words(choice.cut.size(), words.to_vec());
         if choice.root_phase {
             function = !&function;
         }

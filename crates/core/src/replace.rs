@@ -96,8 +96,8 @@ impl Replacer {
         match function {
             Some(cf) => cf.write_truth_table(&mut self.function_buf),
             None => {
-                let tt = self.sim.simulate(ntk, node, leaves);
-                self.function_buf.clone_from(tt);
+                let words = self.sim.simulate(ntk, node, leaves);
+                self.function_buf.assign_words(leaves.len(), words);
             }
         }
 

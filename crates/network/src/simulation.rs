@@ -31,8 +31,9 @@ pub fn simulate_nodes<N: Network>(ntk: &N) -> Vec<TruthTable> {
     for (i, pi) in ntk.pi_nodes().iter().enumerate() {
         tts[*pi as usize] = TruthTable::nth_var(num_pis, i);
     }
+    let mut fanins = Vec::new();
     for node in ntk.gate_nodes() {
-        tts[node as usize] = evaluate_node(ntk, node, &tts);
+        tts[node as usize] = evaluate_node_with(ntk, node, &tts, &mut fanins);
     }
     tts
 }
@@ -74,8 +75,9 @@ pub fn simulate<N: Network>(ntk: &N) -> Vec<TruthTable> {
     for (i, pi) in ntk.pi_nodes().iter().enumerate() {
         tts[*pi as usize] = TruthTable::nth_var(num_pis, i);
     }
+    let mut fanins = Vec::new();
     for node in gates {
-        let tt = evaluate_node(ntk, node, &tts);
+        let tt = evaluate_node_with(ntk, node, &tts, &mut fanins);
         if readers[node as usize] > 0 {
             tts[node as usize] = tt;
         }
@@ -105,12 +107,29 @@ fn resolve_signal(signal: &Signal, tts: &[TruthTable]) -> TruthTable {
 /// Evaluates the local function of `node` given truth tables for all of its
 /// fanins (indexed by node id).
 pub fn evaluate_node<N: Network>(ntk: &N, node: NodeId, tts: &[TruthTable]) -> TruthTable {
-    let fanin_tts: Vec<TruthTable> = ntk
-        .fanins_inline(node)
-        .iter()
-        .map(|f| resolve_signal(f, tts))
-        .collect();
-    evaluate_function(&ntk.node_function(node), ntk.gate_kind(node), &fanin_tts)
+    evaluate_node_with(ntk, node, tts, &mut Vec::new())
+}
+
+/// [`evaluate_node`] over a reused fanin buffer: each fanin table is
+/// copied into the buffer's allocation, and the gate's local function is
+/// built only for kinds without a fast path (LUTs).
+fn evaluate_node_with<N: Network>(
+    ntk: &N,
+    node: NodeId,
+    tts: &[TruthTable],
+    fanins: &mut Vec<TruthTable>,
+) -> TruthTable {
+    let size = ntk.fanin_size(node);
+    fanins.resize_with(size, || TruthTable::zero(0));
+    for (j, slot) in fanins.iter_mut().enumerate() {
+        let f = ntk.fanin(node, j);
+        slot.clone_from(&tts[f.node() as usize]);
+        if f.is_complemented() {
+            slot.words_mut().iter_mut().for_each(|w| *w = !*w);
+            slot.normalize();
+        }
+    }
+    crate::bitops::evaluate_gate(ntk.gate_kind(node), || ntk.node_function(node), fanins)
 }
 
 /// Evaluates a gate function over already-computed fanin truth tables.

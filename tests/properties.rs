@@ -178,6 +178,37 @@ fn optimisations_preserve_functions() {
     }
 }
 
+/// Resubstitution's XOR, majority and 2-resub kernels preserve the
+/// function of random XAGs and MIGs at `-c 8 -d 2` and `-c 12 -d 2`, keep
+/// the network sound and never grow it.
+#[test]
+fn resubstitution_kernels_preserve_functions_on_xags_and_migs() {
+    fn check<N: ResubNetwork + Network + Clone>(ntk: &N, case: u32) -> usize {
+        let mut substitutions = 0;
+        for max_leaves in [8, 12] {
+            let params = ResubParams {
+                max_leaves,
+                max_inserts: 2,
+                ..ResubParams::default()
+            };
+            let mut resubstituted = ntk.clone();
+            substitutions += resubstitute(&mut resubstituted, &params).substitutions;
+            let label = format!("case {case}, -c {max_leaves} -d 2");
+            assert!(check_network_integrity(&resubstituted).is_ok(), "{label}");
+            assert!(equivalent_by_simulation(ntk, &resubstituted), "{label}");
+            assert!(resubstituted.num_gates() <= ntk.num_gates(), "{label}");
+        }
+        substitutions
+    }
+    let mut rng = Rng::seed_from_u64(0x1518);
+    let (mut xag_subs, mut mig_subs) = (0, 0);
+    for case in 0..12 {
+        xag_subs += check(&arbitrary_xag(&mut rng, 10, 60), case);
+        mig_subs += check(&arbitrary_mig(&mut rng, 10, 60), case);
+    }
+    assert!(xag_subs > 0 && mig_subs > 0, "{xag_subs} / {mig_subs}");
+}
+
 /// Rewriting preserves the simulated function on random AIGs — the direct
 /// end-to-end invariant of the allocation-free cut substrate.
 #[test]
