@@ -32,15 +32,11 @@
 //! choice-derived cut wins — the acceptance bar of choice-aware mapping.
 //!
 //! `--smoke` runs a single small circuit through every optimisation pass
-//! of a representative flow **twice — incrementally and from scratch** —
-//! following each pass with a miter-based `check_equivalence` against
-//! that pass's input and asserting that both maintenance modes produce
-//! identical gate counts: the CI guard proving both pass soundness and
-//! the incremental-vs-full contract end to end (SAT-complete, unlike the
-//! former random-simulation assertion).  It then runs the choice
-//! pipeline (choices on AND off) with the same miter guards, counts the
-//! 4-input NPN classes, checks the ISOP covers and runs the resubstitution
-//! row once.
+//! of a representative flow, following each pass with a miter-based
+//! `check_equivalence` against that pass's input: the CI guard proving
+//! pass soundness end to end.  It then runs the choice pipeline (choices
+//! on AND off) with the same miter guards, counts the 4-input NPN
+//! classes, checks the ISOP covers and runs the resubstitution row once.
 
 use glsx_benchmarks::arithmetic::{adder, barrel_shifter, multiplier, square};
 use glsx_benchmarks::{inject_redundancy, inject_restructured, SplitMix64};
@@ -62,12 +58,10 @@ struct Row {
     gates_before: usize,
     gates_after: usize,
     substitutions: usize,
-    /// Cut-manager work of the incremental pass: nodes invalidated by
-    /// substitutions and nodes/cuts actually re-enumerated.
+    /// Cut-manager work of the pass: nodes invalidated by substitutions,
+    /// nodes the refresh walk visited and nodes/cuts actually
+    /// re-enumerated.
     cuts: CutCounters,
-    /// Nodes a full-TFO rebuild would re-enumerate for the same pass (the
-    /// from-scratch mode's re-enumeration count, measured once).
-    full_rebuild_nodes: u64,
     seconds_per_pass: f64,
     gates_per_sec: f64,
 }
@@ -82,35 +76,6 @@ fn measure(name: &'static str, aig: &Aig, budget_ms: u128) -> Row {
     let mut first = aig.clone();
     let reference_stats = rewrite(&mut first, &RewriteParams::default());
     let gates_after = first.num_gates();
-
-    // one from-scratch run measures what a full rebuild after every
-    // substitution would re-enumerate, and doubles as the CI-grade
-    // assertion that both maintenance modes are bit-identical
-    let mut full = aig.clone();
-    let full_stats = rewrite(
-        &mut full,
-        &RewriteParams {
-            cut_maintenance: glsx_core::rewriting::CutMaintenance::FullRecompute,
-            ..RewriteParams::default()
-        },
-    );
-    assert_eq!(
-        (
-            full_stats.substitutions,
-            full_stats.estimated_gain,
-            full.num_gates()
-        ),
-        (
-            reference_stats.substitutions,
-            reference_stats.estimated_gain,
-            gates_after
-        ),
-        "{name}: incremental and full-recompute rewriting diverged"
-    );
-    assert!(
-        reference_stats.cuts.reenumerated_nodes <= full_stats.cuts.reenumerated_nodes,
-        "{name}: incremental refresh re-enumerated more than a full rebuild"
-    );
 
     let started = Instant::now();
     let mut runs = 0u32;
@@ -134,7 +99,6 @@ fn measure(name: &'static str, aig: &Aig, budget_ms: u128) -> Row {
         gates_after,
         substitutions: reference_stats.substitutions,
         cuts: reference_stats.cuts,
-        full_rebuild_nodes: full_stats.cuts.reenumerated_nodes,
         seconds_per_pass: seconds,
         gates_per_sec: aig.num_gates() as f64 / seconds,
     }
@@ -441,49 +405,32 @@ fn measure_map(name: &'static str, source: &Aig, lut_size: usize) -> MapRow {
 }
 
 /// `--smoke`: run every pass of a representative flow on one small
-/// circuit **twice** — once with incremental maintenance (the default)
-/// and once in from-scratch mode — asserting identical gate counts, and
-/// following each pass with a miter-based equivalence check against the
-/// pass's input.
+/// circuit, following each pass with a miter-based equivalence check
+/// against the pass's input.
 fn smoke() {
     // fraig runs first so it is the pass that faces the injected
     // duplicates (the rewriting family would otherwise absorb them); the
     // fraig -c step exercises the script-level conflict budget
     let script = FlowScript::parse("fraig; bz; rw; rf; rs -c 8; rwz; fraig -c 5000").unwrap();
-    let incremental = FlowOptions::default();
-    let from_scratch = FlowOptions {
-        full_recompute: true,
-        ..FlowOptions::default()
-    };
+    let options = FlowOptions::default();
     let mut ntk: Aig = adder(8);
     glsx_benchmarks::inject_redundancy(&mut ntk, 4, 0x51u64);
-    let mut scratch_ntk = ntk.clone();
     let mut merged_by_fraig = 0usize;
     let mut proof_conflicts = 0u64;
     for step in script.steps() {
         let input = ntk.clone();
-        let substitutions = run_step(&mut ntk, step, &incremental);
-        let scratch_subs = run_step(&mut scratch_ntk, step, &from_scratch);
-        assert_eq!(
-            (substitutions, ntk.num_gates()),
-            (scratch_subs, scratch_ntk.num_gates()),
-            "smoke: `{step:?}` diverged between incremental and from-scratch maintenance"
-        );
+        let substitutions = run_step(&mut ntk, step, &options);
         let outcome = check_equivalence(&input, &ntk);
         assert!(
             outcome.is_equivalent(),
             "smoke: `{step:?}` broke combinational equivalence"
         );
         proof_conflicts += outcome.solver.conflicts;
-        assert!(
-            check_equivalence(&ntk, &scratch_ntk).is_equivalent(),
-            "smoke: `{step:?}` incremental and from-scratch networks differ functionally"
-        );
         if matches!(step, glsx_flow::FlowStep::Fraig { .. }) {
             merged_by_fraig += substitutions;
         }
         println!(
-            "smoke {:<10} {:>4} -> {:>4} gates ({} substitutions) miter OK, modes agree",
+            "smoke {:<10} {:>4} -> {:>4} gates ({} substitutions) miter OK",
             format!("{step:?}").split_whitespace().next().unwrap(),
             input.num_gates(),
             ntk.num_gates(),
@@ -496,8 +443,7 @@ fn smoke() {
     );
     println!(
         "smoke: every pass proven equivalence-preserving by miter \
-         ({proof_conflicts} total proof conflicts) and bit-identical across \
-         incremental/from-scratch maintenance"
+         ({proof_conflicts} total proof conflicts)"
     );
 
     // the choice pipeline, on AND off: the mapped results must both be
@@ -573,22 +519,15 @@ fn main() {
         let row = measure(name, aig, 2000);
         println!(
             "rewrite {:<20} {:>5} -> {:>5} gates {:>4} subs  {:>6} invalidated {:>6} re-enumerated \
-             (full rebuild: {:>7})  {:>10.0} gates/s",
+             {:>7} refresh-walked  {:>10.0} gates/s",
             row.circuit,
             row.gates_before,
             row.gates_after,
             row.substitutions,
             row.cuts.invalidated_nodes,
             row.cuts.reenumerated_nodes,
-            row.full_rebuild_nodes,
+            row.cuts.refresh_walked,
             row.gates_per_sec
-        );
-        // the acceptance bar of the incremental engine: substitutions must
-        // re-enumerate strictly less than a full-TFO rebuild would
-        assert!(
-            row.substitutions == 0 || row.cuts.reenumerated_nodes < row.full_rebuild_nodes,
-            "{}: incremental refresh saved nothing over a full rebuild",
-            row.circuit
         );
         rows.push(row);
 
@@ -647,7 +586,7 @@ fn main() {
                     "    {{\"circuit\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, ",
                     "\"substitutions\": {}, \"invalidated_nodes\": {}, ",
                     "\"reenumerated_nodes\": {}, \"reenumerated_cuts\": {}, ",
-                    "\"full_rebuild_nodes\": {}, ",
+                    "\"refresh_walked\": {}, ",
                     "\"seconds_per_pass\": {:.6}, \"gates_per_sec\": {:.0}}}"
                 ),
                 r.circuit,
@@ -657,7 +596,7 @@ fn main() {
                 r.cuts.invalidated_nodes,
                 r.cuts.reenumerated_nodes,
                 r.cuts.reenumerated_cuts,
-                r.full_rebuild_nodes,
+                r.cuts.refresh_walked,
                 r.seconds_per_pass,
                 r.gates_per_sec
             )

@@ -507,11 +507,17 @@ pub struct CutCounters {
     pub reenumerated_nodes: u64,
     /// Cuts committed by re-enumerations.
     pub reenumerated_cuts: u64,
-    /// Computed cut sets dropped by [`CutManager::invalidate`],
-    /// [`CutManager::refresh_from`] or [`CutManager::invalidate_all`].
+    /// Computed cut sets dropped by [`CutManager::invalidate`] or
+    /// [`CutManager::refresh_from`].  A state transition count: a node
+    /// whose set was never computed, or is already dropped, adds nothing.
     pub invalidated_nodes: u64,
     /// Calls to [`CutManager::refresh_from`].
     pub refreshes: u64,
+    /// Nodes popped by the transitive-fanout walk of
+    /// [`CutManager::refresh_from`], summed over all refreshes: the work
+    /// of the walk itself, whether or not the node had a computed set to
+    /// drop.
+    pub refresh_walked: u64,
     /// Choice-derived cuts committed to representative tails by
     /// [`CutManager::choice_cuts_of`]: cuts harvested from ring members'
     /// cut sets (polarity-corrected) that survived dominance pruning
@@ -527,6 +533,7 @@ impl glsx_network::MetricsSource for CutCounters {
         visit("reenumerated_cuts", self.reenumerated_cuts);
         visit("invalidated_nodes", self.invalidated_nodes);
         visit("refreshes", self.refreshes);
+        visit("refresh_walked", self.refresh_walked);
         visit("choice_cuts", self.choice_cuts);
     }
 }
@@ -1036,12 +1043,12 @@ impl CutManager {
         };
     }
 
-    /// Drops every memoised cut set — the *from-scratch* maintenance mode:
-    /// after this call the manager behaves exactly like a freshly
-    /// constructed one (modulo counters and reusable buffers).  The
-    /// incremental counterpart is [`CutManager::refresh_from`]; passes run
-    /// both modes in CI to prove them bit-identical.
-    pub fn invalidate_all(&mut self) {
+    /// Drops every memoised cut set: after this call the manager behaves
+    /// exactly like a freshly constructed one (modulo counters and
+    /// reusable buffers).  The from-scratch reference that tests compare
+    /// [`CutManager::refresh_from`] against; no pass calls it.
+    #[cfg(test)]
+    pub(crate) fn invalidate_all(&mut self) {
         for node in 0..self.spans.len() as NodeId {
             self.invalidate(node);
         }
@@ -1056,7 +1063,9 @@ impl CutManager {
     /// manager answers every query bit-identically to a from-scratch
     /// manager over the changed network, at the cost of re-enumerating
     /// only the invalidated region instead of everything (the contract
-    /// verified by the property suite and the `--smoke` CI run).
+    /// verified by the property suite and the rewriting tests).  The
+    /// nodes the walk visits are counted in
+    /// [`CutCounters::refresh_walked`].
     ///
     /// The fanout walk is bounded by the scratch-slot [`Traversal`]
     /// engine; callers must not hold another live-writing traversal across
@@ -1077,6 +1086,7 @@ impl CutManager {
             }
         }
         while let Some(node) = self.refresh_stack.pop() {
+            self.counters.refresh_walked += 1;
             self.invalidate(node);
             ntk.foreach_fanout(node, |parent| {
                 if tfo.mark(ntk, parent) {
@@ -2248,13 +2258,16 @@ mod tests {
             "incremental refresh re-enumerated {reenumerated} of {enumerated_before} nodes"
         );
         assert!(mgr.counters().refreshes == 1 && mgr.counters().invalidated_nodes > 0);
+        // the walk pops `top`, the one rewired node; outputs are its only
+        // fanouts
+        assert_eq!(mgr.counters().refresh_walked, 1);
         // every post-refresh enumeration was a re-enumeration of an
         // invalidated span (the untouched side cone kept its memoised one)
         assert_eq!(mgr.counters().reenumerated_nodes, reenumerated);
     }
 
-    /// `invalidate_all` is the from-scratch mode: afterwards the manager
-    /// answers like a fresh one.
+    /// `invalidate_all`, the from-scratch reference of the rewriting
+    /// tests, leaves the manager answering like a fresh one.
     #[test]
     fn invalidate_all_equals_fresh_manager() {
         let (aig, _) = chain_aig();

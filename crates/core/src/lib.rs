@@ -58,7 +58,7 @@ pub use refactoring::{refactor, refactor_with, RefactorParams, RefactorStats};
 pub use refs::{mffc, mffc_into, mffc_size, mffc_with_leaves, RefCountView};
 pub use replace::{try_replace_on_cut, ReplaceOutcome, Replacer};
 pub use resubstitution::{resubstitute, ResubNetwork, ResubParams, ResubStats, ResubStyle};
-pub use rewriting::{rewrite, rewrite_with, CutMaintenance, RewriteParams, RewriteStats};
+pub use rewriting::{rewrite, rewrite_with, RewriteParams, RewriteStats};
 
 pub use sweeping::{
     check_equivalence, check_equivalence_with_limits, sweep, sweep_with_engine, CecStats,

@@ -7,12 +7,11 @@
 //! cut per node (delay-oriented first, then an area-flow refinement pass)
 //! and derives the cover from the primary outputs.
 //!
-//! Area-flow refinement is incremental: each node's best choice is cached
-//! and a scratch-slot [`Traversal`] per round marks the nodes whose choice
-//! actually changed (cone-propagated), so later rounds re-evaluate only
-//! nodes with a changed cone instead of re-reading every node's cut set
-//! off the arena each round.  [`LutMapParams::full_recompute`] selects the
-//! from-scratch reference the incremental path is verified against.
+//! Selection runs two rounds over the gates in topological order: a
+//! delay-oriented round, which gives every gate a choice, and one
+//! area-flow round, which re-evaluates every gate under the area-flow
+//! cost.  Each round reads every gate's cut set once, so
+//! [`LutMapStats::choice_evaluations`] is two per gate.
 //!
 //! # Choice-aware mapping
 //!
@@ -34,7 +33,7 @@
 
 use crate::cuts::{ConeSimulator, Cut, CutManager, CutParams};
 use glsx_network::telemetry::{self, MetricsSource, Tracer};
-use glsx_network::{Budget, Klut, Network, NodeId, Signal, StepOutcome, Traversal};
+use glsx_network::{Budget, Klut, Network, NodeId, Signal, StepOutcome};
 use glsx_truth::TruthTable;
 
 /// Parameters of LUT mapping.
@@ -46,21 +45,12 @@ pub struct LutMapParams {
     pub lut_size: usize,
     /// Maximum number of priority cuts per node.
     pub cut_limit: usize,
-    /// Number of area-flow refinement passes after the delay-oriented pass.
-    pub area_flow_rounds: usize,
-    /// Re-evaluate every node in every area-flow round instead of skipping
-    /// nodes whose cone carries no changed choice.  Both modes select the
-    /// same cover (the contract the tests verify); this is the
-    /// verification mode.
-    pub full_recompute: bool,
     /// Select over the enlarged cut sets of a choice network: ring
     /// members' cuts compete with the representative's own, and winning
     /// member structures are reconstructed into the mapped network (see
     /// the module docs).  `false` — the default and the verified
     /// reference — ignores choice rings entirely and is byte-identical to
-    /// the pre-choice mapper.  Implies full per-round re-evaluation:
-    /// choice-cut costs depend on member cones, which the fanin-based
-    /// dirty tracking cannot see.
+    /// the pre-choice mapper.
     pub use_choices: bool,
 }
 
@@ -69,8 +59,6 @@ impl Default for LutMapParams {
         Self {
             lut_size: 6,
             cut_limit: 8,
-            area_flow_rounds: 1,
-            full_recompute: false,
             use_choices: false,
         }
     }
@@ -94,11 +82,10 @@ pub struct LutMapStats {
     pub num_luts: usize,
     /// Depth of the mapped network in LUT levels.
     pub depth: u32,
-    /// Number of per-node best-choice evaluations over all rounds.  Under
-    /// incremental refinement, rounds after the first area-flow pass skip
-    /// every node whose cone carries no changed choice, so this stays far
-    /// below `rounds × gates`; under
-    /// [`LutMapParams::full_recompute`] it is exactly `rounds × gates`.
+    /// Number of per-node best-choice evaluations: two per gate (the
+    /// delay-oriented and the area-flow round) when the budget lasts, and
+    /// under [`LutMapParams::use_choices`] the choices-off reference
+    /// selection's evaluations on top.
     pub choice_evaluations: usize,
     /// Cover nodes realised through a choice-ring member's cone instead of
     /// the node's own structure (nonzero only under
@@ -147,16 +134,8 @@ struct MapChoice {
 ///
 /// # Panics
 ///
-/// Panics if `params.lut_size` exceeds
-/// [`MAX_CUT_LEAVES`](crate::cuts::MAX_CUT_LEAVES).
+/// Panics like [`lut_map_traced`].
 pub fn lut_map<N: Network>(ntk: &N, params: &LutMapParams) -> Klut {
-    assert!(
-        params.lut_size <= crate::cuts::MAX_CUT_LEAVES,
-        "lut_size {} is not supported: the cut substrate stores at most {} leaves inline \
-         (MAX_CUT_LEAVES)",
-        params.lut_size,
-        crate::cuts::MAX_CUT_LEAVES
-    );
     lut_map_with_stats(ntk, params).0
 }
 
@@ -173,6 +152,10 @@ pub fn lut_map<N: Network>(ntk: &N, params: &LutMapParams) -> Klut {
 /// turns "choices never map worse" from a tendency into a guarantee, and
 /// [`LutMapStats::choice_wins`] reports wins only when the choice cover
 /// actually shipped.
+///
+/// # Panics
+///
+/// Panics like [`lut_map_traced`].
 pub fn lut_map_with_stats<N: Network>(ntk: &N, params: &LutMapParams) -> (Klut, LutMapStats) {
     lut_map_traced(ntk, params, &Budget::unlimited(), telemetry::global())
 }
@@ -181,19 +164,34 @@ pub fn lut_map_with_stats<N: Network>(ntk: &N, params: &LutMapParams) -> (Klut, 
 /// reporting through an explicit telemetry [`Tracer`].
 ///
 /// The delay-oriented selection round is mandatory; one tick is charged
-/// per node evaluation in the area-flow refinement rounds, and an
-/// exhausted budget stops refinement early — the cover derived from the
-/// choices selected so far is still complete and valid.  The tracer
-/// records a `lut_map` pass span with per-round `map_round` spans (and a
+/// per node evaluation in the area-flow round, and an exhausted budget
+/// stops refinement early — the cover derived from the choices selected
+/// so far is still complete and valid.  The tracer records a `lut_map`
+/// pass span with per-round `map_round` spans (and a
 /// `choices_off_reference` span for the recovery selection), statistics
 /// absorbed into the metrics registry, and the final LUT count/depth as
 /// gauges.  Observational only.
+///
+/// # Panics
+///
+/// Panics if `params.lut_size` exceeds
+/// [`MAX_CUT_LEAVES`](crate::cuts::MAX_CUT_LEAVES), or if a gate reachable
+/// from the outputs has more fanins than `params.lut_size`: a LUT must
+/// hold at least one gate, so AIGs and XAGs need `lut_size` ≥ 2 and MIGs
+/// and XMGs `lut_size` ≥ 3.
 pub fn lut_map_traced<N: Network>(
     ntk: &N,
     params: &LutMapParams,
     budget: &Budget,
     tracer: &Tracer,
 ) -> (Klut, LutMapStats) {
+    assert!(
+        params.lut_size <= crate::cuts::MAX_CUT_LEAVES,
+        "lut_size {} is not supported: the cut substrate stores at most {} leaves inline \
+         (MAX_CUT_LEAVES)",
+        params.lut_size,
+        crate::cuts::MAX_CUT_LEAVES
+    );
     let _pass = tracer.span("lut_map");
     let selected = select_cover_budgeted(ntk, params, budget, tracer);
     let klut = build_klut(ntk, &selected.cover, &selected.choices);
@@ -247,6 +245,10 @@ impl MetricsSource for LutMapStats {
 
 /// Maps `ntk` and returns only the statistics (LUT count, depth and
 /// refinement work) without keeping the k-LUT network.
+///
+/// # Panics
+///
+/// Panics like [`lut_map_traced`].
 pub fn lut_map_stats<N: Network>(ntk: &N, params: &LutMapParams) -> LutMapStats {
     lut_map_with_stats(ntk, params).1
 }
@@ -321,54 +323,11 @@ fn select_cover_budgeted<N: Network>(
     };
     let mut evaluations = 0usize;
 
-    // delay-oriented pass followed by area-flow refinement passes.  The
-    // first area round re-evaluates everything (the cost function
-    // changed); each later round re-evaluates only nodes whose cone
-    // carries a choice that changed in the *previous* or the *current*
-    // round.  One traversal spans all rounds: a node's value is the
-    // 1-based tag of the last round in which its choice changed (or a
-    // change below it propagated up through it), so round `r`'s skip test
-    // is a constant-time read of the direct fanins' tags — tag `r` covers
-    // changes made earlier in this very sweep, tag `r-1` the previous
-    // round's; anything older is already *incorporated*: a node's cost is
-    // a pure function of its cut sets (fixed) and its leaves' current
-    // choices, leaves precede it in the topological sweep, and a change
-    // two rounds back forced a re-evaluation one round back.  Regions the
-    // refinement has converged on are never touched again (their
-    // `cuts_of` pass over the arena is skipped entirely); `full_recompute`
-    // re-evaluates everything every round and must produce bit-identical
-    // choices — the verified contract.  If the cost model ever gains
-    // cross-round mutable state (e.g. exact-area fanout refs of the
-    // previous cover, required times), the round where that state changes
-    // must re-evaluate every node, like `round == 1` does here.
-    let dirty = Traversal::new(ntk);
-    'rounds: for round in 0..(1 + params.area_flow_rounds) {
+    // a delay-oriented round, then one area-flow round, each evaluating
+    // every gate in topological order
+    'rounds: for area_oriented in [false, true] {
         let _round = tracer.span("map_round");
-        let area_oriented = round > 0;
-        let tag = round as u32 + 1;
-        // choice-aware mapping re-evaluates every node each round: a
-        // choice cut's cost depends on its member cone's leaves, which the
-        // fanin-tag dirty scheme cannot observe
-        let can_skip = round >= 2 && !params.full_recompute && !params.use_choices;
         for &node in &order {
-            let mut recent_dirty = false; // changed in round-1 or earlier this round
-            let mut current_dirty = false; // changed earlier this round
-            if area_oriented {
-                ntk.foreach_fanin(node, |f| match dirty.value(ntk, f.node()) {
-                    Some(t) if t == tag => {
-                        current_dirty = true;
-                        recent_dirty = true;
-                    }
-                    Some(t) if t + 1 == tag => recent_dirty = true,
-                    _ => {}
-                });
-            }
-            if can_skip && !recent_dirty {
-                // no choice in this node's cone changed since its last
-                // evaluation, so re-evaluating would reproduce the cached
-                // choice bit for bit — skip the whole cut-set read
-                continue;
-            }
             // the delay-oriented round is mandatory (the cover walk needs
             // a choice on every reachable gate); refinement is the
             // budgeted effort
@@ -457,18 +416,8 @@ fn select_cover_budgeted<N: Network>(
                     }
                 }
             }
-            let mut changed = false;
             if best.is_some() {
-                changed = best != choices[node as usize];
                 choices[node as usize] = best;
-            }
-            // descendants must re-evaluate when any cone choice changed
-            // this round, even if this node's own choice survived —
-            // propagate the current-round tag (previous-round tags need no
-            // re-propagation: round r-1 already tagged the whole fanout
-            // cone of its changes)
-            if area_oriented && (changed || current_dirty) {
-                dirty.set_value(ntk, node, tag);
             }
         }
     }
@@ -509,7 +458,7 @@ fn select_cover_budgeted<N: Network>(
             while let Some(&mut (node, ref mut child)) = stack.last_mut() {
                 let choice = choices[node as usize]
                     .as_ref()
-                    .expect("every reachable gate has a mapping choice");
+                    .expect("every reachable gate has a mapping choice (fanins <= lut_size)");
                 let leaves = choice.cut.leaves();
                 if *child >= leaves.len() {
                     state[node as usize] = 2;
@@ -701,10 +650,7 @@ mod tests {
         for s in signals.iter().rev().take(3) {
             aig.create_po(*s);
         }
-        let params = LutMapParams {
-            area_flow_rounds: 3,
-            ..LutMapParams::with_lut_size(4)
-        };
+        let params = LutMapParams::with_lut_size(4);
         let (full_klut, full_stats) = lut_map_with_stats(&aig, &params);
         assert_eq!(full_stats.outcome, StepOutcome::Completed);
         let mut saw_exhausted = false;
@@ -724,10 +670,10 @@ mod tests {
         assert!(saw_exhausted, "no tick limit ever exhausted refinement");
     }
 
-    /// The incremental area-flow refinement skips nodes with unchanged
-    /// cones yet selects exactly the same cover as full recomputation.
+    /// Without choices and with an unlimited budget, the delay-oriented
+    /// and the area-flow round each evaluate every gate exactly once.
     #[test]
-    fn incremental_area_flow_matches_full_recompute() {
+    fn mapping_evaluates_every_gate_once_per_round() {
         let mut state = 0xdead_1234_u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -743,29 +689,25 @@ mod tests {
         for s in signals.iter().rev().take(5) {
             aig.create_po(*s);
         }
-        let incremental = LutMapParams {
-            area_flow_rounds: 3,
-            ..LutMapParams::with_lut_size(4)
-        };
-        let full = LutMapParams {
-            full_recompute: true,
-            ..incremental
-        };
-        let inc_stats = lut_map_stats(&aig, &incremental);
-        let full_stats = lut_map_stats(&aig, &full);
-        assert_eq!(inc_stats.num_luts, full_stats.num_luts);
-        assert_eq!(inc_stats.depth, full_stats.depth);
-        assert!(
-            inc_stats.choice_evaluations < full_stats.choice_evaluations,
-            "incremental refinement must skip work: {inc_stats:?} vs {full_stats:?}"
-        );
-        // the mapped networks are structurally identical, not just equal
-        // in size
-        let a = lut_map(&aig, &incremental);
-        let b = lut_map(&aig, &full);
-        assert_eq!(a.num_gates(), b.num_gates());
-        assert_eq!(a.po_signals(), b.po_signals());
-        assert!(equivalent_by_simulation(&a, &b));
+        for lut_size in [4, 6] {
+            let stats = lut_map_stats(&aig, &LutMapParams::with_lut_size(lut_size));
+            assert_eq!(stats.choice_evaluations, 2 * aig.num_gates(), "{stats:?}");
+            assert_eq!(stats.outcome, StepOutcome::Completed);
+        }
+    }
+
+    /// A LUT size beyond the inline leaf capacity is rejected by the
+    /// mapper's own message, before the cut manager is built.
+    #[test]
+    #[should_panic(expected = "is not supported")]
+    fn oversized_luts_are_rejected_with_a_clear_message() {
+        let mut aig = Aig::new();
+        let a = aig.create_pi();
+        let b = aig.create_pi();
+        let g = aig.create_and(a, b);
+        aig.create_po(g);
+        let params = LutMapParams::with_lut_size(crate::cuts::MAX_CUT_LEAVES + 1);
+        lut_map_traced(&aig, &params, &Budget::unlimited(), telemetry::global());
     }
 
     /// Choice-aware mapping on a ringed network: the result stays

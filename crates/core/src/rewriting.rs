@@ -6,16 +6,17 @@
 //! newly added gates, accounting for structural hashing — is positive (or
 //! non-negative for zero-gain rewriting).
 //!
-//! The pass is *incremental by default*: the network records every
-//! structural change of a committed substitution into a
+//! The pass is *incremental*: the network records every structural change
+//! of a committed substitution into a
 //! [`ChangeLog`](glsx_network::ChangeLog) and the cut manager refreshes
 //! from it ([`CutManager::refresh_from`]), re-enumerating only the
 //! transitive fanout of the rewired nodes.  Later visits therefore see cut
 //! sets that reflect the *current* structure — bit-identical to rebuilding
-//! the manager from scratch after each substitution
-//! ([`CutMaintenance::FullRecompute`], the verification mode run by CI) at
-//! a fraction of the enumeration work ([`RewriteStats::cuts`] records
-//! both sides of that ledger).
+//! the manager from scratch after each substitution, at a fraction of the
+//! enumeration work ([`RewriteStats::cuts`] records it).  The from-scratch
+//! rebuild is not a mode of the pass: it lives in this module's tests,
+//! which run the same pass body with the rebuild in place of the refresh
+//! and compare the two on random AIGs, XAGs and MIGs.
 
 use crate::cuts::{Cut, CutCounters, CutManager, CutParams};
 use crate::replace::{ReplaceOutcome, Replacer};
@@ -23,21 +24,6 @@ use glsx_network::telemetry::{self, BatchSpans, MetricsSource, Tracer, BATCH_INT
 use glsx_network::{Budget, ChangeEvent, ChangeLog, GateBuilder, Network, NodeId, StepOutcome};
 use glsx_synth::{NpnDatabase, Resynthesis};
 use std::collections::VecDeque;
-
-/// How the pass keeps the cut manager consistent with the network after a
-/// committed substitution.  Both modes answer every cut query identically
-/// (the contract checked by the property suite and the `--smoke` CI run);
-/// they differ only in how much enumeration work they spend.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CutMaintenance {
-    /// Refresh incrementally from the recorded change events: only the
-    /// transitive fanout of rewired nodes is re-enumerated.
-    #[default]
-    Incremental,
-    /// Drop every memoised cut set after each substitution — the
-    /// from-scratch reference the incremental path is verified against.
-    FullRecompute,
-}
 
 /// Parameters of cut rewriting.
 #[derive(Clone, Copy, Debug)]
@@ -49,18 +35,6 @@ pub struct RewriteParams {
     /// Accept replacements that do not change the size (restructuring that
     /// enables follow-up optimisations; the `rwz` step of the flow).
     pub allow_zero_gain: bool,
-    /// Cut-manager maintenance mode (incremental by default).
-    pub cut_maintenance: CutMaintenance,
-    /// Revisit the fanout frontier of committed substitutions (default):
-    /// a commit rewires its fanouts onto new structure, so their cut sets
-    /// — already visited or not — now hold candidates the stale pre-pass
-    /// order never sees.  Rewired nodes are queued (from the pass's own
-    /// [`ChangeEvent::RewiredFanin`](glsx_network::ChangeEvent) records)
-    /// and re-attempted after the main sweep.  Revisits demand strictly
-    /// positive gain even under `allow_zero_gain` — every revisit commit
-    /// shrinks the network, which both bounds the loop and guarantees a
-    /// pass is never worse than with the frontier disabled.
-    pub revisit_frontier: bool,
 }
 
 impl Default for RewriteParams {
@@ -69,8 +43,6 @@ impl Default for RewriteParams {
             cut_size: 4,
             cut_limit: 8,
             allow_zero_gain: false,
-            cut_maintenance: CutMaintenance::Incremental,
-            revisit_frontier: true,
         }
     }
 }
@@ -85,12 +57,18 @@ pub struct RewriteStats {
     /// Sum of the estimated gains of committed substitutions.
     pub estimated_gain: i64,
     /// Cut-manager enumeration/invalidation counters of the pass: how many
-    /// nodes were invalidated by substitutions and how many were actually
-    /// re-enumerated (strictly fewer under incremental maintenance than a
-    /// full rebuild would cost).
+    /// nodes were invalidated by substitutions, how many the refresh walk
+    /// visited and how many were actually re-enumerated.
     pub cuts: CutCounters,
-    /// Number of fanout-frontier nodes re-attempted after the main sweep
-    /// (see [`RewriteParams::revisit_frontier`]).
+    /// Number of fanout-frontier nodes re-attempted after the main sweep.
+    /// A commit rewires its fanouts onto new structure, so their cut sets
+    /// — already visited or not — now hold candidates the stale pre-pass
+    /// order never sees.  Rewired nodes are queued (from the pass's own
+    /// [`ChangeEvent::RewiredFanin`](glsx_network::ChangeEvent) records)
+    /// and re-attempted after the main sweep.  Revisits demand strictly
+    /// positive gain even under [`RewriteParams::allow_zero_gain`] — every
+    /// revisit commit shrinks the network, which both bounds the loop and
+    /// guarantees the frontier never costs gates.
     pub frontier_revisits: usize,
     /// Whether the pass ran to completion or stopped on an exhausted
     /// effort budget (having committed only the substitutions applied so
@@ -136,6 +114,32 @@ where
     N: Network + GateBuilder,
     R: Resynthesis<N>,
 {
+    rewrite_pass(
+        ntk,
+        resynthesis,
+        params,
+        budget,
+        tracer,
+        CutManager::refresh_from,
+    )
+}
+
+/// The body of [`rewrite_traced`], with the cut-manager update after each
+/// committed substitution passed in: the pass uses
+/// [`CutManager::refresh_from`], and the tests substitute a from-scratch
+/// rebuild to check that both yield the identical pass.
+fn rewrite_pass<N, R>(
+    ntk: &mut N,
+    resynthesis: &mut R,
+    params: &RewriteParams,
+    budget: &Budget,
+    tracer: &Tracer,
+    refresh: fn(&mut CutManager, &N, &ChangeLog),
+) -> RewriteStats
+where
+    N: Network + GateBuilder,
+    R: Resynthesis<N>,
+{
     let _pass = tracer.span("rewrite");
     // truth tables are fused into enumeration: each candidate's function is
     // read off the cut arena in O(1) instead of re-simulating its cone
@@ -172,14 +176,14 @@ where
     /// One rewrite attempt at `node`: scan its (current) priority cuts and
     /// commit the first resynthesis candidate whose DAG-aware gain clears
     /// `allow_zero_gain`.  On commit, the drained change events refresh
-    /// the cut manager and — when the frontier is enabled — enqueue every
-    /// rewired fanout for a later revisit.
+    /// the cut manager and enqueue every rewired fanout for a later
+    /// revisit.
     #[allow(clippy::too_many_arguments)]
     fn attempt_node<N, R>(
         ntk: &mut N,
         node: NodeId,
         allow_zero_gain: bool,
-        params: &RewriteParams,
+        refresh: fn(&mut CutManager, &N, &ChangeLog),
         cut_manager: &mut CutManager,
         replacer: &mut Replacer,
         resynthesis: &mut R,
@@ -216,22 +220,17 @@ where
                     // enclosing consumer's pre-pass events); refreshing
                     // from extras is harmless over-invalidation
                     ntk.drain_changes(log);
-                    match params.cut_maintenance {
-                        CutMaintenance::Incremental => cut_manager.refresh_from(ntk, log),
-                        CutMaintenance::FullRecompute => cut_manager.invalidate_all(),
-                    }
-                    if params.revisit_frontier {
-                        for event in log.events() {
-                            let &ChangeEvent::RewiredFanin { node: rewired } = event else {
-                                continue;
-                            };
-                            if pending.len() < ntk.size() {
-                                pending.resize(ntk.size(), false);
-                            }
-                            if !pending[rewired as usize] {
-                                pending[rewired as usize] = true;
-                                revisit.push_back(rewired);
-                            }
+                    refresh(cut_manager, ntk, log);
+                    for event in log.events() {
+                        let &ChangeEvent::RewiredFanin { node: rewired } = event else {
+                            continue;
+                        };
+                        if pending.len() < ntk.size() {
+                            pending.resize(ntk.size(), false);
+                        }
+                        if !pending[rewired as usize] {
+                            pending[rewired as usize] = true;
+                            revisit.push_back(rewired);
                         }
                     }
                     consumed.append(log);
@@ -258,7 +257,7 @@ where
             ntk,
             node,
             params.allow_zero_gain,
-            params,
+            refresh,
             &mut cut_manager,
             &mut replacer,
             resynthesis,
@@ -294,7 +293,7 @@ where
             ntk,
             node,
             false,
-            params,
+            refresh,
             &mut cut_manager,
             &mut replacer,
             resynthesis,
@@ -345,7 +344,7 @@ where
 mod tests {
     use super::*;
     use glsx_network::simulation::{equivalent_by_simulation, simulate};
-    use glsx_network::{Aig, GateBuilder, Mig, Network, Xag};
+    use glsx_network::{Aig, GateBuilder, Mig, Network, Signal, Xag};
 
     /// Builds a deliberately wasteful implementation of the projection
     /// `f = a`: `f = (a & b) | (a & !b)`, three gates that a four-input cut
@@ -379,7 +378,6 @@ mod tests {
 
     #[test]
     fn rewriting_preserves_function_on_random_networks() {
-        use glsx_network::Signal;
         let mut state = 0xabcd_ef01_u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -429,37 +427,169 @@ mod tests {
         assert!(xag.num_gates() <= xag_ref.num_gates());
     }
 
-    /// The incremental-vs-full contract: refreshing the cut manager from
-    /// the change log yields exactly the same pass as rebuilding it from
-    /// scratch after every substitution — same substitutions, same gains,
-    /// same resulting network — while re-enumerating strictly fewer nodes.
-    #[test]
-    fn incremental_maintenance_is_bit_identical_to_full_recompute() {
+    /// The pass with the incremental refresh replaced by the from-scratch
+    /// reference: every memoised cut set is dropped after each committed
+    /// substitution.
+    fn rewrite_from_scratch<N>(ntk: &mut N, params: &RewriteParams) -> RewriteStats
+    where
+        N: Network + GateBuilder,
+    {
+        rewrite_pass(
+            ntk,
+            &mut NpnDatabase::new(),
+            params,
+            &Budget::unlimited(),
+            telemetry::global(),
+            |manager, _, _| manager.invalidate_all(),
+        )
+    }
+
+    /// Every node's liveness and, for live gates, its fanins: equal
+    /// structures mean two passes built the same network node for node.
+    fn structure<N: Network>(ntk: &N) -> Vec<(bool, Vec<Signal>)> {
+        (0..ntk.size() as NodeId)
+            .map(|node| {
+                let live_gate = !ntk.is_dead(node) && ntk.is_gate(node);
+                let fanins = if live_gate {
+                    ntk.fanins(node)
+                } else {
+                    Vec::new()
+                };
+                (ntk.is_dead(node), fanins)
+            })
+            .collect()
+    }
+
+    /// The incremental-vs-full contract on one network, for `rw` and
+    /// `rwz`: refreshing the cut manager from the change log yields exactly
+    /// the pass that rebuilds it from scratch after every substitution —
+    /// same substitutions, gains and frontier revisits, the same network
+    /// node for node — while re-enumerating strictly fewer nodes whenever
+    /// the pass commits.  Returns the number of commits.
+    fn assert_refresh_matches_rebuild<N>(ntk: &N, label: &str) -> usize
+    where
+        N: Network + GateBuilder + Clone,
+    {
+        let mut commits = 0;
         for zero_gain in [false, true] {
-            let mut incremental = wasteful_projection_aig();
-            let mut full = incremental.clone();
             let params = RewriteParams {
                 allow_zero_gain: zero_gain,
                 ..RewriteParams::default()
             };
-            let inc_stats = rewrite(&mut incremental, &params);
-            let full_stats = rewrite(
-                &mut full,
-                &RewriteParams {
-                    cut_maintenance: CutMaintenance::FullRecompute,
-                    ..params
-                },
-            );
-            assert_eq!(inc_stats.substitutions, full_stats.substitutions);
-            assert_eq!(inc_stats.estimated_gain, full_stats.estimated_gain);
-            assert_eq!(incremental.num_gates(), full.num_gates());
-            assert!(equivalent_by_simulation(&incremental, &full));
+            let mut incremental = ntk.clone();
+            let inc = rewrite(&mut incremental, &params);
+            let mut full = ntk.clone();
+            let fll = rewrite_from_scratch(&mut full, &params);
+            let case = format!("{label}, zero gain {zero_gain}");
+            assert_eq!(inc.substitutions, fll.substitutions, "{case}");
+            assert_eq!(inc.estimated_gain, fll.estimated_gain, "{case}");
+            assert_eq!(inc.frontier_revisits, fll.frontier_revisits, "{case}");
+            assert_eq!(incremental.size(), full.size(), "{case}");
+            assert_eq!(structure(&incremental), structure(&full), "{case}");
+            assert_eq!(incremental.po_signals(), full.po_signals(), "{case}");
             assert!(
-                inc_stats.cuts.reenumerated_nodes <= full_stats.cuts.reenumerated_nodes,
-                "incremental re-enumerated more than full rebuild: {:?} vs {:?}",
-                inc_stats.cuts,
-                full_stats.cuts
+                inc.substitutions == 0 || inc.cuts.reenumerated_nodes < fll.cuts.reenumerated_nodes,
+                "{case}: the refresh saved nothing over a full rebuild: {:?} vs {:?}",
+                inc.cuts,
+                fll.cuts
             );
+            assert!(equivalent_by_simulation(ntk, &incremental), "{case}");
+            commits += inc.substitutions;
+        }
+        commits
+    }
+
+    /// A random network over six inputs: 45 gates, each built by `gate`
+    /// from three random, randomly complemented earlier signals and a
+    /// random flag; the last three signals drive the outputs.
+    fn random_network<N>(seed: u64, gate: fn(&mut N, [Signal; 3], bool) -> Signal) -> N
+    where
+        N: Network + GateBuilder,
+    {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let mut ntk = N::new();
+        let mut signals: Vec<Signal> = (0..6).map(|_| ntk.create_pi()).collect();
+        for _ in 0..45 {
+            let fanins =
+                [(); 3].map(|_| signals[next() % signals.len()].complement_if(next() % 2 == 0));
+            let flag = next() % 2 == 0;
+            signals.push(gate(&mut ntk, fanins, flag));
+        }
+        for s in signals.iter().rev().take(3) {
+            ntk.create_po(*s);
+        }
+        ntk
+    }
+
+    /// Random AIG, XAG and MIG over the same seed.
+    fn random_networks(seed: u64) -> (Aig, Xag, Mig) {
+        let aig = random_network(seed, |n: &mut Aig, [a, b, _], _| n.create_and(a, b));
+        let xag = random_network(seed, |n: &mut Xag, [a, b, _], xor| {
+            if xor {
+                n.create_xor(a, b)
+            } else {
+                n.create_and(a, b)
+            }
+        });
+        let mig = random_network(seed, |n: &mut Mig, [a, b, c], _| n.create_maj(a, b, c));
+        (aig, xag, mig)
+    }
+
+    #[test]
+    fn incremental_maintenance_is_bit_identical_to_full_recompute() {
+        let commits = assert_refresh_matches_rebuild(&wasteful_projection_aig(), "projection");
+        assert!(commits > 0);
+    }
+
+    /// The incremental-vs-full contract on random AIGs, XAGs and MIGs.
+    #[test]
+    fn incremental_rewriting_equals_full_recompute_on_random_networks() {
+        let mut commits = [0; 3];
+        for case in 0..8u64 {
+            let (aig, xag, mig) = random_networks(0x150d_0000 + case);
+            commits[0] += assert_refresh_matches_rebuild(&aig, &format!("aig {case}"));
+            commits[1] += assert_refresh_matches_rebuild(&xag, &format!("xag {case}"));
+            commits[2] += assert_refresh_matches_rebuild(&mig, &format!("mig {case}"));
+        }
+        assert!(
+            commits.iter().all(|&c| c > 0),
+            "commits per network: {commits:?}"
+        );
+    }
+
+    /// The refresh walk's node count repeats exactly across runs, reaches
+    /// the metrics registry as `rewrite.cuts.refresh_walked`, and is
+    /// non-zero whenever a pass commits.
+    #[test]
+    fn refresh_walk_is_counted_and_repeats() {
+        use glsx_network::telemetry::{TraceMode, Tracer};
+        fn check<N: Network + GateBuilder + Clone>(ntk: &N, label: &str) {
+            let run = || {
+                let tracer = Tracer::new(TraceMode::Counters);
+                let stats = rewrite_traced(
+                    &mut ntk.clone(),
+                    &mut NpnDatabase::new(),
+                    &RewriteParams::default(),
+                    &Budget::unlimited(),
+                    &tracer,
+                );
+                let walked = tracer.metrics().counter("rewrite.cuts.refresh_walked");
+                (stats, walked)
+            };
+            let (stats, walked) = run();
+            assert_eq!(run(), (stats, walked), "{label}");
+            assert_eq!(walked, stats.cuts.refresh_walked, "{label}");
+            assert!(stats.substitutions == 0 || walked > 0, "{label}: {stats:?}");
+        }
+        for case in 0..8u64 {
+            let (aig, xag, mig) = random_networks(0x150d_0000 + case);
+            check(&aig, &format!("aig {case}"));
+            check(&xag, &format!("xag {case}"));
+            check(&mig, &format!("mig {case}"));
         }
     }
 
@@ -517,7 +647,6 @@ mod tests {
     /// commit it actually revisits.
     #[test]
     fn frontier_revisits_never_cost_gates() {
-        use glsx_network::Signal;
         let mut state = 0x5eed_0006_u64;
         let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -544,13 +673,16 @@ mod tests {
                     ..RewriteParams::default()
                 };
                 let stats = rewrite(&mut with_frontier, &params);
-                let base_stats = rewrite(
+                // the main sweep charges one tick per visited node, so this
+                // budget runs out on the first frontier tick
+                let base_stats = rewrite_traced(
                     &mut without,
-                    &RewriteParams {
-                        revisit_frontier: false,
-                        ..params
-                    },
+                    &mut NpnDatabase::new(),
+                    &params,
+                    &Budget::with_ticks(stats.visited as u64 + 1),
+                    telemetry::global(),
                 );
+                assert_eq!(base_stats.visited, stats.visited);
                 assert_eq!(base_stats.frontier_revisits, 0);
                 assert!(
                     with_frontier.num_gates() <= without.num_gates(),

@@ -27,11 +27,12 @@
 //!    words and the network is re-simulated, splitting every class the new
 //!    patterns distinguish.  The loop repeats until no counterexamples
 //!    remain (or [`SweepParams::max_rounds`] is reached).  Class
-//!    maintenance is *incremental* by default: new words can only split
-//!    classes, so only the members of surviving multi-member classes are
-//!    re-hashed, and only on the words appended that round — visiting
-//!    candidate pairs in exactly the order a full re-sort would (the
-//!    verified [`SweepParams::incremental_classes`] contract).
+//!    maintenance is *incremental*: new words can only split classes, so
+//!    only the members of surviving multi-member classes are re-hashed,
+//!    and only on the words appended that round — yielding exactly the
+//!    classes, in exactly the order, of a full re-sort of every live node.
+//!    Debug builds check that contract every round against the full
+//!    re-sort that builds round one's classes.
 //!
 //! Merges happen only on `UNSAT` answers — there are no simulation-only
 //! merges, so a sweep is an equivalence-preserving transformation by
@@ -77,15 +78,6 @@ pub struct SweepParams {
     pub conflict_limit: u64,
     /// Maximum number of counterexample-refinement rounds.
     pub max_rounds: usize,
-    /// Maintain equivalence classes incrementally across refinement rounds
-    /// (default): new pattern words can only *split* classes, so after a
-    /// counterexample round only the members of surviving multi-member
-    /// classes are re-hashed, and only on the words appended that round —
-    /// instead of re-sorting every live node on the full signature.  `false`
-    /// selects the full re-sort, the from-scratch reference the incremental
-    /// path is verified against (both visit candidate pairs in exactly the
-    /// same order).
-    pub incremental_classes: bool,
     /// Keep every proven-equivalent cone as a structural *choice* of its
     /// class representative instead of deleting it: fanouts are still
     /// rewired onto the representative, but the losing cone stays alive in
@@ -112,7 +104,6 @@ impl Default for SweepParams {
             seed: 0x5eed_ba5e_u64,
             conflict_limit: 1_000,
             max_rounds: 8,
-            incremental_classes: true,
             record_choices: false,
             parallelism: Parallelism::serial(),
         }
@@ -142,12 +133,11 @@ pub struct SweepStats {
     pub skipped: usize,
     /// Total SAT conflicts spent (summed over the per-class solvers).
     pub conflicts: u64,
-    /// Nodes (re-)hashed into candidate classes over all rounds.  Under
-    /// incremental class maintenance only members of surviving
-    /// multi-member classes are re-hashed after round one; under the full
-    /// re-sort every live node is, every round.  The two modes are
-    /// otherwise bit-identical, so this counter is the work the
-    /// incremental path saves.
+    /// Nodes (re-)hashed into candidate classes over all rounds: every
+    /// live node in round one, then only the members of surviving
+    /// multi-member classes.  A full re-sort would hash every live node
+    /// every round, so this stays below `rounds × live nodes` once
+    /// refinement rounds run.
     pub reclassed_nodes: usize,
     /// Proven cones registered as structural choices instead of deleted
     /// (nonzero only under [`SweepParams::record_choices`]; every one is
@@ -804,9 +794,8 @@ pub fn sweep_traced<N: Network>(
     let mut replacer = Replacer::new();
     // the class partition: `members` holds class members contiguously and
     // `bounds` the (start, end) range of every multi-member class, in
-    // signature order.  Under incremental maintenance the partition lives
-    // across rounds and is only *refined* (split) by new pattern words;
-    // under the full re-sort it is rebuilt from every live node each round.
+    // signature order.  Built from every live node in round one, it lives
+    // across rounds and is only *refined* (split) by new pattern words.
     let mut members: Vec<NodeId> = Vec::new();
     let mut bounds: Vec<(u32, u32)> = Vec::new();
     let mut next_members: Vec<NodeId> = Vec::new();
@@ -828,42 +817,9 @@ pub fn sweep_traced<N: Network>(
         stats.rounds = round + 1;
 
         let classify = tracer.span("classify");
-        if round == 0 || !params.incremental_classes {
-            // deterministic partition from scratch: sort all live nodes by
-            // their polarity-normalised signature, then by topological
-            // rank; classes are the runs of equal signatures
-            members.clear();
-            members.push(0);
-            members.extend(ntk.pi_nodes());
-            members.extend(ntk.gate_nodes());
+        if round == 0 {
+            partition_from_scratch(ntk, &sim, &rank, &mut members, &mut bounds);
             stats.reclassed_nodes += members.len();
-            let words = sim.num_words();
-            let signature_cmp = |a: NodeId, b: NodeId| {
-                for w in 0..words {
-                    let cmp = sim.canonical_word(w, a).cmp(&sim.canonical_word(w, b));
-                    if cmp != std::cmp::Ordering::Equal {
-                        return cmp;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            };
-            members.sort_unstable_by(|&a, &b| {
-                signature_cmp(a, b).then_with(|| rank[a as usize].cmp(&rank[b as usize]))
-            });
-            bounds.clear();
-            let mut start = 0usize;
-            while start < members.len() {
-                let mut end = start + 1;
-                while end < members.len()
-                    && signature_cmp(members[start], members[end]) == std::cmp::Ordering::Equal
-                {
-                    end += 1;
-                }
-                if end - start >= 2 {
-                    bounds.push((start as u32, end as u32));
-                }
-                start = end;
-            }
         } else {
             // incremental refinement: signatures only *gain* words, so
             // classes can only split — never merge, and a singleton can
@@ -872,8 +828,7 @@ pub fn sweep_traced<N: Network>(
             // members agree on all older words by construction); members
             // that died from earlier merges drop out.  Sub-classes are
             // ordered by the new words and ties by rank, which is exactly
-            // the order the full re-sort would produce, so both modes
-            // visit candidate pairs identically.
+            // the order the full re-sort would produce.
             let words = sim.num_words();
             let new_word_cmp = |a: NodeId, b: NodeId| {
                 for w in new_words_start..words {
@@ -917,6 +872,10 @@ pub fn sweep_traced<N: Network>(
             }
             std::mem::swap(&mut members, &mut next_members);
             std::mem::swap(&mut bounds, &mut next_bounds);
+            debug_assert!(
+                matches_partition_from_scratch(ntk, &sim, &rank, &members, &bounds),
+                "round {round}: refined classes differ from the from-scratch partition"
+            );
         }
 
         drop(classify);
@@ -1020,6 +979,70 @@ pub fn sweep_traced<N: Network>(
     tracer.absorb("fraig.sat", &sat);
     tracer.set_gauge("fraig.gates_after", stats.gates_after as u64);
     stats
+}
+
+/// Partitions every live node into candidate classes from scratch: sorts
+/// the constant, the inputs and the gates by their polarity-normalised
+/// signature over all simulated words, then by topological `rank`.
+/// `members` receives the sorted nodes (singletons included) and `bounds`
+/// the (start, end) range of every multi-member class — a run of equal
+/// signatures — in signature order.
+fn partition_from_scratch<N: Network>(
+    ntk: &N,
+    sim: &WordSimulator,
+    rank: &[u32],
+    members: &mut Vec<NodeId>,
+    bounds: &mut Vec<(u32, u32)>,
+) {
+    members.clear();
+    members.push(0);
+    members.extend(ntk.pi_nodes());
+    members.extend(ntk.gate_nodes());
+    let words = sim.num_words();
+    let signature_cmp = |a: NodeId, b: NodeId| {
+        for w in 0..words {
+            let cmp = sim.canonical_word(w, a).cmp(&sim.canonical_word(w, b));
+            if cmp != std::cmp::Ordering::Equal {
+                return cmp;
+            }
+        }
+        std::cmp::Ordering::Equal
+    };
+    members.sort_unstable_by(|&a, &b| {
+        signature_cmp(a, b).then_with(|| rank[a as usize].cmp(&rank[b as usize]))
+    });
+    bounds.clear();
+    let mut start = 0usize;
+    while start < members.len() {
+        let mut end = start + 1;
+        while end < members.len()
+            && signature_cmp(members[start], members[end]) == std::cmp::Ordering::Equal
+        {
+            end += 1;
+        }
+        if end - start >= 2 {
+            bounds.push((start as u32, end as u32));
+        }
+        start = end;
+    }
+}
+
+/// Whether the classes `bounds` delimits in `members` are exactly the
+/// multi-member classes of [`partition_from_scratch`], in the same order:
+/// the contract of incremental refinement, checked in debug builds.
+fn matches_partition_from_scratch<N: Network>(
+    ntk: &N,
+    sim: &WordSimulator,
+    rank: &[u32],
+    members: &[NodeId],
+    bounds: &[(u32, u32)],
+) -> bool {
+    let (mut all, mut all_bounds) = (Vec::new(), Vec::new());
+    partition_from_scratch(ntk, sim, rank, &mut all, &mut all_bounds);
+    bounds.len() == all_bounds.len()
+        && bounds.iter().zip(&all_bounds).all(|(&(s, e), &(t, f))| {
+            members[s as usize..e as usize] == all[t as usize..f as usize]
+        })
 }
 
 impl MetricsSource for SweepStats {
@@ -1696,71 +1719,50 @@ mod tests {
         assert!(check_equivalence(&a, &b_clone).is_equivalent());
     }
 
-    /// Incremental class maintenance is bit-identical to the full re-sort:
-    /// same rounds, same candidate pairs in the same order (hence the same
-    /// solver work), same proofs, same merges — while re-hashing far fewer
-    /// nodes.
+    /// Incremental class maintenance reproduces the full re-sort in every
+    /// refinement round: the sweep debug-asserts it round by round, and
+    /// this sweep runs refinement rounds, so it reaches that check.  The
+    /// refinement re-hashes fewer nodes than re-sorting every live node
+    /// each round would.
     #[test]
     fn incremental_classes_match_full_resort() {
-        let build = || {
-            // many inputs + a single initial pattern word makes signature
-            // collisions between inequivalent nodes likely, forcing real
-            // counterexample-refinement rounds
-            let mut aig = Aig::new();
-            let pis: Vec<Signal> = (0..16).map(|_| aig.create_pi()).collect();
-            let mut signals = pis.clone();
-            let mut state = 0x1234_5678_u64;
-            let mut next = move || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                (state >> 33) as usize
-            };
-            for _ in 0..80 {
-                let a = signals[next() % signals.len()].complement_if(next() % 2 == 0);
-                let b = signals[next() % signals.len()].complement_if(next() % 2 == 0);
-                signals.push(aig.create_and(a, b));
-            }
-            for s in signals.iter().rev().take(6) {
-                aig.create_po(*s);
-            }
-            aig
+        // many inputs + a single initial pattern word makes signature
+        // collisions between inequivalent nodes likely, forcing real
+        // counterexample-refinement rounds
+        let mut aig = Aig::new();
+        let pis: Vec<Signal> = (0..16).map(|_| aig.create_pi()).collect();
+        let mut signals = pis.clone();
+        let mut state = 0x1234_5678_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
         };
-        let params = SweepParams {
-            num_words: 1,
-            ..SweepParams::default()
-        };
-        let mut incremental = build();
-        let mut full = incremental.clone();
-        let inc_stats = sweep(&mut incremental, &params);
-        let full_stats = sweep(
-            &mut full,
+        for _ in 0..80 {
+            let a = signals[next() % signals.len()].complement_if(next() % 2 == 0);
+            let b = signals[next() % signals.len()].complement_if(next() % 2 == 0);
+            signals.push(aig.create_and(a, b));
+        }
+        for s in signals.iter().rev().take(6) {
+            aig.create_po(*s);
+        }
+        let live_nodes = 1 + aig.num_pis() + aig.num_gates();
+        let mut swept = aig.clone();
+        let stats = sweep(
+            &mut swept,
             &SweepParams {
-                incremental_classes: false,
-                ..params
+                num_words: 1,
+                ..SweepParams::default()
             },
         );
         assert!(
-            inc_stats.rounds > 1 && inc_stats.refuted > 0,
-            "the refinement path must actually run: {inc_stats:?}"
+            stats.rounds > 1 && stats.refuted > 0,
+            "the refinement path must actually run: {stats:?}"
         );
-        // identical behaviour, field by field (except the work counter)
-        assert_eq!(inc_stats.rounds, full_stats.rounds);
-        assert_eq!(inc_stats.candidate_pairs, full_stats.candidate_pairs);
-        assert_eq!(inc_stats.proven, full_stats.proven);
-        assert_eq!(inc_stats.refuted, full_stats.refuted);
-        assert_eq!(inc_stats.skipped, full_stats.skipped);
-        assert_eq!(inc_stats.conflicts, full_stats.conflicts);
-        assert_eq!(inc_stats.gates_after, full_stats.gates_after);
-        assert_eq!(incremental.num_gates(), full.num_gates());
-        assert_eq!(incremental.po_signals(), full.po_signals());
-        // the incremental path re-hashes strictly less once refinement
-        // rounds happen; with a single round both count the initial sort
-        if inc_stats.rounds > 1 {
-            assert!(
-                inc_stats.reclassed_nodes < full_stats.reclassed_nodes,
-                "incremental {inc_stats:?} vs full {full_stats:?}"
-            );
-        }
-        assert!(check_equivalence(&incremental, &full).is_equivalent());
+        assert!(
+            stats.reclassed_nodes < stats.rounds * live_nodes,
+            "refinement re-hashed as much as a full re-sort: {stats:?}"
+        );
+        assert!(check_equivalence(&aig, &swept).is_equivalent());
     }
 
     /// Random AND cones over twelve inputs; with a single initial pattern

@@ -41,7 +41,7 @@ use glsx_core::balancing::{balance_traced, BalanceParams};
 use glsx_core::lut_mapping::{lut_map_traced, LutMapParams, LutMapStats};
 use glsx_core::refactoring::{refactor_traced, RefactorParams};
 use glsx_core::resubstitution::{resubstitute_traced, ResubNetwork, ResubParams};
-use glsx_core::rewriting::{rewrite_traced, CutMaintenance, RewriteParams};
+use glsx_core::rewriting::{rewrite_traced, RewriteParams};
 use glsx_core::sweeping::{sweep_traced, SweepEngine, SweepParams};
 use glsx_network::telemetry::{self, SpanOverride, Tracer};
 use glsx_network::{cleanup_dangling, Budget, GateBuilder, Klut, Network, Parallelism};
@@ -59,14 +59,6 @@ pub struct FlowOptions {
     pub max_divisors: usize,
     /// SAT-sweeping parameters used by `fraig` steps.
     pub sweep: SweepParams,
-    /// Run every pass in its *from-scratch* maintenance mode (full cut
-    /// rebuilds after each substitution, full signature re-sorts each
-    /// sweeping round) instead of the incremental default, and give every
-    /// `fraig` step a fresh [`SweepEngine`] instead of recycling pattern
-    /// words across steps.  Each pass produces the same network in both
-    /// modes; the CI smoke run executes each pass in both and asserts
-    /// exactly that.
-    pub full_recompute: bool,
     /// Pass-level parallelism of [`portfolio_best_luts`]: the AIG, MIG and
     /// XAG flows are fully independent, so they run on one scoped thread
     /// each, joined in the fixed AIG, MIG, XAG order.  The result is
@@ -83,7 +75,6 @@ impl Default for FlowOptions {
             refactor_leaves: 10,
             max_divisors: 50,
             sweep: SweepParams::default(),
-            full_recompute: false,
             parallelism: Parallelism::from_env(),
         }
     }
@@ -162,11 +153,6 @@ where
             let params = RewriteParams {
                 cut_size: options.rewrite_cut_size,
                 allow_zero_gain: *zero_gain,
-                cut_maintenance: if options.full_recompute {
-                    CutMaintenance::FullRecompute
-                } else {
-                    CutMaintenance::Incremental
-                },
                 ..RewriteParams::default()
             };
             let mut database = NpnDatabase::new();
@@ -213,9 +199,6 @@ where
             if *record_choices {
                 params.record_choices = true;
             }
-            if options.full_recompute {
-                params.incremental_classes = false;
-            }
             let stats = sweep_traced(ntk, &params, sweep_engine, budget, tracer);
             stats.proven
         }
@@ -234,8 +217,7 @@ where
 /// [`FlowStep::LutMap`] steps are skipped here for the same reason.
 ///
 /// Consecutive `fraig` steps share one [`SweepEngine`] (pattern words
-/// recycled) unless [`FlowOptions::full_recompute`] selects the
-/// from-scratch reference, which gives every step a fresh engine.
+/// recycled).
 pub fn run_script<N>(ntk: &mut N, script: &FlowScript, options: &FlowOptions) -> FlowStats
 where
     N: Network + GateBuilder + ResubNetwork,
@@ -287,9 +269,6 @@ where
     };
     let mut engine = SweepEngine::new();
     for (index, step) in script.steps().iter().enumerate() {
-        if options.full_recompute {
-            engine.reset();
-        }
         let budget = match script.budget_of(index) {
             Some(ticks) => Budget::with_ticks(ticks),
             None => Budget::unlimited(),
@@ -312,7 +291,7 @@ where
 /// mapper selects over them.  The mapping parameters come from the
 /// script's trailing [`FlowStep::LutMap`] step (or `defaults` when the
 /// script ends without one); a `lut_map` step anywhere but last is
-/// rejected by debug assertion and skipped.
+/// skipped, as in [`run_script`].
 ///
 /// Returns the flow statistics, the mapped network and the mapping
 /// statistics.
@@ -362,13 +341,6 @@ where
     };
     let mut engine = SweepEngine::new();
     for (index, step) in passes.iter().enumerate() {
-        debug_assert!(
-            !matches!(step, FlowStep::LutMap { .. }),
-            "lut_map must be the final step of a mapping script"
-        );
-        if options.full_recompute {
-            engine.reset();
-        }
         // `passes` is a prefix of the script, so indices line up
         let budget = match script.budget_of(index) {
             Some(ticks) => Budget::with_ticks(ticks),
@@ -534,28 +506,6 @@ mod tests {
         assert!(generous.num_gates() < before);
     }
 
-    /// The incremental and from-scratch flow modes produce bit-identical
-    /// networks for every step kind.
-    #[test]
-    fn full_recompute_flow_matches_incremental_flow() {
-        let mut incremental: Aig = adder(4);
-        glsx_benchmarks::inject_redundancy(&mut incremental, 4, 0xF00D);
-        let mut full = incremental.clone();
-        let script = FlowScript::parse("fraig; rw; rs -c 6; rwz").unwrap();
-        let inc_stats = run_script(&mut incremental, &script, &FlowOptions::default());
-        let full_stats = run_script(
-            &mut full,
-            &script,
-            &FlowOptions {
-                full_recompute: true,
-                ..FlowOptions::default()
-            },
-        );
-        assert_eq!(inc_stats.substitutions, full_stats.substitutions);
-        assert_eq!(incremental.num_gates(), full.num_gates());
-        assert!(glsx_core::sweeping::check_equivalence(&incremental, &full).is_equivalent());
-    }
-
     /// The `fraig -choices; lut_map -choices` script path: choices are
     /// recorded, survive until mapping, the mapped result is miter-proven
     /// equivalent to the source, and it never uses more LUTs than the
@@ -644,6 +594,25 @@ mod tests {
         let stats = run_script(&mut aig, &with_map, &FlowOptions::default());
         assert!(stats.final_size <= stats.initial_size);
         assert!(equivalent_by_simulation(&reference, &aig));
+    }
+
+    /// A `lut_map` step before the last is skipped by the mapping runner
+    /// too: the terminal step alone sets the LUT size.
+    #[test]
+    fn mapping_runner_skips_non_terminal_lut_map_steps() {
+        fn check<N: Network + GateBuilder + ResubNetwork + Clone>(ntk: &N) {
+            let defaults = LutMapParams::with_lut_size(6);
+            let script = FlowScript::parse("lut_map; rw; lut_map -k 4").unwrap();
+            let mut optimised = ntk.clone();
+            let (_, klut, stats) =
+                run_script_and_map(&mut optimised, &script, &FlowOptions::default(), &defaults);
+            assert!(klut.max_fanin_size() <= 4, "{stats:?}");
+            assert!(equivalent_by_simulation(ntk, &klut));
+        }
+        let aig: Aig = adder(3);
+        check(&aig);
+        check(&convert_network::<Aig, Xag>(&aig));
+        check(&convert_network::<Aig, Mig>(&aig));
     }
 
     #[test]

@@ -1,7 +1,14 @@
 //! The flow-script mini language (`bz; rs -c 6; rw; fraig; rfz; …`).
 
+use glsx_core::cuts::MAX_CUT_LEAVES;
 use std::error::Error;
 use std::fmt;
+use std::ops::RangeInclusive;
+
+/// The LUT sizes `lut_map -k` accepts: every gate of an AIG, XAG, MIG or
+/// XMG fits into a LUT of at least three inputs, and the cut substrate
+/// stores at most [`MAX_CUT_LEAVES`] leaves.
+const LUT_SIZES: RangeInclusive<usize> = 3..=MAX_CUT_LEAVES;
 
 /// A single optimisation step of a flow script.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +50,8 @@ pub enum FlowStep {
         record_choices: bool,
     },
     /// Terminal LUT mapping (`lut_map [-k <lut size>] [-choices]`).
+    /// The parser accepts LUT sizes from 3 (a majority gate has three
+    /// fanins) to [`MAX_CUT_LEAVES`](glsx_core::cuts::MAX_CUT_LEAVES).
     ///
     /// Mapping changes the representation (any graph network → k-LUTs), so
     /// this step is consumed by
@@ -168,7 +177,9 @@ impl FlowScript {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown commands or malformed options.
+    /// Returns an error for unknown commands, malformed options, or a
+    /// `lut_map -k` below 3 or above
+    /// [`MAX_CUT_LEAVES`](glsx_core::cuts::MAX_CUT_LEAVES).
     pub fn parse(text: &str) -> Result<Self, ParseFlowScriptError> {
         let mut steps = Vec::new();
         let mut budgets = Vec::new();
@@ -256,9 +267,18 @@ impl FlowScript {
                                     rest.get(i + 1).ok_or_else(|| ParseFlowScriptError {
                                         message: format!("missing value after -k in `{command}`"),
                                     })?;
-                                lut_size = value.parse().map_err(|_| ParseFlowScriptError {
-                                    message: format!("invalid number `{value}` in `{command}`"),
-                                })?;
+                                lut_size = value
+                                    .parse()
+                                    .ok()
+                                    .filter(|k| LUT_SIZES.contains(k))
+                                    .ok_or_else(|| ParseFlowScriptError {
+                                        message: format!(
+                                            "invalid LUT size `{value}` in `{command}` \
+                                             (expected {}..={})",
+                                            LUT_SIZES.start(),
+                                            LUT_SIZES.end()
+                                        ),
+                                    })?;
                                 i += 2;
                             }
                             "-choices" => {
@@ -530,6 +550,18 @@ mod tests {
         assert_eq!(script.to_string(), "lut_map -k 4");
         assert!(FlowScript::parse("lut_map -k").is_err());
         assert!(FlowScript::parse("lut_map -k x").is_err());
+        for k in [0, 1, 2, 9, 64] {
+            assert!(
+                FlowScript::parse(&format!("lut_map -k {k}")).is_err(),
+                "-k {k}"
+            );
+        }
+        for k in LUT_SIZES {
+            assert!(
+                FlowScript::parse(&format!("lut_map -k {k}")).is_ok(),
+                "-k {k}"
+            );
+        }
         assert!(FlowScript::parse("fraig -choices extra").is_err());
     }
 

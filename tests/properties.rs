@@ -12,7 +12,7 @@ use glsx::algorithms::cuts::{simulate_cut, Cut, CutFunction, CutManager, CutPara
 use glsx::algorithms::lut_mapping::{lut_map, lut_map_stats, LutMapParams};
 use glsx::algorithms::refactoring::{refactor, RefactorParams};
 use glsx::algorithms::resubstitution::{resubstitute, ResubNetwork, ResubParams};
-use glsx::algorithms::rewriting::{rewrite, CutMaintenance, RewriteParams};
+use glsx::algorithms::rewriting::{rewrite, RewriteParams};
 use glsx::algorithms::sweeping::{check_equivalence, sweep, EquivalenceResult, SweepParams};
 use glsx::algorithms::Replacer;
 use glsx::benchmarks::SplitMix64 as Rng;
@@ -848,50 +848,15 @@ fn refresh_from_change_log_equals_from_scratch_enumeration() {
     );
 }
 
-/// Incremental rewriting (change-log refresh) and full recomputation
-/// (manager rebuilt after every substitution) are bit-identical passes on
-/// random networks — and incremental re-enumerates no more nodes.
-#[test]
-fn incremental_rewriting_equals_full_recompute_on_random_networks() {
-    let mut rng = Rng::seed_from_u64(0x150d);
-    for case in 0..8 {
-        let aig = arbitrary_network(&mut rng, 6, 45);
-        for zero_gain in [false, true] {
-            let params = RewriteParams {
-                allow_zero_gain: zero_gain,
-                ..RewriteParams::default()
-            };
-            let mut incremental = aig.clone();
-            let inc = rewrite(&mut incremental, &params);
-            let mut full = aig.clone();
-            let fll = rewrite(
-                &mut full,
-                &RewriteParams {
-                    cut_maintenance: CutMaintenance::FullRecompute,
-                    ..params
-                },
-            );
-            assert_eq!(inc.substitutions, fll.substitutions, "case {case}");
-            assert_eq!(inc.estimated_gain, fll.estimated_gain, "case {case}");
-            assert_eq!(incremental.num_gates(), full.num_gates(), "case {case}");
-            assert_eq!(incremental.po_signals(), full.po_signals(), "case {case}");
-            assert!(
-                inc.cuts.reenumerated_nodes <= fll.cuts.reenumerated_nodes,
-                "case {case}: {:?} vs {:?}",
-                inc.cuts,
-                fll.cuts
-            );
-            assert!(equivalent_by_simulation(&aig, &incremental), "case {case}");
-        }
-    }
-}
-
 /// Incremental sweeping classes match the full re-sort every round on
-/// random signature-collision-heavy networks: identical pairs, proofs,
-/// merges and final networks.
+/// random signature-collision-heavy networks: the sweep debug-asserts the
+/// refined classes against the full re-sort each round, and most cases
+/// here run refinement rounds, so they reach that check.  Refinement
+/// re-hashes fewer nodes than re-sorting every live node each round.
 #[test]
 fn incremental_sweeping_classes_match_full_resort() {
     let mut rng = Rng::seed_from_u64(0x150e);
+    let mut refined = 0;
     for case in 0..6 {
         // wide input space + a single pattern word force collisions and
         // therefore real counterexample-refinement rounds
@@ -901,63 +866,22 @@ fn incremental_sweeping_classes_match_full_resort() {
             seed: 0x5eed + case,
             ..SweepParams::default()
         };
-        let mut incremental = aig.clone();
-        let inc = sweep(&mut incremental, &params);
-        let mut full = aig.clone();
-        let fll = sweep(
-            &mut full,
-            &SweepParams {
-                incremental_classes: false,
-                ..params
-            },
-        );
-        assert_eq!(inc.rounds, fll.rounds, "case {case}");
-        assert_eq!(inc.candidate_pairs, fll.candidate_pairs, "case {case}");
-        assert_eq!(inc.proven, fll.proven, "case {case}");
-        assert_eq!(inc.refuted, fll.refuted, "case {case}");
-        assert_eq!(inc.skipped, fll.skipped, "case {case}");
-        assert_eq!(inc.conflicts, fll.conflicts, "case {case}");
-        assert_eq!(incremental.num_gates(), full.num_gates(), "case {case}");
-        assert_eq!(incremental.po_signals(), full.po_signals(), "case {case}");
+        let live_nodes = 1 + aig.num_pis() + aig.num_gates();
+        let mut swept = aig.clone();
+        let stats = sweep(&mut swept, &params);
+        if stats.rounds > 1 {
+            refined += 1;
+            assert!(
+                stats.reclassed_nodes < stats.rounds * live_nodes,
+                "case {case}: {stats:?}"
+            );
+        }
         assert!(
-            inc.reclassed_nodes <= fll.reclassed_nodes,
-            "case {case}: {inc:?} vs {fll:?}"
-        );
-        assert!(
-            check_equivalence(&aig, &incremental).is_equivalent(),
+            check_equivalence(&aig, &swept).is_equivalent(),
             "case {case}"
         );
     }
-}
-
-/// Incremental area-flow refinement selects the same LUT cover as full
-/// recomputation while evaluating fewer choices.
-#[test]
-fn incremental_lut_mapping_matches_full_recompute() {
-    let mut rng = Rng::seed_from_u64(0x150f);
-    for case in 0..6 {
-        let aig = arbitrary_network(&mut rng, 6, 50);
-        let incremental = LutMapParams {
-            area_flow_rounds: 3,
-            ..LutMapParams::with_lut_size(4)
-        };
-        let full = LutMapParams {
-            full_recompute: true,
-            ..incremental
-        };
-        let inc = lut_map_stats(&aig, &incremental);
-        let fll = lut_map_stats(&aig, &full);
-        assert_eq!(inc.num_luts, fll.num_luts, "case {case}");
-        assert_eq!(inc.depth, fll.depth, "case {case}");
-        assert!(
-            inc.choice_evaluations < fll.choice_evaluations,
-            "case {case}: {inc:?} vs {fll:?}"
-        );
-        let a = lut_map(&aig, &incremental);
-        let b = lut_map(&aig, &full);
-        assert_eq!(a.po_signals(), b.po_signals(), "case {case}");
-        assert!(equivalent_by_simulation(&a, &b), "case {case}");
-    }
+    assert!(refined > 0, "no case ran a refinement round");
 }
 
 /// Cut-merge invariants of the arena-backed cut substrate: results are
@@ -1654,4 +1578,139 @@ fn streaming_io_round_trips_bit_identically() {
             &format!("MIG case {case}"),
         );
     }
+}
+
+/// Seeded script mutations never panic a runner: the `compress2rs` script
+/// and a choice-mapping script get their numbers swapped for edge values,
+/// steps dropped, duplicated and reordered, `lut_map` inserted mid-script
+/// and `-budget`/`-trace` marks added.  Every mutant that parses runs
+/// through `run_script` and `run_script_and_map` on a small AIG, XAG and
+/// MIG.
+#[test]
+fn mutated_flow_scripts_never_panic() {
+    use glsx::algorithms::resubstitution::ResubNetwork;
+    use glsx::benchmarks::arithmetic::adder;
+    use glsx::flow::{compress2rs_script, run_script, run_script_and_map, FlowScript};
+    use glsx::network::convert_network;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const NUMBERS: [&str; 7] = ["0", "1", "2", "9", "13", "64", "18446744073709551615"];
+
+    fn mutate(rng: &mut Rng, steps: &mut Vec<String>) {
+        let pick = |rng: &mut Rng, len: usize| rng.gen_range(len.max(1));
+        let number = |rng: &mut Rng| NUMBERS[rng.gen_range(NUMBERS.len())];
+        match rng.gen_range(7) {
+            0 => {
+                let numbered: Vec<(usize, usize)> = steps
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(i, step)| {
+                        step.split_whitespace()
+                            .enumerate()
+                            .filter(|(_, token)| token.parse::<u64>().is_ok())
+                            .map(move |(j, _)| (i, j))
+                    })
+                    .collect();
+                if numbered.is_empty() {
+                    return;
+                }
+                let (i, j) = numbered[pick(rng, numbered.len())];
+                let mut tokens: Vec<&str> = steps[i].split_whitespace().collect();
+                tokens[j] = number(rng);
+                steps[i] = tokens.join(" ");
+            }
+            1 if !steps.is_empty() => {
+                steps.remove(pick(rng, steps.len()));
+            }
+            2 if !steps.is_empty() => {
+                let i = pick(rng, steps.len());
+                steps.insert(i, steps[i].clone());
+            }
+            3 if !steps.is_empty() => {
+                let (i, j) = (pick(rng, steps.len()), pick(rng, steps.len()));
+                steps.swap(i, j);
+            }
+            4 => {
+                let step = if rng.gen_bool() {
+                    "lut_map".to_string()
+                } else {
+                    format!("lut_map -k {}", 3 + rng.gen_range(6))
+                };
+                steps.insert(pick(rng, steps.len()), step);
+            }
+            5 if !steps.is_empty() => {
+                let i = pick(rng, steps.len());
+                steps[i] = format!("{} -budget {}", steps[i], number(rng));
+            }
+            6 if !steps.is_empty() => {
+                let i = pick(rng, steps.len());
+                steps[i].push_str(" -trace");
+            }
+            _ => {}
+        }
+    }
+
+    /// The runners that panicked on `script` over `ntk`.
+    fn panicking_runners<N>(ntk: &N, script: &FlowScript) -> Vec<&'static str>
+    where
+        N: Network + GateBuilder + ResubNetwork + Clone,
+    {
+        let options = FlowOptions::default();
+        let defaults = LutMapParams::with_lut_size(4);
+        let mut panicked = Vec::new();
+        let mut copy = ntk.clone();
+        if catch_unwind(AssertUnwindSafe(|| run_script(&mut copy, script, &options))).is_err() {
+            panicked.push("run_script");
+        }
+        let mut copy = ntk.clone();
+        if catch_unwind(AssertUnwindSafe(|| {
+            run_script_and_map(&mut copy, script, &options, &defaults)
+        }))
+        .is_err()
+        {
+            panicked.push("run_script_and_map");
+        }
+        panicked
+    }
+
+    let bases = [
+        compress2rs_script().to_string(),
+        "fraig -choices; lut_map -k 6 -choices".to_string(),
+    ];
+    let aig: Aig = adder(2);
+    let xag: Xag = convert_network(&aig);
+    let mig: Mig = convert_network(&aig);
+    let mut rng = Rng::seed_from_u64(0x5c41_9700);
+    let mut parsed = 0;
+    let mut panics = Vec::new();
+    for case in 0..96 {
+        let mut steps: Vec<String> = bases[case % bases.len()]
+            .split(';')
+            .map(|step| step.trim().to_string())
+            .collect();
+        for _ in 0..1 + rng.gen_range(3) {
+            mutate(&mut rng, &mut steps);
+        }
+        let text = steps.join("; ");
+        let Ok(script) = FlowScript::parse(&text) else {
+            continue;
+        };
+        parsed += 1;
+        for (kind, runners) in [
+            ("aig", panicking_runners(&aig, &script)),
+            ("xag", panicking_runners(&xag, &script)),
+            ("mig", panicking_runners(&mig, &script)),
+        ] {
+            for runner in runners {
+                panics.push(format!("{runner} on {kind}: `{text}`"));
+            }
+        }
+    }
+    assert!(parsed >= 48, "only {parsed} of 96 mutants parsed");
+    assert!(
+        panics.is_empty(),
+        "{} panics:\n{}",
+        panics.len(),
+        panics.join("\n")
+    );
 }
