@@ -18,7 +18,12 @@
 //! pass — simulation, class partitioning, SAT proving and merging — in
 //! nodes per second, asserting that every run merges proven duplicates
 //! and that the swept network is miter-equivalent to its redundant
-//! input.  Setting `GLSX_WRITE_BENCH_BASELINE=1` records the
+//! input.  Its scaling series sweeps `mac_datapath(16, k)` with one
+//! injected cone per 12 gates at k = 2, 4 and 8, recording seconds,
+//! candidate pairs, proven pairs and the pairs proven on their bounded
+//! window, asserts that at least 90% of the proven pairs close in the
+//! window, and checks each swept network against its input by random
+//! simulation.  Setting `GLSX_WRITE_BENCH_BASELINE=1` records the
 //! results at the repository root.
 //!
 //! The mapping section (`BENCH_map.json`) injects *restructured
@@ -38,7 +43,7 @@
 //! on AND off) with the same miter guards, counts the 4-input NPN
 //! classes, checks the ISOP covers and runs the resubstitution row once.
 
-use glsx_benchmarks::arithmetic::{adder, barrel_shifter, multiplier, square};
+use glsx_benchmarks::arithmetic::{adder, barrel_shifter, mac_datapath, multiplier, square};
 use glsx_benchmarks::{inject_redundancy, inject_restructured, SplitMix64};
 use glsx_core::cuts::CutCounters;
 use glsx_core::lut_mapping::LutMapParams;
@@ -46,7 +51,7 @@ use glsx_core::resubstitution::{resubstitute, ResubNetwork, ResubParams};
 use glsx_core::rewriting::{rewrite, RewriteParams};
 use glsx_core::sweeping::{check_equivalence, sweep, SweepParams};
 use glsx_flow::{run_script_and_map, run_step, FlowOptions, FlowScript};
-use glsx_network::simulation::equivalent_by_simulation;
+use glsx_network::simulation::{equivalent_by_random_simulation, equivalent_by_simulation};
 use glsx_network::{convert_network, Aig, Mig, Network, Xag};
 use glsx_truth::{isop, npn_canonize, TruthTable};
 use std::collections::HashSet;
@@ -296,20 +301,39 @@ struct SweepRow {
     circuit: &'static str,
     gates_before: usize,
     gates_after: usize,
+    candidate_pairs: usize,
     proven: usize,
+    /// Of `proven`, the pairs whose proof closed on the bounded window.
+    window_proven: usize,
     skipped: usize,
     sat_conflicts: u64,
     seconds_per_sweep: f64,
     nodes_per_sec: f64,
 }
 
+/// Stage counts of the sweep scaling series over `mac_datapath(16, k)`.
+const SWEEP_SCALING: [(&str, usize); 3] = [
+    ("mac_datapath_16x2", 2),
+    ("mac_datapath_16x4", 4),
+    ("mac_datapath_16x8", 8),
+];
+
+/// Share of the proven pairs of every scaling row that must close on
+/// their bounded window (the rest fall back to full-cone miters).
+const MIN_WINDOW_SHARE: f64 = 0.9;
+
 /// Times a full SAT sweep of `aig` (which carries injected redundancy);
 /// best-of-N timing like [`measure`], with every repetition asserting the
-/// deterministic outcome.  The first run is verified with a miter:
-/// sweeping must preserve combinational equivalence, and every merge must
-/// be SAT-proven (`proven` counts exactly the merges; there is no other
-/// merge path).
-fn measure_sweep(name: &'static str, aig: &Aig, budget_ms: u128) -> SweepRow {
+/// deterministic outcome.  The first run is checked against `aig` by
+/// `equivalent`: sweeping must preserve combinational equivalence, and
+/// every merge must be SAT-proven (`proven` counts exactly the merges;
+/// there is no other merge path).
+fn measure_sweep(
+    name: &'static str,
+    aig: &Aig,
+    budget_ms: u128,
+    equivalent: fn(&Aig, &Aig) -> bool,
+) -> SweepRow {
     let params = SweepParams::default();
     let mut first = aig.clone();
     let reference_stats = sweep(&mut first, &params);
@@ -318,7 +342,7 @@ fn measure_sweep(name: &'static str, aig: &Aig, budget_ms: u128) -> SweepRow {
         "{name}: sweep found no redundancy to merge ({reference_stats:?})"
     );
     assert!(
-        check_equivalence(aig, &first).is_equivalent(),
+        equivalent(aig, &first),
         "{name}: sweep broke combinational equivalence"
     );
 
@@ -337,12 +361,87 @@ fn measure_sweep(name: &'static str, aig: &Aig, budget_ms: u128) -> SweepRow {
         circuit: name,
         gates_before: aig.num_gates(),
         gates_after: reference_stats.gates_after,
+        candidate_pairs: reference_stats.candidate_pairs,
         proven: reference_stats.proven,
+        window_proven: reference_stats.window_proven,
         skipped: reference_stats.skipped,
         sat_conflicts: reference_stats.conflicts,
         seconds_per_sweep: seconds,
         nodes_per_sec: aig.num_gates() as f64 / seconds,
     }
+}
+
+/// The equivalence check of the arithmetic sweep rows: a miter proof.
+fn miter_equivalent(a: &Aig, b: &Aig) -> bool {
+    check_equivalence(a, b).is_equivalent()
+}
+
+/// The equivalence check of the sweep scaling rows: 64 rounds of 64
+/// random patterns.  A miter proof costs 4.4, 28 and 228 s on them
+/// (`check_equivalence` compares every injected output in one residual
+/// miter), far longer than the rows themselves.
+fn simulated_equivalent(a: &Aig, b: &Aig) -> bool {
+    equivalent_by_random_simulation(a, b, 64, 0x5ca1)
+}
+
+/// The sweep scaling series: each `mac_datapath(16, k)` of
+/// [`SWEEP_SCALING`] with one injected redundant cone per 12 gates, swept
+/// by [`measure_sweep`]; at least [`MIN_WINDOW_SHARE`] of each row's
+/// proven pairs must close on their window.
+fn measure_sweep_scaling(budget_ms: u128) -> Vec<SweepRow> {
+    SWEEP_SCALING
+        .iter()
+        .map(|&(name, stages)| {
+            let mut aig: Aig = mac_datapath(16, stages);
+            let cones = aig.num_gates() / 12;
+            inject_redundancy(&mut aig, cones, 0x5ca1_0000 + stages as u64);
+            let row = measure_sweep(name, &aig, budget_ms, simulated_equivalent);
+            assert!(
+                row.window_proven as f64 >= MIN_WINDOW_SHARE * row.proven as f64,
+                "{name}: only {} of {} proven pairs closed in their window",
+                row.window_proven,
+                row.proven
+            );
+            row
+        })
+        .collect()
+}
+
+fn sweep_json_row(r: &SweepRow) -> String {
+    format!(
+        concat!(
+            "    {{\"circuit\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, ",
+            "\"candidate_pairs\": {}, \"proven_merges\": {}, \"window_proven\": {}, ",
+            "\"skipped_pairs\": {}, \"sat_conflicts\": {}, ",
+            "\"seconds_per_sweep\": {:.6}, \"nodes_per_sec\": {:.0}}}"
+        ),
+        r.circuit,
+        r.gates_before,
+        r.gates_after,
+        r.candidate_pairs,
+        r.proven,
+        r.window_proven,
+        r.skipped,
+        r.sat_conflicts,
+        r.seconds_per_sweep,
+        r.nodes_per_sec
+    )
+}
+
+fn print_sweep_row(r: &SweepRow) {
+    println!(
+        "sweep   {:<20} {:>5} -> {:>5} gates {:>5} pairs {:>5} proven {:>5} in window {:>3} skipped  \
+         {:.6} s  {:>10.0} nodes/s",
+        r.circuit,
+        r.gates_before,
+        r.gates_after,
+        r.candidate_pairs,
+        r.proven,
+        r.window_proven,
+        r.skipped,
+        r.seconds_per_sweep,
+        r.nodes_per_sec
+    );
 }
 
 struct MapRow {
@@ -480,7 +579,7 @@ fn main() {
         // a fast sweep probe keeps the sweep harness itself from rotting
         let mut aig: Aig = adder(8);
         inject_redundancy(&mut aig, 4, 0xbea7);
-        let _ = measure_sweep("adder_8", &aig, 200);
+        let _ = measure_sweep("adder_8", &aig, 200, miter_equivalent);
         return;
     }
 
@@ -536,16 +635,8 @@ fn main() {
         let mut redundant = aig.clone();
         let count = (aig.num_gates() / 25).max(4);
         inject_redundancy(&mut redundant, count, 0xbea7_0000 + count as u64);
-        let srow = measure_sweep(name, &redundant, 2000);
-        println!(
-            "sweep   {:<20} {:>5} -> {:>5} gates {:>4} proven {:>3} skipped  {:>10.0} nodes/s",
-            srow.circuit,
-            srow.gates_before,
-            srow.gates_after,
-            srow.proven,
-            srow.skipped,
-            srow.nodes_per_sec
-        );
+        let srow = measure_sweep(name, &redundant, 2000, miter_equivalent);
+        print_sweep_row(&srow);
         sweep_rows.push(srow);
 
         // choice-mapping workload: seeded restructured alternatives (the
@@ -567,6 +658,10 @@ fn main() {
             mrow.depth_on
         );
         map_rows.push(mrow);
+    }
+    let sweep_scaling = measure_sweep_scaling(2000);
+    for r in &sweep_scaling {
+        print_sweep_row(r);
     }
     // the acceptance bar of choice-aware mapping: at least one circuit
     // must map strictly smaller with choices on, through nonzero
@@ -652,29 +747,12 @@ fn main() {
         "{{\n  \"bench\": \"rewrite_pass\",\n  \"npn\": {npn_json},\n  \"isop\": {isop_json},\n  \"rs\": {resub_json},\n  \"circuits\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
-    let sweep_json_rows: Vec<String> = sweep_rows
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\"circuit\": \"{}\", \"gates_before\": {}, \"gates_after\": {}, ",
-                    "\"proven_merges\": {}, \"skipped_pairs\": {}, \"sat_conflicts\": {}, ",
-                    "\"seconds_per_sweep\": {:.6}, \"nodes_per_sec\": {:.0}}}"
-                ),
-                r.circuit,
-                r.gates_before,
-                r.gates_after,
-                r.proven,
-                r.skipped,
-                r.sat_conflicts,
-                r.seconds_per_sweep,
-                r.nodes_per_sec
-            )
-        })
-        .collect();
+    let sweep_json_rows: Vec<String> = sweep_rows.iter().map(sweep_json_row).collect();
+    let sweep_scaling_rows: Vec<String> = sweep_scaling.iter().map(sweep_json_row).collect();
     let sweep_json = format!(
-        "{{\n  \"bench\": \"sat_sweep_pass\",\n  \"circuits\": [\n{}\n  ]\n}}\n",
-        sweep_json_rows.join(",\n")
+        "{{\n  \"bench\": \"sat_sweep_pass\",\n  \"circuits\": [\n{}\n  ],\n  \"scaling\": [\n{}\n  ]\n}}\n",
+        sweep_json_rows.join(",\n"),
+        sweep_scaling_rows.join(",\n")
     );
     let map_json_rows: Vec<String> = map_rows
         .iter()

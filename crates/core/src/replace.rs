@@ -185,9 +185,10 @@ impl Replacer {
         if !ntk.is_gate(node) || ntk.is_dead(replacement.node()) || replacement.node() == node {
             return false;
         }
-        // walk the replacement cone down to the primary inputs; `node`
-        // anywhere inside means the substitution would create a cycle
-        if self.cone_contains(ntk, replacement.node(), node) {
+        // `node` inside the replacement's cone — equivalently, the
+        // replacement inside `node`'s fanout cone — means the substitution
+        // would create a cycle
+        if self.fanout_cone_contains(ntk, node, replacement.node()) {
             return false;
         }
         let size_before = ntk.size();
@@ -212,8 +213,8 @@ impl Replacer {
     /// an interior node of a member cut's cone; only cuts with the
     /// representative as a *leaf* are skipped).
     ///
-    /// The cone walk uses a scratch-slot traversal; callers must not hold
-    /// another live-writing traversal across this call.
+    /// The acyclicity walk uses a scratch-slot traversal; callers must not
+    /// hold another live-writing traversal across this call.
     pub fn keep_as_choice<N: Network>(
         &mut self,
         ntk: &mut N,
@@ -225,15 +226,51 @@ impl Replacer {
         }
         // registration resolves a member-level replacement to its ring
         // head and rewires onto *that* node, so the acyclicity walk must
-        // cover the head's cone, not just the replacement's
+        // look for the head, not just the replacement
         let target = ntk.choice_repr(replacement.node());
-        if ntk.is_dead(target) || target == node || self.cone_contains(ntk, target, node) {
+        if ntk.is_dead(target) || target == node || self.fanout_cone_contains(ntk, node, target) {
             return false;
         }
         ntk.register_choice(node, replacement)
     }
 
-    /// Returns `true` if `query` appears in the cone of `root` (inclusive).
+    /// Returns `true` if `query` appears in the transitive fanout of `root`
+    /// (inclusive): the same answer as "`root` appears in the fanin cone of
+    /// `query`", asked from the side that is small in a sweep.  A merge's
+    /// losing node is usually a redundant cone near the outputs with a
+    /// small fanout cone, while the winner's fanin cone reaches down to the
+    /// primary inputs: walking that for every merge would make a sweep's
+    /// apply phase quadratic.  Fanout lists are materialised first (a
+    /// bulk-loaded network defers them).
+    fn fanout_cone_contains<N: Network>(
+        &mut self,
+        ntk: &mut N,
+        root: NodeId,
+        query: NodeId,
+    ) -> bool {
+        ntk.ensure_derived_state();
+        let ntk = &*ntk;
+        let visited = glsx_network::Traversal::new(ntk);
+        self.stack.clear();
+        self.stack.push(root);
+        visited.mark(ntk, root);
+        while let Some(n) = self.stack.pop() {
+            if n == query {
+                return true;
+            }
+            ntk.foreach_fanout(n, |p| {
+                if visited.mark(ntk, p) {
+                    self.stack.push(p);
+                }
+            });
+        }
+        false
+    }
+
+    /// Returns `true` if `query` appears in the cone of `root` (inclusive):
+    /// the fanin walk [`Replacer::fanout_cone_contains`] replaced, kept as
+    /// its test oracle.
+    #[cfg(test)]
     fn cone_contains<N: Network>(&mut self, ntk: &N, root: NodeId, query: NodeId) -> bool {
         let visited = glsx_network::Traversal::new(ntk);
         self.stack.clear();
@@ -434,5 +471,102 @@ mod tests {
         );
         assert_eq!(outcome, ReplaceOutcome::Rejected);
         assert_eq!(aig.num_gates(), before);
+    }
+
+    /// A random network over six inputs: 40 gates, each built by `gate`
+    /// from three random, randomly complemented earlier signals, plus six
+    /// Shannon re-expressions `(x ∧ s) ∨ (x ∧ ¬s)` of random gates `x`, so
+    /// a choice-recording sweep has redundancy to ring; the last signals
+    /// drive the outputs.
+    fn random_network<N>(seed: u64, gate: fn(&mut N, [Signal; 3], bool) -> Signal) -> N
+    where
+        N: Network + GateBuilder,
+    {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        let mut ntk = N::new();
+        let pis: Vec<Signal> = (0..6).map(|_| ntk.create_pi()).collect();
+        let mut signals = pis.clone();
+        for _ in 0..40 {
+            let fanins =
+                [(); 3].map(|_| signals[next() % signals.len()].complement_if(next() % 2 == 0));
+            let flag = next() % 2 == 0;
+            signals.push(gate(&mut ntk, fanins, flag));
+        }
+        for _ in 0..6 {
+            let x = signals[pis.len() + next() % 40];
+            let s = pis[next() % pis.len()];
+            let (t1, t2) = (ntk.create_and(x, s), ntk.create_and(x, !s));
+            let dup = ntk.create_or(t1, t2);
+            ntk.create_po(dup);
+        }
+        for s in signals.iter().rev().take(4) {
+            ntk.create_po(*s);
+        }
+        ntk
+    }
+
+    /// The fanout walk the merges ask gives the fanin walk's answer for
+    /// every ordered pair of live nodes: `b` in the fanout cone of `a`
+    /// exactly when `a` is in the fanin cone of `b`.
+    fn assert_walks_agree<N: Network>(ntk: &mut N, case: &str) -> usize {
+        let mut replacer = Replacer::new();
+        let live: Vec<NodeId> = ntk
+            .node_ids()
+            .into_iter()
+            .filter(|&n| !ntk.is_dead(n))
+            .collect();
+        let mut reaching = 0;
+        for &a in &live {
+            for &b in &live {
+                let fanout = replacer.fanout_cone_contains(ntk, a, b);
+                assert_eq!(
+                    fanout,
+                    replacer.cone_contains(ntk, b, a),
+                    "{case}: {a} -> {b}"
+                );
+                reaching += usize::from(fanout && a != b);
+            }
+        }
+        reaching
+    }
+
+    /// The acyclicity walk from the losing node's side agrees with the
+    /// fanin walk it replaced on random AIGs, XAGs and MIGs, before and
+    /// after a choice-recording sweep rings their redundant cones.
+    #[test]
+    fn fanout_walk_agrees_with_the_fanin_walk() {
+        use crate::sweeping::{sweep, SweepParams};
+        use glsx_network::{Mig, Xag};
+        fn check<N: Network + GateBuilder>(mut ntk: N, case: &str) -> usize {
+            assert!(assert_walks_agree(&mut ntk, case) > 0, "{case}");
+            let params = SweepParams {
+                record_choices: true,
+                ..SweepParams::default()
+            };
+            let stats = sweep(&mut ntk, &params);
+            assert!(assert_walks_agree(&mut ntk, case) > 0, "{case}: {stats:?}");
+            ntk.num_choice_nodes()
+        }
+        let mut rings = 0;
+        for seed in 0..6u64 {
+            let case = format!("seed {seed}");
+            let and = |n: &mut Aig, [a, b, _]: [Signal; 3], _| n.create_and(a, b);
+            rings += check(random_network(seed, and), &format!("aig {case}"));
+            let and_xor = |n: &mut Xag, [a, b, _]: [Signal; 3], xor: bool| {
+                if xor {
+                    n.create_xor(a, b)
+                } else {
+                    n.create_and(a, b)
+                }
+            };
+            rings += check(random_network(seed, and_xor), &format!("xag {case}"));
+            let maj = |n: &mut Mig, [a, b, c]: [Signal; 3], _| n.create_maj(a, b, c);
+            rings += check(random_network(seed, maj), &format!("mig {case}"));
+        }
+        assert!(rings > 0, "no choice ring was recorded");
     }
 }

@@ -12,14 +12,22 @@
 //!    complement of another share a class and antivalent pairs are merged
 //!    with a complemented edge.  The constant node participates, so nodes
 //!    that simulate to a constant are proven against it.
-//! 2. **Prove** every candidate class against the frozen network: each
-//!    class gets a fresh CDCL solver, and each member is proven against the
-//!    class representative by a miter over a lazily built Tseitin encoding
-//!    of the two cones, under a per-pair conflict budget.  `UNSAT` is a
-//!    proof of equivalence, `SAT` yields a counterexample, and a budget
-//!    timeout skips the pair, so sweeping degrades gracefully on hard
-//!    instances instead of stalling.  Classes are independent, so the
-//!    class list is split across [`SweepParams::parallelism`] threads.
+//! 2. **Prove** every candidate class against the frozen network.  Each
+//!    member is proven against the class representative by a miter under a
+//!    per-pair conflict budget, first on a *window*: the 16 gates of the
+//!    two cones nearest their roots, expanded in decreasing topological
+//!    rank, with every node left on the window's frontier a free variable
+//!    (Mishchenko et al., ICCAD 2006: most proven pairs are local).  Free
+//!    leaves over-approximate what the real cones can feed the window, so
+//!    `UNSAT` on the window is a proof of equivalence.  Only when the
+//!    window is satisfiable (possibly spuriously) or undecided does the
+//!    pair fall back to the full miter: the class's CDCL solver over a
+//!    lazily built Tseitin encoding of both cones down to the primary
+//!    inputs.  There `UNSAT` is a proof, `SAT` yields a real
+//!    counterexample, and a budget timeout skips the pair, so sweeping
+//!    degrades gracefully on hard instances instead of stalling.  Classes
+//!    are independent, so the class list is split across
+//!    [`SweepParams::parallelism`] threads.
 //! 3. **Apply** the outcomes serially, in class order: every proven
 //!    candidate is merged into its representative through the
 //!    [`Replacer`](crate::Replacer) machinery.
@@ -51,8 +59,10 @@
 //! itself needs no SAT call at all; see
 //! [`check_equivalence_with_limits`] for the details.
 //!
-//! Each class's CNF is built lazily: one variable per encoded node, cones
-//! encoded on demand with the cone walk's visited set in an encoder-owned
+//! Windows run on per-worker scratch: a [`LocalScratch`] node → variable
+//! map and a small solver per pair.  A class's full-cone CNF is built only
+//! on fallback, lazily: one variable per encoded node, cones encoded on
+//! demand with the cone walk's visited set in an encoder-owned
 //! [`LocalScratch`] — no per-candidate maps, and no shared traversal state,
 //! so any number of classes can be proven concurrently over one network.
 
@@ -63,7 +73,7 @@ use glsx_network::{
     Budget, GateKind, LocalScratch, Network, NodeId, Parallelism, Signal, StepOutcome,
 };
 use glsx_sat::{Lit, SatResult, Solver, SolverStats, Var};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Parameters of SAT sweeping.
 #[derive(Clone, Copy, Debug)]
@@ -124,6 +134,9 @@ pub struct SweepStats {
     /// Pairs proven equivalent (every one is merged; merges happen only
     /// with a SAT proof in hand).
     pub proven: usize,
+    /// Of `proven`, the pairs whose proof closed on the bounded window of
+    /// the two cones; the rest needed the full-cone miter.
+    pub window_proven: usize,
     /// Pairs refuted by a counterexample (classes split next round).
     pub refuted: usize,
     /// Distinct pairs given up on: the conflict budget ran out, or a
@@ -131,7 +144,8 @@ pub struct SweepStats {
     /// counted once and not retried in later rounds; its nodes stay
     /// unmerged.
     pub skipped: usize,
-    /// Total SAT conflicts spent (summed over the per-class solvers).
+    /// Total SAT conflicts spent (summed over the window and full-cone
+    /// solves).
     pub conflicts: u64,
     /// Nodes (re-)hashed into candidate classes over all rounds: every
     /// live node in round one, then only the members of surviving
@@ -388,9 +402,10 @@ fn xor_tap(solver: &mut Solver, a: Lit, b: Lit) -> Var {
 
 /// Outcome of one candidate-pair proof attempt.
 enum PairOutcome {
-    /// The miter is unsatisfiable: the pair is equivalent (modulo the
-    /// claimed polarity).
-    Proven,
+    /// A miter is unsatisfiable: the pair is equivalent (modulo the
+    /// claimed polarity).  `in_window` when the bounded window of the two
+    /// cones sufficed, `false` when the full-cone miter was needed.
+    Proven { in_window: bool },
     /// A distinguishing input assignment was found.
     Refuted(Vec<bool>),
     /// The conflict limit or the effort budget's propagation allowance
@@ -415,8 +430,8 @@ impl MiterEngine {
     }
 
     /// Attempts to prove `cand == repr` (or `cand == !repr` when
-    /// `antivalent`) under a conflict limit and an optional propagation
-    /// limit.
+    /// `antivalent`) on the full cones under a conflict limit and an
+    /// optional propagation limit.
     fn prove_pair<N: Network>(
         &mut self,
         ntk: &N,
@@ -435,7 +450,7 @@ impl MiterEngine {
             .solver
             .solve_with_assumptions(&[Lit::new(t, !antivalent)])
         {
-            SatResult::Unsat => PairOutcome::Proven,
+            SatResult::Unsat => PairOutcome::Proven { in_window: false },
             SatResult::Unknown => PairOutcome::Undecided,
             SatResult::Sat => PairOutcome::Refuted(
                 ntk.pi_nodes()
@@ -456,6 +471,126 @@ impl MiterEngine {
     }
 }
 
+/// Gate bound of the window every candidate pair is proven on before the
+/// full-cone miter.  A constant, like resubstitution's window limits.
+const WINDOW_GATES: usize = 16;
+
+/// Per-worker scratch of the windowed pair proof.
+///
+/// A window holds the gates of both cones nearest their roots: nodes are
+/// expanded in decreasing topological rank (highest first, so a gate is
+/// expanded before any gate of its fanin cone) until the gate bound is
+/// reached.  Every node left on the frontier — primary inputs, and gates
+/// past the bound — is a free variable; the constant is pinned to zero.
+/// The free leaves can take any value, a superset of what the real cones
+/// feed the window, so `UNSAT` on the window is a proof of the pair, while
+/// `SAT` may be spurious and proves nothing.
+///
+/// The node → variable map is a [`LocalScratch`] that a worker sizes once
+/// and reuses (O(1) reset per window), and each window gets a fresh small
+/// solver, so no table is sized to the network per pair or per class.
+#[derive(Debug, Default)]
+struct WindowProver {
+    /// SAT variable index of every node of the current window.
+    vars: LocalScratch,
+    /// Window nodes not yet expanded, keyed by rank, highest first.
+    frontier: BinaryHeap<(u32, NodeId)>,
+    /// The window's gates, in expansion order.
+    gates: Vec<NodeId>,
+    fanin_lits: Vec<Lit>,
+    clause: Vec<Lit>,
+}
+
+impl WindowProver {
+    /// Solves the miter of `cand == repr` (`cand == !repr` when
+    /// `antivalent`) on a window of at most `max_gates` gates, under a
+    /// conflict limit and an optional propagation limit.  Returns the
+    /// answer with the window solver's statistics, or `None` when the
+    /// window holds no gate: two distinct free leaves are never equal, so
+    /// there is nothing to solve.
+    #[allow(clippy::too_many_arguments)]
+    fn solve<N: Network>(
+        &mut self,
+        ntk: &N,
+        rank: &[u32],
+        repr: NodeId,
+        cand: NodeId,
+        antivalent: bool,
+        max_gates: usize,
+        conflict_limit: u64,
+        propagation_limit: Option<u64>,
+    ) -> Option<(SatResult, SolverStats)> {
+        let Self {
+            vars,
+            frontier,
+            gates,
+            fanin_lits,
+            clause,
+        } = self;
+        let mut solver = Solver::new();
+        vars.reset(ntk.size());
+        frontier.clear();
+        gates.clear();
+        for root in [repr, cand] {
+            window_leaf(ntk, &mut solver, vars, frontier, rank, root);
+        }
+        while gates.len() < max_gates {
+            let Some((_, node)) = frontier.pop() else {
+                break;
+            };
+            if ntk.is_gate(node) {
+                gates.push(node);
+                ntk.foreach_fanin(node, |f| {
+                    window_leaf(ntk, &mut solver, vars, frontier, rank, f.node());
+                });
+            }
+        }
+        if gates.is_empty() {
+            return None;
+        }
+        let lit_of = |vars: &LocalScratch, s: Signal| {
+            let var = vars.value(s.node()).expect("window node has a variable");
+            Lit::new(Var::from_index(var as usize), !s.is_complemented())
+        };
+        for &gate in gates.iter() {
+            fanin_lits.clear();
+            ntk.foreach_fanin(gate, |f| fanin_lits.push(lit_of(vars, f)));
+            let out = lit_of(vars, Signal::new(gate, false)).var();
+            encode_gate_clauses(ntk, gate, fanin_lits, out, &mut solver, clause);
+        }
+        let t = xor_tap(
+            &mut solver,
+            lit_of(vars, Signal::new(repr, false)),
+            lit_of(vars, Signal::new(cand, false)),
+        );
+        solver.set_conflict_limit(Some(conflict_limit.max(1)));
+        solver.set_propagation_limit(propagation_limit);
+        let result = solver.solve_with_assumptions(&[Lit::new(t, !antivalent)]);
+        Some((result, solver.stats()))
+    }
+}
+
+/// Gives `node` a window variable, unless it has one, and queues it for
+/// expansion; the constant's variable is pinned to zero.
+fn window_leaf<N: Network>(
+    ntk: &N,
+    solver: &mut Solver,
+    vars: &mut LocalScratch,
+    frontier: &mut BinaryHeap<(u32, NodeId)>,
+    rank: &[u32],
+    node: NodeId,
+) {
+    if vars.value(node).is_some() {
+        return;
+    }
+    let var = solver.new_var();
+    vars.set_value(node, var.index() as u32);
+    if ntk.is_constant(node) {
+        solver.add_clause(&[Lit::negative(var)]);
+    }
+    frontier.push((rank[node as usize], node));
+}
+
 /// Proof outcomes of one equivalence class.
 ///
 /// Produced on a frozen network by [`prove_class`], consumed in class
@@ -468,35 +603,51 @@ struct ClassOutcomes {
     /// One `(candidate, antivalent, outcome)` entry per attempted pair, in
     /// class order.
     pairs: Vec<(NodeId, bool, PairOutcome)>,
-    /// Statistics of the class's solver (all zero when no pair was
-    /// attempted).
+    /// Statistics of the class's solves, window and full-cone alike, summed
+    /// (all zero when no pair was attempted).
     solver: SolverStats,
+}
+
+/// The frozen state every class of one round is proven against.
+struct ProveContext<'a, N> {
+    ntk: &'a N,
+    sim: &'a WordSimulator,
+    /// Topological rank of every node (see [`sweep_pass`]).
+    rank: &'a [u32],
+    no_retry: &'a HashSet<(NodeId, NodeId)>,
+    conflict_limit: u64,
+    /// Gate bound of the pair windows: [`WINDOW_GATES`], or 0 in the tests'
+    /// full-cone oracle (every pair then goes straight to the full miter).
+    window_gates: usize,
+    budget: &'a Budget,
+    tracer: &'a Tracer,
 }
 
 /// Proves the candidate pairs of one class against a frozen network.
 ///
-/// The class gets a fresh [`MiterEngine`] (allocated lazily, only when a
-/// provable pair exists), so under an unlimited budget its outcomes are a
-/// pure function of the class, the network, the simulator and the no-retry
-/// set — independent of which thread runs it and of what other classes run
+/// Each pair is first solved on a bounded window of its two cones
+/// ([`WindowProver`]); an `UNSAT` window proves it.  A satisfiable or
+/// undecided window falls back to the class's [`MiterEngine`] — allocated
+/// lazily, on the class's first fallback — whose full-cone miter either
+/// proves the pair or yields a real input assignment that refutes it.
+/// Every window gets a fresh solver and the engine is fresh per class, so
+/// under an unlimited budget the class's outcomes are a pure function of
+/// the class, the network, the simulator and the no-retry set —
+/// independent of which thread runs it and of what other classes run
 /// concurrently.  That purity is the determinism argument of the prove
 /// phase: any chunking of the class list produces the same outcome vector.
 ///
 /// The effort budget is charged per pair: one tick before the pair (the
-/// class stops when it fails), the solve capped at the budget's remaining
-/// propagation allowance, and the spent propagations charged back
+/// class stops when it fails), every solve capped at the budget's remaining
+/// propagation allowance, and each solve's propagations charged back
 /// afterwards.
-#[allow(clippy::too_many_arguments)]
 fn prove_class<N: Network>(
-    ntk: &N,
+    ctx: &ProveContext<'_, N>,
     class: &[NodeId],
-    sim: &WordSimulator,
-    no_retry: &HashSet<(NodeId, NodeId)>,
-    conflict_limit: u64,
-    budget: &Budget,
+    window: &mut WindowProver,
     batch: &mut BatchSpans<'_>,
-    tracer: &Tracer,
 ) -> ClassOutcomes {
+    let (ntk, budget) = (ctx.ntk, ctx.budget);
     let mut out = ClassOutcomes {
         repr: 0,
         pairs: Vec::new(),
@@ -515,7 +666,7 @@ fn prove_class<N: Network>(
             }
             Some(r) => r,
         };
-        if no_retry.contains(&(repr_node, node)) {
+        if ctx.no_retry.contains(&(repr_node, node)) {
             continue;
         }
         // only gates can be merged away; a non-gate sharing a class (a PI
@@ -525,11 +676,29 @@ fn prove_class<N: Network>(
             break;
         }
         batch.tick();
-        let antivalent = sim.phase(repr_node) != sim.phase(node);
+        let antivalent = ctx.sim.phase(repr_node) != ctx.sim.phase(node);
+        if let Some((result, stats)) = window.solve(
+            ntk,
+            ctx.rank,
+            repr_node,
+            node,
+            antivalent,
+            ctx.window_gates,
+            ctx.conflict_limit,
+            budget.sat_propagation_allowance(),
+        ) {
+            budget.consume_sat(stats.propagations);
+            out.solver += stats;
+            if result == SatResult::Unsat {
+                out.pairs
+                    .push((node, antivalent, PairOutcome::Proven { in_window: true }));
+                continue;
+            }
+        }
         let engine = engine.get_or_insert_with(|| {
             let mut engine = MiterEngine::new(ntk.size());
             // per-solve spans in full trace mode; purely observational
-            engine.solver.set_tracer(tracer.clone());
+            engine.solver.set_tracer(ctx.tracer.clone());
             engine
         });
         let spent = engine.solver.stats().propagations;
@@ -538,7 +707,7 @@ fn prove_class<N: Network>(
             repr_node,
             node,
             antivalent,
-            conflict_limit,
+            ctx.conflict_limit,
             budget.sat_propagation_allowance(),
         );
         budget.consume_sat(engine.solver.stats().propagations - spent);
@@ -546,50 +715,43 @@ fn prove_class<N: Network>(
     }
     out.repr = repr.unwrap_or(0);
     if let Some(e) = engine {
-        out.solver = e.solver.stats();
+        out.solver += e.solver.stats();
     }
     out
 }
 
 /// The prove phase of one round: every class in `bounds` (ranges of
 /// `members`) is proven against the frozen network by [`prove_class`].  The
-/// class list is split into contiguous chunks across
-/// [`SweepParams::parallelism`] threads (a single chunk runs on the calling
-/// thread) and the outcomes come back in class order.  A chunk stops at the
-/// first class that finds the budget exhausted.
-#[allow(clippy::too_many_arguments)]
+/// class list is split into contiguous chunks across `parallelism` threads
+/// (a single chunk runs on the calling thread), each with its own
+/// [`WindowProver`], and the outcomes come back in class order.  A chunk
+/// stops at the first class that finds the budget exhausted.
 fn prove_round<N: Network>(
-    ntk: &N,
+    ctx: &ProveContext<'_, N>,
     members: &[NodeId],
     bounds: &[(u32, u32)],
-    sim: &WordSimulator,
-    no_retry: &HashSet<(NodeId, NodeId)>,
-    params: &SweepParams,
-    budget: &Budget,
-    tracer: &Tracer,
+    parallelism: Parallelism,
 ) -> Vec<ClassOutcomes> {
+    let tracer = ctx.tracer;
     let prove_chunk = |chunk: &[(u32, u32)]| {
         let _chunk = tracer.span("prove_chunk");
         let mut batch = BatchSpans::new(tracer, "pair_candidates", BATCH_INTERVAL);
+        let mut window = WindowProver::default();
         let mut outcomes = Vec::with_capacity(chunk.len());
         for &(start, end) in chunk {
-            if budget.is_exhausted() {
+            if ctx.budget.is_exhausted() {
                 break;
             }
             outcomes.push(prove_class(
-                ntk,
+                ctx,
                 &members[start as usize..end as usize],
-                sim,
-                no_retry,
-                params.conflict_limit,
-                budget,
+                &mut window,
                 &mut batch,
-                tracer,
             ));
         }
         outcomes
     };
-    let chunks = params.parallelism.chunk_bounds(bounds.len());
+    let chunks = parallelism.chunk_bounds(bounds.len());
     if chunks.len() <= 1 {
         return prove_chunk(bounds);
     }
@@ -699,16 +861,17 @@ pub fn sweep_with_engine<N: Network>(
 /// through an explicit telemetry [`Tracer`].
 ///
 /// Each round proves every candidate class against the frozen network
-/// (fresh solver per class, classes split across
-/// [`SweepParams::parallelism`] threads), then applies the outcomes
-/// serially in class order.  A proven pair whose endpoint died in an
+/// (each pair on a bounded window first, then on the class's full-cone
+/// solver; classes split across [`SweepParams::parallelism`] threads),
+/// then applies the outcomes serially in class order.  A proven pair whose endpoint died in an
 /// earlier merge of the same round is dropped unmarked, so the next round
 /// re-examines it against fresh classes.
 ///
 /// SAT effort is folded into the tick currency per pair: the budget is
-/// polled before every candidate pair, each pair's solve runs under the
-/// budget's remaining propagation allowance (so a single hard miter cannot
-/// blow through the budget), and the spent propagations are charged back.
+/// polled before every candidate pair, each of the pair's solves (window,
+/// then full cone if needed) runs under the budget's remaining propagation
+/// allowance (so a single hard miter cannot blow through the budget), and
+/// the spent propagations are charged back.
 /// A budgeted or deadlined sweep therefore stops within one pair per
 /// worker; the outcomes attempted so far are applied and the round loop
 /// ends, so every committed merge is backed by an `UNSAT` proof and stands.
@@ -721,7 +884,8 @@ pub fn sweep_with_engine<N: Network>(
 /// `prove_chunk` span per worker (each on its own `sweep-worker-<i>` lane
 /// when the round runs on several threads) tiled by `pair_candidates`
 /// batch spans in full mode, the sweep statistics (`fraig.*`) and the
-/// per-class solver statistics summed over the sweep (`fraig.sat.*`).
+/// statistics of every window and full-cone solve summed over the sweep
+/// (`fraig.sat.*`).
 /// Observational only — results are bit-identical at any trace mode.
 pub fn sweep_traced<N: Network>(
     ntk: &mut N,
@@ -729,6 +893,21 @@ pub fn sweep_traced<N: Network>(
     engine_state: &mut SweepEngine,
     budget: &Budget,
     tracer: &Tracer,
+) -> SweepStats {
+    sweep_pass(ntk, params, engine_state, budget, tracer, WINDOW_GATES)
+}
+
+/// The body of [`sweep_traced`], with the gate bound of the pair windows
+/// passed in: the pass uses [`WINDOW_GATES`], and the tests pass 0 — every
+/// pair proven on the full cones — as the oracle the windowed sweep must
+/// match.
+fn sweep_pass<N: Network>(
+    ntk: &mut N,
+    params: &SweepParams,
+    engine_state: &mut SweepEngine,
+    budget: &Budget,
+    tracer: &Tracer,
+    window_gates: usize,
 ) -> SweepStats {
     let _pass = tracer.span("fraig");
     let mut stats = SweepStats {
@@ -777,8 +956,10 @@ pub fn sweep_traced<N: Network>(
     // ranking is a merge-direction heuristic, not a safety argument:
     // cascading structural-hash merges inside `substitute_node` can
     // locally invert it, so acyclicity is enforced per merge by
-    // `merge_equivalent`'s cone walk (a refused merge is counted as
-    // skipped and not retried).
+    // `merge_equivalent`'s fanout walk (a refused merge is counted as
+    // skipped and not retried).  The pair windows expand by rank too; an
+    // inverted rank only changes which gates a window holds, never its
+    // soundness.
     let mut rank = vec![u32::MAX; ntk.size()];
     let mut next_rank = 0u32;
     rank[0] = next_rank;
@@ -809,7 +990,8 @@ pub fn sweep_traced<N: Network>(
     // exactly once, and their miter is not re-encoded or re-solved when
     // an undistinguished class survives into the next round.
     let mut no_retry: HashSet<(NodeId, NodeId)> = HashSet::new();
-    // the per-class solver statistics, summed over the sweep
+    // the statistics of every window and full-cone solve, summed over the
+    // sweep
     let mut sat = SolverStats::default();
 
     for round in 0..params.max_rounds.max(1) {
@@ -881,9 +1063,17 @@ pub fn sweep_traced<N: Network>(
         drop(classify);
         let outcomes = {
             let _prove = tracer.span("prove");
-            prove_round(
-                ntk, &members, &bounds, &sim, &no_retry, params, budget, tracer,
-            )
+            let ctx = ProveContext {
+                ntk: &*ntk,
+                sim: &sim,
+                rank: &rank,
+                no_retry: &no_retry,
+                conflict_limit: params.conflict_limit,
+                window_gates,
+                budget,
+                tracer,
+            };
+            prove_round(&ctx, &members, &bounds, params.parallelism)
         };
         // Apply the outcomes serially, in class order.  A merge cascade can
         // invalidate an *already proven* pair by killing one endpoint before
@@ -893,15 +1083,11 @@ pub fn sweep_traced<N: Network>(
         cex_patterns.clear();
         for out in outcomes {
             stats.candidate_pairs += out.pairs.len();
-            sat.conflicts += out.solver.conflicts;
-            sat.decisions += out.solver.decisions;
-            sat.propagations += out.solver.propagations;
-            sat.restarts += out.solver.restarts;
-            sat.learnt_clauses += out.solver.learnt_clauses;
+            sat += out.solver;
             let repr_node = out.repr;
             for (node, antivalent, outcome) in out.pairs {
                 match outcome {
-                    PairOutcome::Proven => {
+                    PairOutcome::Proven { in_window } => {
                         if ntk.is_dead(repr_node) || ntk.is_dead(node) {
                             continue;
                         }
@@ -918,6 +1104,7 @@ pub fn sweep_traced<N: Network>(
                             };
                         if committed {
                             stats.proven += 1;
+                            stats.window_proven += usize::from(in_window);
                             if params.record_choices {
                                 stats.choices_recorded += 1;
                                 no_retry.insert((repr_node, node));
@@ -1050,6 +1237,7 @@ impl MetricsSource for SweepStats {
         visit("rounds", self.rounds as u64);
         visit("candidate_pairs", self.candidate_pairs as u64);
         visit("proven", self.proven as u64);
+        visit("window_proven", self.window_proven as u64);
         visit("refuted", self.refuted as u64);
         visit("skipped", self.skipped as u64);
         visit("conflicts", self.conflicts);
@@ -2224,10 +2412,9 @@ mod tests {
         assert!(message.starts_with(INJECTED_PANIC_MESSAGE), "{message:?}");
     }
 
-    /// The per-class solver statistics are summed once per sweep into
-    /// `fraig.sat.*`: the conflict counter equals the sweep's own total at
-    /// every thread count, and a second sweep on the same engine adds only
-    /// its own work.
+    /// The solve statistics are summed once per sweep into `fraig.sat.*`:
+    /// the conflict counter equals the sweep's own total at every thread
+    /// count, and a second sweep on the same engine adds only its own work.
     #[test]
     fn traced_sweeps_count_their_sat_work() {
         use glsx_network::telemetry::TraceMode;
@@ -2252,5 +2439,231 @@ mod tests {
                 "threads {threads}"
             );
         }
+    }
+
+    /// `base` with seeded redundant copies and restructured alternatives
+    /// of its cones, each driving a fresh output.
+    fn injected<N: Network + GateBuilder>(mut ntk: N, seed: u64) -> N {
+        glsx_benchmarks::inject_redundancy(&mut ntk, 12, seed);
+        glsx_benchmarks::inject_restructured(&mut ntk, 12, seed ^ 0x5a5a);
+        ntk
+    }
+
+    /// A windowed sweep (`sweep_pass` with [`WINDOW_GATES`]) and the
+    /// full-cone oracle (bound 0) of `input`; both results are checked
+    /// against the input by exhaustive simulation.
+    fn windowed_and_full<N: Network + Clone>(
+        input: &N,
+        params: &SweepParams,
+        case: &str,
+    ) -> (SweepStats, SweepStats) {
+        let run = |window_gates: usize| {
+            let mut ntk = input.clone();
+            let stats = sweep_pass(
+                &mut ntk,
+                params,
+                &mut SweepEngine::new(),
+                &Budget::unlimited(),
+                &Tracer::off(),
+                window_gates,
+            );
+            assert!(
+                equivalent_by_simulation(input, &ntk),
+                "{case}, window {window_gates}: the sweep changed the function: {stats:?}"
+            );
+            stats
+        };
+        (run(WINDOW_GATES), run(0))
+    }
+
+    /// Windowed sweeping proves and merges exactly what the full-cone
+    /// oracle does on seeded AIGs, XAGs, MIGs and XMGs with injected
+    /// redundant and restructured cones, with and without choices, and
+    /// both results are exhaustively equivalent to the input.  One initial
+    /// pattern word forces refutations, so pairs with a satisfiable window
+    /// reach the fallback — a window that answered "proven" on `SAT`
+    /// would merge inequivalent nodes and fail the simulation check.
+    #[test]
+    fn windowed_sweep_matches_the_full_cone_oracle() {
+        use glsx_benchmarks::arithmetic::{adder, multiplier};
+        use glsx_network::Xmg;
+        fn cases<N: Network + GateBuilder + Clone>(name: &str, totals: &mut [usize; 3]) {
+            for (circuit, base) in [("multiplier_4", multiplier::<N>(4)), ("adder_6", adder(6))] {
+                for seed in [1u64, 2] {
+                    let input = injected(base.clone(), seed);
+                    for record_choices in [false, true] {
+                        for num_words in [1, 4] {
+                            let params = SweepParams {
+                                record_choices,
+                                num_words,
+                                ..SweepParams::default()
+                            };
+                            let case = format!(
+                                "{name} {circuit} seed {seed} choices {record_choices} words {num_words}"
+                            );
+                            let (windowed, full) = windowed_and_full(&input, &params, &case);
+                            assert_eq!(windowed.proven, full.proven, "{case}");
+                            assert_eq!(windowed.gates_after, full.gates_after, "{case}");
+                            assert_eq!(full.window_proven, 0, "{case}");
+                            assert!(windowed.window_proven <= windowed.proven, "{case}");
+                            totals[0] += windowed.window_proven;
+                            totals[1] += windowed.proven - windowed.window_proven;
+                            totals[2] += windowed.refuted;
+                        }
+                    }
+                }
+            }
+        }
+        let mut totals = [0usize; 3];
+        cases::<Aig>("aig", &mut totals);
+        cases::<Xag>("xag", &mut totals);
+        cases::<Mig>("mig", &mut totals);
+        cases::<Xmg>("xmg", &mut totals);
+        let [in_window, fell_back, refuted] = totals;
+        assert!(in_window > 0, "no pair closed in its window: {totals:?}");
+        assert!(
+            fell_back > 0,
+            "no proven pair needed the fallback: {totals:?}"
+        );
+        assert!(
+            refuted > 0,
+            "no satisfiable window reached the fallback: {totals:?}"
+        );
+    }
+
+    /// Every pair a window proves is equivalent by exhaustive simulation:
+    /// the window is tried on every pair that one random pattern word
+    /// cannot tell apart (the candidates a sweep would see), equivalent or
+    /// not, in AIGs, XAGs, MIGs and XMGs with injected cones.
+    #[test]
+    fn window_unsat_pairs_are_equivalent_by_exhaustive_simulation() {
+        use glsx_benchmarks::arithmetic::multiplier;
+        use glsx_network::simulation::simulate_nodes;
+        use glsx_network::Xmg;
+        fn check<N: Network + GateBuilder>(ntk: &N, counts: &mut [usize; 3]) {
+            let tts = simulate_nodes(ntk);
+            let sim = WordSimulator::random(ntk, 1, 0x3d);
+            let mut nodes: Vec<NodeId> = std::iter::once(0).chain(ntk.pi_nodes()).collect();
+            nodes.extend(ntk.gate_nodes());
+            let mut rank = vec![u32::MAX; ntk.size()];
+            for (r, &n) in nodes.iter().enumerate() {
+                rank[n as usize] = r as u32;
+            }
+            let mut window = WindowProver::default();
+            for (i, &repr) in nodes.iter().enumerate() {
+                for &cand in &nodes[i + 1..] {
+                    if sim.canonical_word(0, repr) != sim.canonical_word(0, cand) {
+                        continue;
+                    }
+                    let antivalent = sim.phase(repr) != sim.phase(cand);
+                    let equivalent = if antivalent {
+                        tts[cand as usize] == !&tts[repr as usize]
+                    } else {
+                        tts[cand as usize] == tts[repr as usize]
+                    };
+                    let result = window
+                        .solve(
+                            ntk,
+                            &rank,
+                            repr,
+                            cand,
+                            antivalent,
+                            WINDOW_GATES,
+                            1_000,
+                            None,
+                        )
+                        .map(|(result, _)| result);
+                    match result {
+                        Some(SatResult::Unsat) => {
+                            assert!(equivalent, "window proved {repr} ~ {cand}");
+                            counts[0] += 1;
+                        }
+                        _ if equivalent => counts[1] += 1,
+                        _ => counts[2] += 1,
+                    }
+                }
+            }
+        }
+        let mut counts = [0usize; 3];
+        check(&injected(multiplier::<Aig>(4), 3), &mut counts);
+        check(&injected(multiplier::<Xag>(4), 3), &mut counts);
+        check(&injected(multiplier::<Mig>(4), 3), &mut counts);
+        check(&injected(multiplier::<Xmg>(4), 3), &mut counts);
+        let [proven, missed, inequivalent] = counts;
+        assert!(proven > 0, "{counts:?}");
+        assert!(
+            missed > 0,
+            "no equivalent pair outgrew its window: {counts:?}"
+        );
+        assert!(
+            inequivalent > 0,
+            "no inequivalent candidate was tried: {counts:?}"
+        );
+    }
+
+    /// Two parity trees over eight inputs, a chain and a balanced tree,
+    /// share only their first XOR: proving the roots equal needs every
+    /// gate above that XOR, 36 of the cones' 39.  The 16-gate window cannot
+    /// close the pair; the full-cone fallback proves and merges it.
+    #[test]
+    fn pairs_beyond_the_window_fall_back_and_are_proven() {
+        let mut aig = Aig::new();
+        let pis: Vec<Signal> = (0..8).map(|_| aig.create_pi()).collect();
+        let chain = xor_chain(&mut aig, &pis);
+        let tree = xor_tree(&mut aig, &pis);
+        aig.create_po(chain);
+        aig.create_po(tree);
+        let reference = aig.clone();
+        let rank: Vec<u32> = (0..aig.size() as u32).collect();
+        let mut window = WindowProver::default();
+        let (repr, cand) = (chain.node().min(tree.node()), chain.node().max(tree.node()));
+        let result = window.solve(&aig, &rank, repr, cand, false, WINDOW_GATES, 1_000, None);
+        assert_eq!(window.gates.len(), WINDOW_GATES, "the window hit its bound");
+        assert!(
+            matches!(result, Some((SatResult::Sat, _))),
+            "the window must not close the pair: {:?}",
+            result.map(|(r, _)| r)
+        );
+        let stats = sweep(&mut aig, &SweepParams::default());
+        assert!(stats.proven > stats.window_proven, "{stats:?}");
+        let pos = aig.po_signals();
+        assert_eq!(pos[0], pos[1], "the roots were merged: {stats:?}");
+        assert!(equivalent_by_simulation(&reference, &aig));
+    }
+
+    /// `window_proven` repeats exactly, is equal at one and four threads,
+    /// never exceeds `proven` or `candidate_pairs`, and reaches the metrics
+    /// registry as `fraig.window_proven`.
+    #[test]
+    fn window_proven_counts_repeat_and_reach_the_registry() {
+        use glsx_benchmarks::arithmetic::multiplier;
+        use glsx_network::telemetry::TraceMode;
+        let input = injected(multiplier::<Aig>(5), 7);
+        let run = |threads: usize| {
+            let tracer = Tracer::new(TraceMode::Counters);
+            let params = SweepParams {
+                parallelism: Parallelism::new(threads),
+                ..SweepParams::default()
+            };
+            let mut ntk = input.clone();
+            let stats = sweep_traced(
+                &mut ntk,
+                &params,
+                &mut SweepEngine::new(),
+                &Budget::unlimited(),
+                &tracer,
+            );
+            assert_eq!(
+                tracer.metrics().counter("fraig.window_proven"),
+                stats.window_proven as u64
+            );
+            stats
+        };
+        let first = run(1);
+        assert!(first.window_proven > 0, "{first:?}");
+        assert!(first.window_proven <= first.proven, "{first:?}");
+        assert!(first.proven <= first.candidate_pairs, "{first:?}");
+        assert_eq!(run(1), first, "the sweep must repeat exactly");
+        assert_eq!(run(4), first, "the sweep must not depend on threads");
     }
 }

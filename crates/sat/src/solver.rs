@@ -148,6 +148,17 @@ pub struct SolverStats {
     pub learnt_clauses: u64,
 }
 
+/// Field-wise sum: the statistics of several solvers (or solves) as one.
+impl std::ops::AddAssign for SolverStats {
+    fn add_assign(&mut self, other: Self) {
+        self.conflicts += other.conflicts;
+        self.decisions += other.decisions;
+        self.propagations += other.propagations;
+        self.restarts += other.restarts;
+        self.learnt_clauses += other.learnt_clauses;
+    }
+}
+
 impl glsx_network::MetricsSource for SolverStats {
     fn visit_metrics(&self, visit: &mut dyn FnMut(&str, u64)) {
         visit("conflicts", self.conflicts);
@@ -717,8 +728,16 @@ impl Solver {
         self.cla_inc /= 0.999;
     }
 
+    /// Learnt clauses currently stored: the counter `record_learnt` and
+    /// `reduce_learnts` keep, O(1) instead of a scan of the clause
+    /// database on every search iteration.
     fn num_learnts(&self) -> usize {
-        self.clauses.iter().filter(|c| c.learnt).count()
+        debug_assert_eq!(
+            self.stats.learnt_clauses as usize,
+            self.clauses.iter().filter(|c| c.learnt).count(),
+            "learnt-clause counter out of step with the clause database"
+        );
+        self.stats.learnt_clauses as usize
     }
 
     /// Removes roughly half of the learnt clauses with the lowest activity.
@@ -780,7 +799,7 @@ impl Solver {
             self.watches[clause.lits[0].negate().code()].push(i);
             self.watches[clause.lits[1].negate().code()].push(i);
         }
-        self.stats.learnt_clauses = self.num_learnts() as u64;
+        self.stats.learnt_clauses -= removed as u64;
     }
 }
 
