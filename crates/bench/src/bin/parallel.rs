@@ -1,8 +1,8 @@
 //! Thread-parallel execution benchmarks (`BENCH_parallel.json`): serial
 //! versus multi-thread wall time for every threaded path that pays
-//! somewhere — bulk cut enumeration, phased SAT sweeping and the
-//! portfolio flow — plus a `wide_simulation` row measuring the 256-bit
-//! `SimBlock` path against one-word-at-a-time scalar evaluation.
+//! somewhere — bulk cut enumeration and the portfolio flow — plus a
+//! `wide_simulation` row measuring the 256-bit `SimBlock` path against
+//! one-word-at-a-time scalar evaluation.
 //!
 //! Cut enumeration is timed twice because its speed-up depends on the
 //! circuit's shape: every level is a barrier, so it pays on the shallow
@@ -10,9 +10,9 @@
 //! deep `mac_datapath(16, 4)`, whose levels hold a handful of gates each.
 //!
 //! Every parallel run is checked against its serial twin before it is
-//! timed: cut arenas, sweep outcomes and portfolio results must be
-//! bit-identical.  Timings report the best of several runs; the headline
-//! `speedup` is parallel best over serial best.
+//! timed: cut arenas and portfolio results must be bit-identical.
+//! Timings report the best of several runs; the headline `speedup` is
+//! parallel best over serial best.
 //!
 //! Threaded rows run at `min(4, CPUs)` threads and never fewer than two,
 //! so a two-CPU machine records two-thread numbers.
@@ -24,15 +24,12 @@
 //!
 //! `--smoke` skips the timing loops: it runs the 4-thread configuration
 //! of every component once against the serial twin (bit-identity for
-//! wide blocks/cuts/sweep/portfolio) on a smaller circuit, and miter-proves
-//! a swept `multiplier_8` against its input — the CI guard of the parallel
-//! layer.
+//! wide blocks/cuts/portfolio) on a smaller circuit — the CI guard of the
+//! parallel layer.
 
 use glsx_benchmarks::arithmetic::{mac_datapath, multiplier_16};
 use glsx_benchmarks::control::random_control;
-use glsx_benchmarks::inject_redundancy;
 use glsx_core::cuts::{CutManager, CutParams};
-use glsx_core::sweeping::{check_equivalence, sweep, SweepParams};
 use glsx_flow::{portfolio_best_luts, FlowOptions};
 use glsx_network::wordsim::WordSimulator;
 use glsx_network::{Aig, Network, Parallelism};
@@ -118,58 +115,6 @@ fn bench_cuts(name: &'static str, aig: &Aig, threads: usize, timed: bool) -> Row
         component: "cut_enumeration",
         circuit: name,
         gates: aig.num_gates(),
-        serial_seconds,
-        parallel_seconds,
-        threads,
-    }
-}
-
-/// Phased SAT sweeping: bit-identical stats and network at 1 and
-/// `threads` threads — the parallel-execution contract — then the sweep is
-/// timed at both thread counts.
-fn bench_sweep(name: &'static str, redundant: &Aig, threads: usize, timed: bool) -> Row {
-    let phased = |threads: usize| SweepParams {
-        parallelism: Parallelism::new(threads),
-        ..SweepParams::default()
-    };
-    let mut baseline = redundant.clone();
-    let baseline_stats = sweep(&mut baseline, &phased(1));
-    let mut parallel = redundant.clone();
-    let parallel_stats = sweep(&mut parallel, &phased(threads));
-    assert_eq!(
-        baseline_stats, parallel_stats,
-        "{name}: phased sweep stats diverged across thread counts"
-    );
-    assert_eq!(
-        (baseline.num_gates(), baseline.po_signals()),
-        (parallel.num_gates(), parallel.po_signals()),
-        "{name}: phased sweep network diverged across thread counts"
-    );
-    assert!(
-        baseline_stats.proven >= 1,
-        "{name}: sweep found no injected redundancy ({baseline_stats:?})"
-    );
-    let (repeats, budget) = if timed { (5, 10_000) } else { (1, 1) };
-    let serial_seconds = best_seconds(
-        || {
-            let mut ntk = redundant.clone();
-            sweep(&mut ntk, &phased(1));
-        },
-        repeats,
-        budget,
-    );
-    let parallel_seconds = best_seconds(
-        || {
-            let mut ntk = redundant.clone();
-            sweep(&mut ntk, &phased(threads));
-        },
-        repeats,
-        budget,
-    );
-    Row {
-        component: "sat_sweep",
-        circuit: name,
-        gates: redundant.num_gates(),
         serial_seconds,
         parallel_seconds,
         threads,
@@ -262,28 +207,12 @@ fn available_cpus() -> usize {
 fn smoke() {
     let aig: Aig = multiplier_16();
     bench_cuts("multiplier_16", &aig, THREADS, false);
-    // bit-identity across thread counts on the big circuit, a miter
-    // against the input on a CEC-tractable one (multiplier cones blow CDCL
-    // miters up exponentially)
-    let mut redundant = aig.clone();
-    inject_redundancy(&mut redundant, 12, 0x9a11);
-    bench_sweep("multiplier_16", &redundant, THREADS, false);
-    let mut small_redundant: Aig = glsx_benchmarks::arithmetic::multiplier(8);
-    inject_redundancy(&mut small_redundant, 8, 0x9a12);
-    bench_sweep("multiplier_8", &small_redundant, THREADS, false);
-    let mut swept = small_redundant.clone();
-    sweep(&mut swept, &SweepParams::default());
-    assert!(
-        check_equivalence(&small_redundant, &swept).is_equivalent(),
-        "multiplier_8: the sweep changed the function"
-    );
     bench_wide_simulation("multiplier_16", &aig, 16, false);
     let small: Aig = glsx_benchmarks::arithmetic::multiplier(6);
     bench_portfolio("multiplier_6", &small, 6, THREADS, false);
     println!(
-        "smoke: wide blocks, cut enumeration, phased sweep and portfolio \
-         verified at {THREADS} threads against the serial twin \
-         (bit-identity + swept multiplier_8 mitered against its input) on {} CPUs",
+        "smoke: wide blocks, cut enumeration and portfolio verified at \
+         {THREADS} threads against the serial twin (bit-identity) on {} CPUs",
         available_cpus()
     );
 }
@@ -299,14 +228,11 @@ fn main() {
     let m16: Aig = multiplier_16();
     let datapath: Aig = mac_datapath(16, 4);
     let shallow: Aig = random_control(256, 200_000, 256, 1);
-    let mut redundant = datapath.clone();
-    inject_redundancy(&mut redundant, 64, 0x9a11);
 
     let rows = [
         bench_wide_simulation("mac_datapath_16x4", &datapath, 64, true),
         bench_cuts("mac_datapath_16x4", &datapath, threads, true),
         bench_cuts("random_control_256x200k", &shallow, threads, true),
-        bench_sweep("mac_datapath_16x4", &redundant, threads, true),
         bench_portfolio("multiplier_16", &m16, 6, threads, true),
     ];
 

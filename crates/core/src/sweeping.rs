@@ -26,8 +26,7 @@
 //!    inputs.  There `UNSAT` is a proof, `SAT` yields a real
 //!    counterexample, and a budget timeout skips the pair, so sweeping
 //!    degrades gracefully on hard instances instead of stalling.  Classes
-//!    are independent, so the class list is split across
-//!    [`SweepParams::parallelism`] threads.
+//!    are proven one after another, each on a fresh solver.
 //! 3. **Apply** the outcomes serially, in class order: every proven
 //!    candidate is merged into its representative through the
 //!    [`Replacer`](crate::Replacer) machinery.
@@ -59,19 +58,17 @@
 //! itself needs no SAT call at all; see
 //! [`check_equivalence_with_limits`] for the details.
 //!
-//! Windows run on per-worker scratch: a [`LocalScratch`] node → variable
-//! map and a small solver per pair.  A class's full-cone CNF is built only
-//! on fallback, lazily: one variable per encoded node, cones encoded on
-//! demand with the cone walk's visited set in an encoder-owned
-//! [`LocalScratch`] — no per-candidate maps, and no shared traversal state,
-//! so any number of classes can be proven concurrently over one network.
+//! A sweep keeps one window prover and one cone encoder.  Each holds its
+//! node → variable map in a [`LocalScratch`], reset in O(1) for every
+//! window and for every class that opens its fallback solver, so no table
+//! is sized to the network per pair or per class.  A class's full-cone CNF
+//! is built only on fallback, lazily: one variable per encoded node, cones
+//! encoded on demand.
 
 use crate::replace::Replacer;
 use glsx_network::telemetry::{self, BatchSpans, MetricsSource, Tracer, BATCH_INTERVAL};
 use glsx_network::wordsim::WordSimulator;
-use glsx_network::{
-    Budget, GateKind, LocalScratch, Network, NodeId, Parallelism, Signal, StepOutcome,
-};
+use glsx_network::{Budget, GateKind, LocalScratch, Network, NodeId, Signal, StepOutcome};
 use glsx_sat::{Lit, SatResult, Solver, SolverStats, Var};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
@@ -95,16 +92,6 @@ pub struct SweepParams {
     /// available to choice-aware cut enumeration and LUT mapping.  The
     /// default `false` is the classic destructive fraig.
     pub record_choices: bool,
-    /// Worker threads of the prove phase.  Every candidate class of a
-    /// round is proven against the frozen network on its own fresh solver,
-    /// the class list split into contiguous chunks across the threads, and
-    /// the proven merges are applied serially in class order afterwards.
-    /// Under an unlimited budget each class's outcomes are a pure function
-    /// of the class alone, so the result is bit-identical at every thread
-    /// count.  Defaults to [`Parallelism::serial`].  `GLSX_THREADS` does
-    /// not drive it: under a finite budget, which pairs fit into the budget
-    /// depends on thread scheduling.
-    pub parallelism: Parallelism,
 }
 
 impl Default for SweepParams {
@@ -115,7 +102,6 @@ impl Default for SweepParams {
             conflict_limit: 1_000,
             max_rounds: 8,
             record_choices: false,
-            parallelism: Parallelism::serial(),
         }
     }
 }
@@ -217,21 +203,18 @@ impl EquivalenceOutcome {
     }
 }
 
-/// Sentinel for "no SAT variable assigned yet".
-const NO_VAR: u32 = u32::MAX;
-
-/// Lazy Tseitin encoder of one network into a shared [`Solver`].
+/// Lazy Tseitin encoder of one network into a [`Solver`].
 ///
-/// One variable per encoded node; cones are encoded on demand by a DFS
-/// whose visited set lives in an encoder-owned [`LocalScratch`] (O(1)
-/// start per call, no per-candidate maps, and — because the scratch is
-/// thread-local, not the network's shared slots — any number of encoders
-/// can walk the same network concurrently, which the prove phase's worker
-/// threads rely on).
-#[derive(Debug)]
+/// One variable per encoded node, kept in a [`LocalScratch`] node →
+/// variable map; cones are encoded on demand by a DFS whose visited set is
+/// a second [`LocalScratch`].  Both start over in O(1), so moving to a
+/// fresh solver ([`CnfEncoder::reset`]) sizes nothing to the network.  The
+/// sweep keeps one encoder and resets it whenever a class opens its
+/// fallback solver; the equivalence checker keeps one per check.
+#[derive(Debug, Default)]
 struct CnfEncoder {
-    /// `vars[node]` = SAT variable index of the node, or [`NO_VAR`].
-    vars: Vec<u32>,
+    /// SAT variable index of every node encoded into the current solver.
+    vars: LocalScratch,
     stack: Vec<NodeId>,
     clause: Vec<Lit>,
     fanin_lits: Vec<Lit>,
@@ -240,32 +223,35 @@ struct CnfEncoder {
 }
 
 impl CnfEncoder {
-    fn new(num_nodes: usize) -> Self {
-        Self {
-            vars: vec![NO_VAR; num_nodes],
-            stack: Vec::new(),
-            clause: Vec::new(),
-            fanin_lits: Vec::new(),
-            expanded: LocalScratch::new(),
-        }
+    /// Forgets every encoded node, for a fresh solver over a network of
+    /// `num_nodes` nodes.
+    fn reset(&mut self, num_nodes: usize) {
+        self.vars.reset(num_nodes);
     }
 
     /// The literal representing `signal` (edge complement applied).  The
     /// signal's cone must already be encoded.
     #[inline]
     fn lit_of(&self, signal: Signal) -> Lit {
-        let var = self.vars[signal.node() as usize];
-        debug_assert_ne!(var, NO_VAR, "signal cone not encoded");
+        let var = self.vars.value(signal.node()).expect("signal cone encoded");
         Lit::new(Var::from_index(var as usize), !signal.is_complemented())
     }
 
     /// Returns the SAT variable of `node`, encoding its cone down to the
     /// primary inputs on first demand.
     fn var_of<N: Network>(&mut self, ntk: &N, solver: &mut Solver, node: NodeId) -> Var {
-        if self.vars[node as usize] == NO_VAR {
+        if !self.vars.is_marked(node) {
             self.encode_cone(ntk, solver, node);
         }
-        Var::from_index(self.vars[node as usize] as usize)
+        self.lit_of(Signal::new(node, false)).var()
+    }
+
+    /// The value of `node` in `solver`'s last model.  A node outside every
+    /// encoded cone is unconstrained, so any value fits the model: `false`.
+    fn model_value(&self, solver: &Solver, node: NodeId) -> bool {
+        self.vars
+            .value(node)
+            .is_some_and(|var| solver.value(Var::from_index(var as usize)).unwrap_or(false))
     }
 
     /// Iterative post-order DFS over the unencoded part of `root`'s cone.
@@ -282,7 +268,7 @@ impl CnfEncoder {
         debug_assert!(self.stack.is_empty());
         self.stack.push(root);
         while let Some(&node) = self.stack.last() {
-            if self.vars[node as usize] != NO_VAR {
+            if self.vars.is_marked(node) {
                 self.stack.pop();
                 continue;
             }
@@ -290,7 +276,7 @@ impl CnfEncoder {
                 // leaves: primary inputs are free variables, the constant
                 // node is pinned to zero
                 let var = solver.new_var();
-                self.vars[node as usize] = var.index() as u32;
+                self.vars.set_value(node, var.index() as u32);
                 if ntk.is_constant(node) {
                     solver.add_clause(&[Lit::negative(var)]);
                 }
@@ -300,7 +286,7 @@ impl CnfEncoder {
             if self.expanded.mark(node) {
                 let before = self.stack.len();
                 ntk.foreach_fanin(node, |f| {
-                    if self.vars[f.node() as usize] == NO_VAR {
+                    if !self.vars.is_marked(f.node()) {
                         self.stack.push(f.node());
                     }
                 });
@@ -326,7 +312,7 @@ impl CnfEncoder {
             self.fanin_lits.push(self.lit_of(ntk.fanin(node, index)));
         }
         let g = solver.new_var();
-        self.vars[node as usize] = g.index() as u32;
+        self.vars.set_value(node, g.index() as u32);
         encode_gate_clauses(ntk, node, &self.fanin_lits, g, solver, &mut self.clause);
     }
 }
@@ -413,61 +399,36 @@ enum PairOutcome {
     Undecided,
 }
 
-/// Miter engine of one class: a fresh solver plus the lazy encoder, reused
-/// across the class's candidate pairs.
-#[derive(Debug)]
-struct MiterEngine {
-    solver: Solver,
-    enc: CnfEncoder,
-}
-
-impl MiterEngine {
-    fn new(num_nodes: usize) -> Self {
-        Self {
-            solver: Solver::new(),
-            enc: CnfEncoder::new(num_nodes),
-        }
-    }
-
-    /// Attempts to prove `cand == repr` (or `cand == !repr` when
-    /// `antivalent`) on the full cones under a conflict limit and an
-    /// optional propagation limit.
-    fn prove_pair<N: Network>(
-        &mut self,
-        ntk: &N,
-        repr: NodeId,
-        cand: NodeId,
-        antivalent: bool,
-        conflict_limit: u64,
-        propagation_limit: Option<u64>,
-    ) -> PairOutcome {
-        let va = self.enc.var_of(ntk, &mut self.solver, repr);
-        let vb = self.enc.var_of(ntk, &mut self.solver, cand);
-        let t = xor_tap(&mut self.solver, Lit::positive(va), Lit::positive(vb));
-        self.solver.set_conflict_limit(Some(conflict_limit.max(1)));
-        self.solver.set_propagation_limit(propagation_limit);
-        match self
-            .solver
-            .solve_with_assumptions(&[Lit::new(t, !antivalent)])
-        {
-            SatResult::Unsat => PairOutcome::Proven { in_window: false },
-            SatResult::Unknown => PairOutcome::Undecided,
-            SatResult::Sat => PairOutcome::Refuted(
-                ntk.pi_nodes()
-                    .into_iter()
-                    .map(|pi| {
-                        // inputs outside both cones are unconstrained: any
-                        // value exhibits the difference, pick false
-                        let var = self.enc.vars[pi as usize];
-                        var != NO_VAR
-                            && self
-                                .solver
-                                .value(Var::from_index(var as usize))
-                                .unwrap_or(false)
-                    })
-                    .collect(),
-            ),
-        }
+/// Attempts to prove `cand == repr` (or `cand == !repr` when `antivalent`)
+/// on the full cones, encoded by `enc` into the class's `solver`, under
+/// the sweep's conflict limit and the budget's remaining propagation
+/// allowance.  The solve's propagations are charged to the budget.
+fn prove_pair<N: Network>(
+    ctx: &ProveContext<'_, N>,
+    solver: &mut Solver,
+    enc: &mut CnfEncoder,
+    repr: NodeId,
+    cand: NodeId,
+    antivalent: bool,
+) -> PairOutcome {
+    let (ntk, budget) = (ctx.ntk, ctx.budget);
+    let spent = solver.stats().propagations;
+    let va = enc.var_of(ntk, solver, repr);
+    let vb = enc.var_of(ntk, solver, cand);
+    let t = xor_tap(solver, Lit::positive(va), Lit::positive(vb));
+    solver.set_conflict_limit(Some(ctx.conflict_limit.max(1)));
+    solver.set_propagation_limit(budget.sat_propagation_allowance());
+    let result = solver.solve_with_assumptions(&[Lit::new(t, !antivalent)]);
+    budget.consume_sat(solver.stats().propagations - spent);
+    match result {
+        SatResult::Unsat => PairOutcome::Proven { in_window: false },
+        SatResult::Unknown => PairOutcome::Undecided,
+        SatResult::Sat => PairOutcome::Refuted(
+            ntk.pi_nodes()
+                .into_iter()
+                .map(|pi| enc.model_value(solver, pi))
+                .collect(),
+        ),
     }
 }
 
@@ -475,7 +436,7 @@ impl MiterEngine {
 /// full-cone miter.  A constant, like resubstitution's window limits.
 const WINDOW_GATES: usize = 16;
 
-/// Per-worker scratch of the windowed pair proof.
+/// The sweep's scratch of the windowed pair proof.
 ///
 /// A window holds the gates of both cones nearest their roots: nodes are
 /// expanded in decreasing topological rank (highest first, so a gate is
@@ -486,7 +447,7 @@ const WINDOW_GATES: usize = 16;
 /// feed the window, so `UNSAT` on the window is a proof of the pair, while
 /// `SAT` may be spurious and proves nothing.
 ///
-/// The node → variable map is a [`LocalScratch`] that a worker sizes once
+/// The node → variable map is a [`LocalScratch`] that the sweep sizes once
 /// and reuses (O(1) reset per window), and each window gets a fresh small
 /// solver, so no table is sized to the network per pair or per class.
 #[derive(Debug, Default)]
@@ -627,15 +588,15 @@ struct ProveContext<'a, N> {
 ///
 /// Each pair is first solved on a bounded window of its two cones
 /// ([`WindowProver`]); an `UNSAT` window proves it.  A satisfiable or
-/// undecided window falls back to the class's [`MiterEngine`] — allocated
-/// lazily, on the class's first fallback — whose full-cone miter either
-/// proves the pair or yields a real input assignment that refutes it.
-/// Every window gets a fresh solver and the engine is fresh per class, so
-/// under an unlimited budget the class's outcomes are a pure function of
-/// the class, the network, the simulator and the no-retry set —
-/// independent of which thread runs it and of what other classes run
-/// concurrently.  That purity is the determinism argument of the prove
-/// phase: any chunking of the class list produces the same outcome vector.
+/// undecided window falls back to the full-cone miter ([`prove_pair`]) on
+/// the class's own solver, opened on the class's first fallback with the
+/// sweep's encoder reset for it; the miter either proves the pair or
+/// yields a real input assignment that refutes it.  Every window and every
+/// class gets a fresh solver, so under an unlimited budget the class's
+/// outcomes are a pure function of the class, the network, the simulator
+/// and the no-retry set: no solver state carries over from the classes
+/// proven before it.  That purity is the determinism argument of the prove
+/// phase.
 ///
 /// The effort budget is charged per pair: one tick before the pair (the
 /// class stops when it fails), every solve capped at the budget's remaining
@@ -645,6 +606,7 @@ fn prove_class<N: Network>(
     ctx: &ProveContext<'_, N>,
     class: &[NodeId],
     window: &mut WindowProver,
+    enc: &mut CnfEncoder,
     batch: &mut BatchSpans<'_>,
 ) -> ClassOutcomes {
     let (ntk, budget) = (ctx.ntk, ctx.budget);
@@ -653,7 +615,7 @@ fn prove_class<N: Network>(
         pairs: Vec::new(),
         solver: SolverStats::default(),
     };
-    let mut engine: Option<MiterEngine> = None;
+    let mut solver: Option<Solver> = None;
     let mut repr: Option<NodeId> = None;
     for &node in class {
         if ntk.is_dead(node) {
@@ -695,91 +657,44 @@ fn prove_class<N: Network>(
                 continue;
             }
         }
-        let engine = engine.get_or_insert_with(|| {
-            let mut engine = MiterEngine::new(ntk.size());
+        let solver = solver.get_or_insert_with(|| {
+            enc.reset(ntk.size());
+            let mut solver = Solver::new();
             // per-solve spans in full trace mode; purely observational
-            engine.solver.set_tracer(ctx.tracer.clone());
-            engine
+            solver.set_tracer(ctx.tracer.clone());
+            solver
         });
-        let spent = engine.solver.stats().propagations;
-        let outcome = engine.prove_pair(
-            ntk,
-            repr_node,
-            node,
-            antivalent,
-            ctx.conflict_limit,
-            budget.sat_propagation_allowance(),
-        );
-        budget.consume_sat(engine.solver.stats().propagations - spent);
+        let outcome = prove_pair(ctx, solver, enc, repr_node, node, antivalent);
         out.pairs.push((node, antivalent, outcome));
     }
     out.repr = repr.unwrap_or(0);
-    if let Some(e) = engine {
-        out.solver += e.solver.stats();
+    if let Some(solver) = solver {
+        out.solver += solver.stats();
     }
     out
 }
 
 /// The prove phase of one round: every class in `bounds` (ranges of
-/// `members`) is proven against the frozen network by [`prove_class`].  The
-/// class list is split into contiguous chunks across `parallelism` threads
-/// (a single chunk runs on the calling thread), each with its own
-/// [`WindowProver`], and the outcomes come back in class order.  A chunk
-/// stops at the first class that finds the budget exhausted.
+/// `members`) is proven against the frozen network by [`prove_class`], in
+/// class order, on the sweep's window prover and encoder.  Stops at the
+/// first class that finds the budget exhausted.
 fn prove_round<N: Network>(
     ctx: &ProveContext<'_, N>,
     members: &[NodeId],
     bounds: &[(u32, u32)],
-    parallelism: Parallelism,
+    window: &mut WindowProver,
+    enc: &mut CnfEncoder,
 ) -> Vec<ClassOutcomes> {
-    let tracer = ctx.tracer;
-    let prove_chunk = |chunk: &[(u32, u32)]| {
-        let _chunk = tracer.span("prove_chunk");
-        let mut batch = BatchSpans::new(tracer, "pair_candidates", BATCH_INTERVAL);
-        let mut window = WindowProver::default();
-        let mut outcomes = Vec::with_capacity(chunk.len());
-        for &(start, end) in chunk {
-            if ctx.budget.is_exhausted() {
-                break;
-            }
-            outcomes.push(prove_class(
-                ctx,
-                &members[start as usize..end as usize],
-                &mut window,
-                &mut batch,
-            ));
+    let mut batch = BatchSpans::new(ctx.tracer, "pair_candidates", BATCH_INTERVAL);
+    let mut outcomes = Vec::with_capacity(bounds.len());
+    for &(start, end) in bounds {
+        if ctx.budget.is_exhausted() {
+            break;
         }
-        outcomes
-    };
-    let chunks = parallelism.chunk_bounds(bounds.len());
-    if chunks.len() <= 1 {
-        return prove_chunk(bounds);
+        let class = &members[start as usize..end as usize];
+        outcomes.push(prove_class(ctx, class, window, enc, &mut batch));
     }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .enumerate()
-            .map(|(worker, &(lo, hi))| {
-                let prove_chunk = &prove_chunk;
-                scope.spawn(move || {
-                    // each worker's chunk shows up as its own trace lane
-                    tracer.name_lane(&format!("sweep-worker-{worker}"));
-                    prove_chunk(&bounds[lo..hi])
-                })
-            })
-            .collect();
-        // joining in chunk order restores the global class order; a
-        // worker's panic (an injected budget fault included) is re-raised
-        // with its payload intact
-        let mut outcomes = Vec::with_capacity(bounds.len());
-        for handle in handles {
-            match handle.join() {
-                Ok(chunk) => outcomes.extend(chunk),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        outcomes
-    })
+    outcomes
 }
 
 /// Reusable state shared by the `fraig` steps of one flow: the simulation
@@ -862,30 +777,27 @@ pub fn sweep_with_engine<N: Network>(
 ///
 /// Each round proves every candidate class against the frozen network
 /// (each pair on a bounded window first, then on the class's full-cone
-/// solver; classes split across [`SweepParams::parallelism`] threads),
-/// then applies the outcomes serially in class order.  A proven pair whose endpoint died in an
-/// earlier merge of the same round is dropped unmarked, so the next round
-/// re-examines it against fresh classes.
+/// solver), then applies the outcomes serially in class order.  A proven
+/// pair whose endpoint died in an earlier merge of the same round is
+/// dropped unmarked, so the next round re-examines it against fresh
+/// classes.
 ///
 /// SAT effort is folded into the tick currency per pair: the budget is
 /// polled before every candidate pair, each of the pair's solves (window,
 /// then full cone if needed) runs under the budget's remaining propagation
 /// allowance (so a single hard miter cannot blow through the budget), and
 /// the spent propagations are charged back.
-/// A budgeted or deadlined sweep therefore stops within one pair per
-/// worker; the outcomes attempted so far are applied and the round loop
-/// ends, so every committed merge is backed by an `UNSAT` proof and stands.
-/// Under an unlimited budget the result is bit-identical at every thread
-/// count; a finite budget is deterministic at one thread (with more, which
-/// pairs fit into the budget depends on scheduling).
+/// A budgeted or deadlined sweep therefore stops within one pair; the
+/// outcomes attempted so far are applied and the round loop ends, so every
+/// committed merge is backed by an `UNSAT` proof and stands.  A tick
+/// budget is deterministic: the same limit stops the sweep at the same
+/// pair.
 ///
 /// The tracer records a `fraig` pass span with per-round spans, the round
-/// phases (`classify`, `prove`, `apply`, `resimulate`) as child spans, one
-/// `prove_chunk` span per worker (each on its own `sweep-worker-<i>` lane
-/// when the round runs on several threads) tiled by `pair_candidates`
-/// batch spans in full mode, the sweep statistics (`fraig.*`) and the
-/// statistics of every window and full-cone solve summed over the sweep
-/// (`fraig.sat.*`).
+/// phases (`classify`, `prove`, `apply`, `resimulate`) as child spans,
+/// `prove` tiled by `pair_candidates` batch spans in full mode, the sweep
+/// statistics (`fraig.*`) and the statistics of every window and full-cone
+/// solve summed over the sweep (`fraig.sat.*`).
 /// Observational only — results are bit-identical at any trace mode.
 pub fn sweep_traced<N: Network>(
     ntk: &mut N,
@@ -993,6 +905,8 @@ fn sweep_pass<N: Network>(
     // the statistics of every window and full-cone solve, summed over the
     // sweep
     let mut sat = SolverStats::default();
+    let mut window = WindowProver::default();
+    let mut enc = CnfEncoder::default();
 
     for round in 0..params.max_rounds.max(1) {
         let _round = tracer.span("sweep_round");
@@ -1073,7 +987,7 @@ fn sweep_pass<N: Network>(
                 budget,
                 tracer,
             };
-            prove_round(&ctx, &members, &bounds, params.parallelism)
+            prove_round(&ctx, &members, &bounds, &mut window, &mut enc)
         };
         // Apply the outcomes serially, in class order.  A merge cascade can
         // invalidate an *already proven* pair by killing one endpoint before
@@ -1417,12 +1331,13 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
     let mut checker = Checker {
         a,
         solver: Solver::new(),
-        enc_a: CnfEncoder::new(a.size()),
+        enc_a: CnfEncoder::default(),
         images: vec![None; b.size()],
         conflict_limit,
         propagation_limit,
         work: CecStats::default(),
     };
+    checker.enc_a.reset(a.size());
     // shared inputs: the i-th input of `b` is the i-th input of `a`
     checker.images[b.get_constant(false).node() as usize] = Some(Image::Mapped(constant_a));
     for (pa, pb) in a.pi_nodes().into_iter().zip(b.pi_nodes()) {
@@ -1500,16 +1415,7 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
         Some(SatResult::Sat) => EquivalenceResult::Inequivalent(
             a.pi_nodes()
                 .into_iter()
-                .map(|pi| {
-                    // an input outside every encoded cone cannot matter:
-                    // pick false
-                    let var = checker.enc_a.vars[pi as usize];
-                    var != NO_VAR
-                        && checker
-                            .solver
-                            .value(Var::from_index(var as usize))
-                            .unwrap_or(false)
-                })
+                .map(|pi| checker.enc_a.model_value(&checker.solver, pi))
                 .collect(),
         ),
         // without a cap, only the check's own budgets end a solve early
@@ -1975,34 +1881,23 @@ mod tests {
         aig
     }
 
-    /// The sweep is bit-identical at every thread count (same stats, same
-    /// network) and miter-equivalent to its input.
+    /// With one initial pattern word the phased rounds refute pairs and
+    /// refine their classes, and the result is miter-equivalent to the
+    /// input.
     #[test]
-    fn phased_proving_is_thread_count_invariant() {
+    fn phased_proving_refines_classes_and_preserves_the_function() {
         let build = || colliding_cones(0x9e37_79b9, 120, 8);
-        let params = |threads: usize| SweepParams {
+        let params = SweepParams {
             num_words: 1,
-            parallelism: Parallelism::new(threads),
             ..SweepParams::default()
         };
-        let mut baseline = build();
-        let baseline_stats = sweep(&mut baseline, &params(1));
+        let mut swept = build();
+        let stats = sweep(&mut swept, &params);
         assert!(
-            baseline_stats.rounds > 1 && baseline_stats.refuted > 0,
-            "the refinement path must actually run: {baseline_stats:?}"
+            stats.rounds > 1 && stats.refuted > 0,
+            "the refinement path must actually run: {stats:?}"
         );
-        assert!(check_equivalence(&build(), &baseline).is_equivalent());
-        for threads in [2, 4] {
-            let mut ntk = build();
-            let stats = sweep(&mut ntk, &params(threads));
-            assert_eq!(stats, baseline_stats, "threads = {threads}");
-            assert_eq!(ntk.num_gates(), baseline.num_gates(), "threads = {threads}");
-            assert_eq!(
-                ntk.po_signals(),
-                baseline.po_signals(),
-                "threads = {threads}"
-            );
-        }
+        assert!(check_equivalence(&build(), &swept).is_equivalent());
     }
 
     /// The equivalence outcome carries real proof-effort numbers.
@@ -2336,10 +2231,11 @@ mod tests {
 
     /// A budgeted sweep stops cleanly and within one pair: the budget is
     /// charged per candidate pair inside the prove phase, so at every tick
-    /// limit and thread count fewer pairs are attempted than the budget has
-    /// ticks, the merge count never exceeds the unlimited run's, the
-    /// network stays equivalent to its input, and small limits report the
-    /// exhaustion.
+    /// limit fewer pairs are attempted than the budget has ticks, the merge
+    /// count never exceeds the unlimited run's, the network stays
+    /// equivalent to its input, and small limits report the exhaustion.
+    /// A finite budget is deterministic: two runs at the same limit return
+    /// equal statistics and equal networks.
     #[test]
     fn budgeted_sweep_commits_an_equivalent_prefix() {
         let reference = redundant_pairs();
@@ -2352,53 +2248,56 @@ mod tests {
             &Tracer::off(),
         );
         assert!(full.candidate_pairs >= 20, "{full:?}");
-        for threads in [1, 2] {
-            let params = SweepParams {
-                parallelism: Parallelism::new(threads),
-                ..SweepParams::default()
-            };
-            let mut saw_exhausted = false;
-            for limit in 0..=unlimited.spent() + 1 {
-                let mut aig = redundant_pairs();
-                let stats = sweep_traced(
-                    &mut aig,
-                    &params,
-                    &mut SweepEngine::new(),
-                    &Budget::with_ticks(limit),
-                    &Tracer::off(),
-                );
-                assert!(
-                    stats.candidate_pairs as u64 <= limit.saturating_sub(1),
-                    "threads {threads}, limit {limit}: {stats:?}"
-                );
-                assert!(stats.proven <= full.proven, "{stats:?}");
-                assert!(
-                    check_equivalence(&reference, &aig).is_equivalent(),
-                    "threads {threads}, limit {limit}: {stats:?}"
-                );
-                saw_exhausted |= !stats.outcome.is_completed();
-            }
-            assert!(saw_exhausted, "threads {threads}: no limit exhausted");
+        let run = |limit: u64| {
+            let mut aig = redundant_pairs();
+            let stats = sweep_traced(
+                &mut aig,
+                &SweepParams::default(),
+                &mut SweepEngine::new(),
+                &Budget::with_ticks(limit),
+                &Tracer::off(),
+            );
+            let gates: Vec<_> = aig
+                .gate_nodes()
+                .into_iter()
+                .map(|g| aig.fanins(g))
+                .collect();
+            let structure = (aig.size(), aig.po_signals(), gates);
+            (stats, aig, structure)
+        };
+        let mut saw_exhausted = false;
+        for limit in 0..=unlimited.spent() + 1 {
+            let (stats, aig, structure) = run(limit);
+            assert!(
+                stats.candidate_pairs as u64 <= limit.saturating_sub(1),
+                "limit {limit}: {stats:?}"
+            );
+            assert!(stats.proven <= full.proven, "{stats:?}");
+            assert!(
+                check_equivalence(&reference, &aig).is_equivalent(),
+                "limit {limit}: {stats:?}"
+            );
+            let (again, _, again_structure) = run(limit);
+            assert_eq!(again, stats, "limit {limit}: statistics differ");
+            assert_eq!(again_structure, structure, "limit {limit}: networks differ");
+            saw_exhausted |= !stats.outcome.is_completed();
         }
+        assert!(saw_exhausted, "no limit exhausted");
     }
 
-    /// A panic inside a prove worker — here an injected budget fault —
+    /// A panic inside the prove phase — here an injected budget fault —
     /// reaches the caller with its payload intact, which is how the
     /// guarded executor recognises it.
     #[test]
-    fn worker_panics_reach_the_caller_with_their_payload() {
+    fn prove_phase_panics_reach_the_caller_with_their_payload() {
         use glsx_network::budget::INJECTED_PANIC_MESSAGE;
         use glsx_network::InjectedFault;
         let mut aig = redundant_pairs();
         let budget = Budget::unlimited().inject(InjectedFault::Panic, 3);
-        let params = SweepParams {
-            parallelism: Parallelism::new(2),
-            ..SweepParams::default()
-        };
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             sweep_traced(
                 &mut aig,
-                &params,
+                &SweepParams::default(),
                 &mut SweepEngine::new(),
                 &budget,
                 &Tracer::off(),
@@ -2413,32 +2312,26 @@ mod tests {
     }
 
     /// The solve statistics are summed once per sweep into `fraig.sat.*`:
-    /// the conflict counter equals the sweep's own total at every thread
-    /// count, and a second sweep on the same engine adds only its own work.
+    /// the conflict counter equals the sweep's own total, and a second
+    /// sweep on the same engine adds only its own work.
     #[test]
     fn traced_sweeps_count_their_sat_work() {
         use glsx_network::telemetry::TraceMode;
-        for threads in [1, 2] {
-            let tracer = Tracer::new(TraceMode::Counters);
-            let params = SweepParams {
-                parallelism: Parallelism::new(threads),
-                ..SweepParams::default()
-            };
-            let mut engine = SweepEngine::new();
-            let (mut aig, _) = parity_pair();
-            let budget = Budget::unlimited();
-            let first = sweep_traced(&mut aig, &params, &mut engine, &budget, &tracer);
-            assert!(first.conflicts > 0, "{first:?}");
-            let metrics = tracer.metrics();
-            assert_eq!(metrics.counter("fraig.sat.conflicts"), first.conflicts);
-            assert!(metrics.counter("fraig.sat.propagations") > 0);
-            let second = sweep_traced(&mut aig, &params, &mut engine, &budget, &tracer);
-            assert_eq!(
-                tracer.metrics().counter("fraig.sat.conflicts"),
-                first.conflicts + second.conflicts,
-                "threads {threads}"
-            );
-        }
+        let tracer = Tracer::new(TraceMode::Counters);
+        let params = SweepParams::default();
+        let mut engine = SweepEngine::new();
+        let (mut aig, _) = parity_pair();
+        let budget = Budget::unlimited();
+        let first = sweep_traced(&mut aig, &params, &mut engine, &budget, &tracer);
+        assert!(first.conflicts > 0, "{first:?}");
+        let metrics = tracer.metrics();
+        assert_eq!(metrics.counter("fraig.sat.conflicts"), first.conflicts);
+        assert!(metrics.counter("fraig.sat.propagations") > 0);
+        let second = sweep_traced(&mut aig, &params, &mut engine, &budget, &tracer);
+        assert_eq!(
+            tracer.metrics().counter("fraig.sat.conflicts"),
+            first.conflicts + second.conflicts
+        );
     }
 
     /// `base` with seeded redundant copies and restructured alternatives
@@ -2631,24 +2524,20 @@ mod tests {
         assert!(equivalent_by_simulation(&reference, &aig));
     }
 
-    /// `window_proven` repeats exactly, is equal at one and four threads,
-    /// never exceeds `proven` or `candidate_pairs`, and reaches the metrics
-    /// registry as `fraig.window_proven`.
+    /// `window_proven` repeats exactly, never exceeds `proven` or
+    /// `candidate_pairs`, and reaches the metrics registry as
+    /// `fraig.window_proven`.
     #[test]
     fn window_proven_counts_repeat_and_reach_the_registry() {
         use glsx_benchmarks::arithmetic::multiplier;
         use glsx_network::telemetry::TraceMode;
         let input = injected(multiplier::<Aig>(5), 7);
-        let run = |threads: usize| {
+        let run = || {
             let tracer = Tracer::new(TraceMode::Counters);
-            let params = SweepParams {
-                parallelism: Parallelism::new(threads),
-                ..SweepParams::default()
-            };
             let mut ntk = input.clone();
             let stats = sweep_traced(
                 &mut ntk,
-                &params,
+                &SweepParams::default(),
                 &mut SweepEngine::new(),
                 &Budget::unlimited(),
                 &tracer,
@@ -2659,11 +2548,10 @@ mod tests {
             );
             stats
         };
-        let first = run(1);
+        let first = run();
         assert!(first.window_proven > 0, "{first:?}");
         assert!(first.window_proven <= first.proven, "{first:?}");
         assert!(first.proven <= first.candidate_pairs, "{first:?}");
-        assert_eq!(run(1), first, "the sweep must repeat exactly");
-        assert_eq!(run(4), first, "the sweep must not depend on threads");
+        assert_eq!(run(), first, "the sweep must repeat exactly");
     }
 }

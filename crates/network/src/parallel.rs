@@ -2,11 +2,11 @@
 //!
 //! Parallelism in this workspace follows one contract: **the serial path
 //! is the verified twin**.  Every parallel code path (bulk cut
-//! enumeration, phased SAT sweeping, the portfolio flow) must produce
-//! *bit-identical* results at every thread count — identical cut arenas
-//! (contents and order), identical merges and identical LUT counts.  The
-//! property suite and the CI smoke step enforce this, so the knob can be
-//! turned freely without changing any result, only wall-clock time.
+//! enumeration, the portfolio flow) must produce *bit-identical* results
+//! at every thread count — identical cut arenas (contents and order) and
+//! identical LUT counts.  The property suite and the CI smoke step enforce
+//! this, so the knob can be turned freely without changing any result,
+//! only wall-clock time.
 //!
 //! A threaded path stays only where a bench row (`BENCH_parallel.json`)
 //! shows it pays at two threads on some workload.
@@ -16,11 +16,10 @@
 //! every node of level `L` depends only on nodes of levels `< L`.  Each level is a
 //! parallel-for over its node bucket; a barrier between levels is the only
 //! synchronisation, so the path pays on shallow networks and loses on deep
-//! ones with many near-empty levels.  The phased sweep partitions
-//! candidate classes and the portfolio runs one representation per
-//! thread.  Determinism falls out of commit discipline: threads compute
-//! into private buffers and results are committed in a fixed order that
-//! does not depend on the thread count.
+//! ones with many near-empty levels.  The portfolio runs one
+//! representation per thread.  Determinism falls out of commit
+//! discipline: threads compute into private buffers and results are
+//! committed in a fixed order that does not depend on the thread count.
 //!
 //! No new dependencies: everything builds on [`std::thread::scope`].
 

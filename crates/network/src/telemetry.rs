@@ -13,8 +13,7 @@
 //! * **Spans** — [`Tracer::span`] records nested pass/phase/batch
 //!   intervals with monotonic timestamps (nanoseconds since the tracer
 //!   was created) and per-thread *lane* ids, so parallel portfolio jobs
-//!   and phased sweep proving show up as genuinely concurrent lanes in a
-//!   trace viewer.  A disabled tracer costs **one branch and no
+//!   show up as genuinely concurrent lanes in a trace viewer.  A disabled tracer costs **one branch and no
 //!   allocation** per hook — the `Off` handle is a `None` discriminant
 //!   and [`SpanGuard`]'s drop is empty for it.
 //! * **Metrics** — a [`MetricsRegistry`] of named monotonic counters and
