@@ -22,9 +22,10 @@
 //! injected cone per 12 gates at k = 2, 4 and 8, recording seconds,
 //! candidate pairs, proven pairs and the pairs proven on their bounded
 //! window, asserts that at least 90% of the proven pairs close in the
-//! window, and checks each swept network against its input by random
-//! simulation.  Setting `GLSX_WRITE_BENCH_BASELINE=1` records the
-//! results at the repository root.
+//! window, and proves each swept network equivalent to its input with
+//! `check_equivalence`, like every other sweep row.  Setting
+//! `GLSX_WRITE_BENCH_BASELINE=1` records the results at the repository
+//! root.
 //!
 //! The mapping section (`BENCH_map.json`) injects *restructured
 //! alternatives* (`glsx_benchmarks::inject_restructured`) into each
@@ -51,7 +52,7 @@ use glsx_core::resubstitution::{resubstitute, ResubNetwork, ResubParams};
 use glsx_core::rewriting::{rewrite, RewriteParams};
 use glsx_core::sweeping::{check_equivalence, sweep, SweepParams};
 use glsx_flow::{run_script_and_map, run_step, FlowOptions, FlowScript};
-use glsx_network::simulation::{equivalent_by_random_simulation, equivalent_by_simulation};
+use glsx_network::simulation::equivalent_by_simulation;
 use glsx_network::{convert_network, Aig, Mig, Network, Xag};
 use glsx_truth::{isop, npn_canonize, TruthTable};
 use std::collections::HashSet;
@@ -324,16 +325,11 @@ const MIN_WINDOW_SHARE: f64 = 0.9;
 
 /// Times a full SAT sweep of `aig` (which carries injected redundancy);
 /// best-of-N timing like [`measure`], with every repetition asserting the
-/// deterministic outcome.  The first run is checked against `aig` by
-/// `equivalent`: sweeping must preserve combinational equivalence, and
-/// every merge must be SAT-proven (`proven` counts exactly the merges;
-/// there is no other merge path).
-fn measure_sweep(
-    name: &'static str,
-    aig: &Aig,
-    budget_ms: u128,
-    equivalent: fn(&Aig, &Aig) -> bool,
-) -> SweepRow {
+/// deterministic outcome.  The first run is proven equivalent to `aig` by
+/// `check_equivalence`: sweeping must preserve combinational equivalence,
+/// and every merge must be SAT-proven (`proven` counts exactly the
+/// merges; there is no other merge path).
+fn measure_sweep(name: &'static str, aig: &Aig, budget_ms: u128) -> SweepRow {
     let params = SweepParams::default();
     let mut first = aig.clone();
     let reference_stats = sweep(&mut first, &params);
@@ -342,7 +338,7 @@ fn measure_sweep(
         "{name}: sweep found no redundancy to merge ({reference_stats:?})"
     );
     assert!(
-        equivalent(aig, &first),
+        check_equivalence(aig, &first).is_equivalent(),
         "{name}: sweep broke combinational equivalence"
     );
 
@@ -371,19 +367,6 @@ fn measure_sweep(
     }
 }
 
-/// The equivalence check of the arithmetic sweep rows: a miter proof.
-fn miter_equivalent(a: &Aig, b: &Aig) -> bool {
-    check_equivalence(a, b).is_equivalent()
-}
-
-/// The equivalence check of the sweep scaling rows: 64 rounds of 64
-/// random patterns.  A miter proof costs 4.4, 28 and 228 s on them
-/// (`check_equivalence` compares every injected output in one residual
-/// miter), far longer than the rows themselves.
-fn simulated_equivalent(a: &Aig, b: &Aig) -> bool {
-    equivalent_by_random_simulation(a, b, 64, 0x5ca1)
-}
-
 /// The sweep scaling series: each `mac_datapath(16, k)` of
 /// [`SWEEP_SCALING`] with one injected redundant cone per 12 gates, swept
 /// by [`measure_sweep`]; at least [`MIN_WINDOW_SHARE`] of each row's
@@ -395,7 +378,7 @@ fn measure_sweep_scaling(budget_ms: u128) -> Vec<SweepRow> {
             let mut aig: Aig = mac_datapath(16, stages);
             let cones = aig.num_gates() / 12;
             inject_redundancy(&mut aig, cones, 0x5ca1_0000 + stages as u64);
-            let row = measure_sweep(name, &aig, budget_ms, simulated_equivalent);
+            let row = measure_sweep(name, &aig, budget_ms);
             assert!(
                 row.window_proven as f64 >= MIN_WINDOW_SHARE * row.proven as f64,
                 "{name}: only {} of {} proven pairs closed in their window",
@@ -579,7 +562,7 @@ fn main() {
         // a fast sweep probe keeps the sweep harness itself from rotting
         let mut aig: Aig = adder(8);
         inject_redundancy(&mut aig, 4, 0xbea7);
-        let _ = measure_sweep("adder_8", &aig, 200, miter_equivalent);
+        let _ = measure_sweep("adder_8", &aig, 200);
         return;
     }
 
@@ -635,7 +618,7 @@ fn main() {
         let mut redundant = aig.clone();
         let count = (aig.num_gates() / 25).max(4);
         inject_redundancy(&mut redundant, count, 0xbea7_0000 + count as u64);
-        let srow = measure_sweep(name, &redundant, 2000, miter_equivalent);
+        let srow = measure_sweep(name, &redundant, 2000);
         print_sweep_row(&srow);
         sweep_rows.push(srow);
 

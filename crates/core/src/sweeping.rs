@@ -53,17 +53,21 @@
 //! input words, a differing output is refuted at once, the gates of the
 //! second network are mapped onto the first bottom-up — structurally when
 //! the same gate over already-mapped fanins exists, by an `UNSAT` answer
-//! against a simulation candidate otherwise — and one SAT miter compares
-//! only the outputs left unmapped.  A network checked against a copy of
-//! itself needs no SAT call at all; see
-//! [`check_equivalence_with_limits`] for the details.
+//! against a simulation candidate otherwise, first on a 16-gate window
+//! and only then on the check's shared solver.  An output mapped onto a
+//! different signal than the first network's output is tried on the pair
+//! window the sweep uses, and one SAT miter compares only the outputs
+//! left.  A network checked against a copy of itself needs no SAT call at
+//! all; see [`check_equivalence_with_limits`] for the details.
 //!
-//! A sweep keeps one window prover and one cone encoder.  Each holds its
-//! node → variable map in a [`LocalScratch`], reset in O(1) for every
-//! window and for every class that opens its fallback solver, so no table
-//! is sized to the network per pair or per class.  A class's full-cone CNF
-//! is built only on fallback, lazily: one variable per encoded node, cones
-//! encoded on demand.
+//! A sweep keeps one window prover and one cone encoder; a check keeps
+//! one of each too.  Each holds its node → variable maps in
+//! [`LocalScratch`]es, reset in O(1) for every window and for every class
+//! that opens its fallback solver, so no table is sized to the network
+//! per pair, per window or per class.  A class's full-cone CNF is built
+//! only on fallback, lazily: one variable per encoded node, cones encoded
+//! on demand.  Windows are never encoded into a check's shared solver:
+//! only the gates no window proved are.
 
 use crate::replace::Replacer;
 use glsx_network::telemetry::{self, BatchSpans, MetricsSource, Tracer, BATCH_INTERVAL};
@@ -432,45 +436,128 @@ fn prove_pair<N: Network>(
     }
 }
 
-/// Gate bound of the window every candidate pair is proven on before the
-/// full-cone miter.  A constant, like resubstitution's window limits.
+/// Gate bound of every window: the pair window each `fraig` candidate pair
+/// is proven on before the full-cone miter, and each side of the
+/// equivalence checker's windows.  A constant, like resubstitution's
+/// window limits.
 const WINDOW_GATES: usize = 16;
 
-/// The sweep's scratch of the windowed pair proof.
+/// One network's side of a window.
 ///
-/// A window holds the gates of both cones nearest their roots: nodes are
-/// expanded in decreasing topological rank (highest first, so a gate is
-/// expanded before any gate of its fanin cone) until the gate bound is
-/// reached.  Every node left on the frontier — primary inputs, and gates
-/// past the bound — is a free variable; the constant is pinned to zero.
-/// The free leaves can take any value, a superset of what the real cones
-/// feed the window, so `UNSAT` on the window is a proof of the pair, while
-/// `SAT` may be spurious and proves nothing.
+/// A side holds the gates nearest its roots: nodes are expanded in
+/// decreasing topological rank (highest first, so a gate is expanded
+/// before any gate of its fanin cone) until the gate bound is reached.
+/// Every node left on the frontier — primary inputs, and gates past the
+/// bound — is a free variable; the constant is pinned to zero.  The free
+/// leaves can take any value, a superset of what the real cones feed the
+/// window, so `UNSAT` on a window is a proof, while `SAT` may be spurious
+/// and proves nothing.
 ///
-/// The node → variable map is a [`LocalScratch`] that the sweep sizes once
-/// and reuses (O(1) reset per window), and each window gets a fresh small
-/// solver, so no table is sized to the network per pair or per class.
+/// The node → variable map is a [`LocalScratch`] sized once and reset in
+/// O(1) per window, so no table is sized to the network per window.
+#[derive(Debug, Default)]
+struct WindowSide {
+    /// SAT variable index of every node of the side.
+    vars: LocalScratch,
+    /// Side nodes not yet expanded, keyed by rank, highest first.
+    frontier: BinaryHeap<(u32, NodeId)>,
+    /// The side's gates, in expansion order.
+    gates: Vec<NodeId>,
+}
+
+impl WindowSide {
+    /// Empties the side for a window over a network of `num_nodes` nodes.
+    fn reset(&mut self, num_nodes: usize) {
+        self.vars.reset(num_nodes);
+        self.frontier.clear();
+        self.gates.clear();
+    }
+
+    /// Gives `node` a window variable, unless it has one, and queues it
+    /// for expansion; the constant's variable is pinned to zero.
+    fn leaf<N: Network>(&mut self, ntk: &N, solver: &mut Solver, rank: &[u32], node: NodeId) {
+        if self.vars.is_marked(node) {
+            return;
+        }
+        let var = solver.new_var();
+        self.vars.set_value(node, var.index() as u32);
+        if ntk.is_constant(node) {
+            solver.add_clause(&[Lit::negative(var)]);
+        }
+        self.frontier.push((rank[node as usize], node));
+    }
+
+    /// Expands the frontier in decreasing rank until the side holds
+    /// `max_gates` gates or runs out of nodes.  Every fanin of an expanded
+    /// gate is first offered to `elsewhere`; the fanins it does not claim
+    /// become leaves of this side.
+    fn expand<N: Network>(
+        &mut self,
+        ntk: &N,
+        solver: &mut Solver,
+        rank: &[u32],
+        max_gates: usize,
+        mut elsewhere: impl FnMut(&mut Solver, Signal) -> bool,
+    ) {
+        while self.gates.len() < max_gates {
+            let Some((_, node)) = self.frontier.pop() else {
+                break;
+            };
+            if ntk.is_gate(node) {
+                self.gates.push(node);
+                ntk.foreach_fanin(node, |f| {
+                    if !elsewhere(solver, f) {
+                        self.leaf(ntk, solver, rank, f.node());
+                    }
+                });
+            }
+        }
+    }
+
+    /// The literal of `signal`, whose node has a variable on this side.
+    fn lit(&self, signal: Signal) -> Lit {
+        let var = self
+            .vars
+            .value(signal.node())
+            .expect("window node has a variable");
+        Lit::new(Var::from_index(var as usize), !signal.is_complemented())
+    }
+}
+
+/// The window prover: the pair windows of `fraig` and of the equivalence
+/// checker's outputs, and the checker's gate windows, all through one
+/// expansion ([`WindowSide::expand`]) and one gate encoder.
+///
+/// A pair window is one side over one network, expanded from both roots.
+/// A gate window spans the checker's two networks: the second network's
+/// side holds the gate and its unmapped fanin gates, down to the signals
+/// already mapped onto the first network; the first network's side is
+/// expanded from the images of those signals and from the gate's
+/// candidate.  Each window gets a fresh small solver; the sides are kept
+/// and reset in O(1), so a sweep or a check sizes them once.
 #[derive(Debug, Default)]
 struct WindowProver {
-    /// SAT variable index of every node of the current window.
-    vars: LocalScratch,
-    /// Window nodes not yet expanded, keyed by rank, highest first.
-    frontier: BinaryHeap<(u32, NodeId)>,
-    /// The window's gates, in expansion order.
-    gates: Vec<NodeId>,
+    /// The side over the swept network, or the checker's first network.
+    first: WindowSide,
+    /// The checker's second-network side of a gate window.
+    second: WindowSide,
     fanin_lits: Vec<Lit>,
     clause: Vec<Lit>,
 }
 
 impl WindowProver {
     /// Solves the miter of `cand == repr` (`cand == !repr` when
-    /// `antivalent`) on a window of at most `max_gates` gates, under a
-    /// conflict limit and an optional propagation limit.  Returns the
-    /// answer with the window solver's statistics, or `None` when the
-    /// window holds no gate: two distinct free leaves are never equal, so
-    /// there is nothing to solve.
+    /// `antivalent`) on a pair window of at most `max_gates` gates of
+    /// `ntk`, under `limits`: a conflict limit and an optional propagation
+    /// limit.
+    /// Returns the answer with the window solver's statistics, or `None`
+    /// when the window holds no gate: two distinct free leaves are never
+    /// equal, so there is nothing to solve.
+    ///
+    /// The variables are numbered `repr`, `cand`, then in expansion order;
+    /// the sweep's proof counters depend on that order.
     #[allow(clippy::too_many_arguments)]
-    fn solve<N: Network>(
+    fn solve_pair<N: Network>(
         &mut self,
         ntk: &N,
         rank: &[u32],
@@ -478,78 +565,135 @@ impl WindowProver {
         cand: NodeId,
         antivalent: bool,
         max_gates: usize,
-        conflict_limit: u64,
-        propagation_limit: Option<u64>,
+        limits: (u64, Option<u64>),
     ) -> Option<(SatResult, SolverStats)> {
         let Self {
-            vars,
-            frontier,
-            gates,
+            first: side,
+            fanin_lits,
+            clause,
+            ..
+        } = self;
+        let mut solver = Solver::new();
+        side.reset(ntk.size());
+        for root in [repr, cand] {
+            side.leaf(ntk, &mut solver, rank, root);
+        }
+        side.expand(ntk, &mut solver, rank, max_gates, |_, _| false);
+        if side.gates.is_empty() {
+            return None;
+        }
+        encode_window_gates(ntk, &side.gates, &mut solver, fanin_lits, clause, |s| {
+            side.lit(s)
+        });
+        let (x, y) = (
+            side.lit(Signal::new(repr, false)),
+            side.lit(Signal::new(cand, false)),
+        );
+        Some(solve_window_miter(solver, x, y, antivalent, limits))
+    }
+
+    /// Solves the miter of gate `h` of `b` against `image`, a signal of
+    /// `a`, on a gate window of at most `max_gates` gates per side, under
+    /// `limits` (as for [`WindowProver::solve_pair`]).  `images` maps
+    /// the nodes of `b` visited before `h`: a fanin mapped onto `a` stands
+    /// for its image's variable on the first side, an unmapped one is a
+    /// gate of the second side (or, past the bound, a free leaf).
+    #[allow(clippy::too_many_arguments)]
+    fn solve_gate<A: Network, B: Network>(
+        &mut self,
+        (a, rank_a): (&A, &[u32]),
+        (b, rank_b): (&B, &[u32]),
+        images: &[Option<Image>],
+        h: NodeId,
+        image: Signal,
+        max_gates: usize,
+        limits: (u64, Option<u64>),
+    ) -> (SatResult, SolverStats) {
+        let Self {
+            first,
+            second,
             fanin_lits,
             clause,
         } = self;
         let mut solver = Solver::new();
-        vars.reset(ntk.size());
-        frontier.clear();
-        gates.clear();
-        for root in [repr, cand] {
-            window_leaf(ntk, &mut solver, vars, frontier, rank, root);
-        }
-        while gates.len() < max_gates {
-            let Some((_, node)) = frontier.pop() else {
-                break;
-            };
-            if ntk.is_gate(node) {
-                gates.push(node);
-                ntk.foreach_fanin(node, |f| {
-                    window_leaf(ntk, &mut solver, vars, frontier, rank, f.node());
-                });
-            }
-        }
-        if gates.is_empty() {
-            return None;
-        }
-        let lit_of = |vars: &LocalScratch, s: Signal| {
-            let var = vars.value(s.node()).expect("window node has a variable");
-            Lit::new(Var::from_index(var as usize), !s.is_complemented())
-        };
-        for &gate in gates.iter() {
-            fanin_lits.clear();
-            ntk.foreach_fanin(gate, |f| fanin_lits.push(lit_of(vars, f)));
-            let out = lit_of(vars, Signal::new(gate, false)).var();
-            encode_gate_clauses(ntk, gate, fanin_lits, out, &mut solver, clause);
-        }
-        let t = xor_tap(
+        first.reset(a.size());
+        second.reset(b.size());
+        second.leaf(b, &mut solver, rank_b, h);
+        second.expand(
+            b,
             &mut solver,
-            lit_of(vars, Signal::new(repr, false)),
-            lit_of(vars, Signal::new(cand, false)),
+            rank_b,
+            max_gates,
+            |solver, f| match images[f.node() as usize] {
+                Some(Image::Mapped(s)) => {
+                    first.leaf(a, solver, rank_a, s.node());
+                    true
+                }
+                _ => false,
+            },
         );
-        solver.set_conflict_limit(Some(conflict_limit.max(1)));
-        solver.set_propagation_limit(propagation_limit);
-        let result = solver.solve_with_assumptions(&[Lit::new(t, !antivalent)]);
-        Some((result, solver.stats()))
+        first.leaf(a, &mut solver, rank_a, image.node());
+        first.expand(a, &mut solver, rank_a, max_gates, |_, _| false);
+        encode_window_gates(a, &first.gates, &mut solver, fanin_lits, clause, |s| {
+            first.lit(s)
+        });
+        let lit_b = |s: Signal| match images[s.node() as usize] {
+            Some(Image::Mapped(m)) => first.lit(m.complement_if(s.is_complemented())),
+            _ => second.lit(s),
+        };
+        encode_window_gates(b, &second.gates, &mut solver, fanin_lits, clause, lit_b);
+        let (x, y) = (second.lit(Signal::new(h, false)), first.lit(image));
+        solve_window_miter(solver, x, y, false, limits)
     }
 }
 
-/// Gives `node` a window variable, unless it has one, and queues it for
-/// expansion; the constant's variable is pinned to zero.
-fn window_leaf<N: Network>(
+/// Emits the Tseitin clauses of the window gates `gates` of `ntk`, the
+/// literal of every gate and fanin given by `lit`.
+fn encode_window_gates<N: Network>(
     ntk: &N,
+    gates: &[NodeId],
     solver: &mut Solver,
-    vars: &mut LocalScratch,
-    frontier: &mut BinaryHeap<(u32, NodeId)>,
-    rank: &[u32],
-    node: NodeId,
+    fanin_lits: &mut Vec<Lit>,
+    clause: &mut Vec<Lit>,
+    lit: impl Fn(Signal) -> Lit,
 ) {
-    if vars.value(node).is_some() {
-        return;
+    for &gate in gates {
+        fanin_lits.clear();
+        ntk.foreach_fanin(gate, |f| fanin_lits.push(lit(f)));
+        let out = lit(Signal::new(gate, false)).var();
+        encode_gate_clauses(ntk, gate, fanin_lits, out, solver, clause);
     }
-    let var = solver.new_var();
-    vars.set_value(node, var.index() as u32);
-    if ntk.is_constant(node) {
-        solver.add_clause(&[Lit::negative(var)]);
+}
+
+/// Asks a window's `solver` for a model with `x != y` (`x != !y` when
+/// `antivalent`) under a conflict limit (at least 1) and an optional
+/// propagation limit, returning the answer with the solver's statistics:
+/// `UNSAT` proves `x == y` (`x == !y`).
+fn solve_window_miter(
+    mut solver: Solver,
+    x: Lit,
+    y: Lit,
+    antivalent: bool,
+    (conflict_limit, propagation_limit): (u64, Option<u64>),
+) -> (SatResult, SolverStats) {
+    let t = xor_tap(&mut solver, x, y);
+    solver.set_conflict_limit(Some(conflict_limit.max(1)));
+    solver.set_propagation_limit(propagation_limit);
+    let result = solver.solve_with_assumptions(&[Lit::new(t, !antivalent)]);
+    (result, solver.stats())
+}
+
+/// Topological rank of every node of `ntk`: the constant, then the
+/// primary inputs, then the gates in topological order (`u32::MAX` for
+/// dead nodes).  Windows expand in decreasing rank.
+fn topological_rank<N: Network>(ntk: &N) -> Vec<u32> {
+    let mut rank = vec![u32::MAX; ntk.size()];
+    rank[0] = 0;
+    let live = ntk.pi_nodes().into_iter().chain(ntk.gate_nodes());
+    for (r, node) in live.enumerate() {
+        rank[node as usize] = r as u32 + 1;
     }
-    frontier.push((rank[node as usize], node));
+    rank
 }
 
 /// Proof outcomes of one equivalence class.
@@ -639,15 +783,14 @@ fn prove_class<N: Network>(
         }
         batch.tick();
         let antivalent = ctx.sim.phase(repr_node) != ctx.sim.phase(node);
-        if let Some((result, stats)) = window.solve(
+        if let Some((result, stats)) = window.solve_pair(
             ntk,
             ctx.rank,
             repr_node,
             node,
             antivalent,
             ctx.window_gates,
-            ctx.conflict_limit,
-            budget.sat_propagation_allowance(),
+            (ctx.conflict_limit, budget.sat_propagation_allowance()),
         ) {
             budget.consume_sat(stats.propagations);
             out.solver += stats;
@@ -872,17 +1015,7 @@ fn sweep_pass<N: Network>(
     // skipped and not retried).  The pair windows expand by rank too; an
     // inverted rank only changes which gates a window holds, never its
     // soundness.
-    let mut rank = vec![u32::MAX; ntk.size()];
-    let mut next_rank = 0u32;
-    rank[0] = next_rank;
-    for pi in ntk.pi_nodes() {
-        next_rank += 1;
-        rank[pi as usize] = next_rank;
-    }
-    for gate in ntk.gate_nodes() {
-        next_rank += 1;
-        rank[gate as usize] = next_rank;
-    }
+    let rank = topological_rank(&*ntk);
 
     let mut replacer = Replacer::new();
     // the class partition: `members` holds class members contiguously and
@@ -1183,14 +1316,21 @@ pub struct CecStats {
     /// Gates mapped by an `UNSAT` answer against their simulation
     /// candidate.
     pub proven: usize,
-    /// Candidate pairs a satisfying assignment refuted; the gate keeps its
-    /// own variable.
+    /// Of `proven`, the gates whose proof closed on a gate window; the
+    /// rest needed the check's shared solver.
+    pub window_proven: usize,
+    /// Candidate pairs a satisfying assignment of the shared solver
+    /// refuted; the gate keeps its own variable.
     pub refuted: usize,
     /// Candidate pairs the per-pair conflict cap left undecided; the gate
     /// keeps its own variable.
     pub undecided: usize,
-    /// Output pairs whose mapped signals differ, compared by the final
-    /// miter (0 when the mapping alone proves every output).
+    /// Output pairs mapped onto a different signal of the first network
+    /// that a pair window proved equal to the first network's output.
+    pub window_outputs: usize,
+    /// Output pairs compared by the final miter: their mapped signals
+    /// differ and no window closed them (0 when the mapping and the
+    /// windows alone prove every output).
     pub residual_outputs: usize,
 }
 
@@ -1198,8 +1338,10 @@ impl MetricsSource for CecStats {
     fn visit_metrics(&self, visit: &mut dyn FnMut(&str, u64)) {
         visit("structural", self.structural as u64);
         visit("proven", self.proven as u64);
+        visit("window_proven", self.window_proven as u64);
         visit("refuted", self.refuted as u64);
         visit("undecided", self.undecided as u64);
+        visit("window_outputs", self.window_outputs as u64);
         visit("residual_outputs", self.residual_outputs as u64);
     }
 }
@@ -1227,8 +1369,9 @@ pub fn check_equivalence<A: Network, B: Network>(a: &A, b: &B) -> EquivalenceOut
 /// [`check_equivalence`] with explicit conflict and propagation budgets
 /// for the whole check (`None` lifts the respective limit).
 ///
-/// The check runs in three phases over one solver whose input variables
-/// are shared by the two networks:
+/// The check runs in four phases.  Proofs run on small window solvers
+/// first, and on one shared solver, whose input variables the two
+/// networks share, only when a window does not close:
 ///
 /// 1. **Simulation.**  Both networks are simulated on the same random
 ///    input words; a differing output bit is returned as a counterexample
@@ -1236,26 +1379,44 @@ pub fn check_equivalence<A: Network, B: Network>(a: &A, b: &B) -> EquivalenceOut
 /// 2. **Mapping.**  The gates of `b` are visited in topological order and
 ///    mapped onto signals of `a`.  A gate whose fanins are all mapped and
 ///    whose kind exists in `a` over exactly those (normalised) fanin
-///    signals is mapped structurally.  Any other gate is Tseitin-encoded
-///    over its fanins' literals — mapped fanins use `a`'s lazily encoded
-///    literals — and proven against the first node of `a` (constant,
-///    inputs, gates) with the same polarity-normalised simulation
-///    signature, under an assumption and a per-pair cap of
-///    [`SweepParams::conflict_limit`] conflicts.  On `UNSAT` the gate is
-///    mapped (with the simulated phase) and the two equality clauses are
-///    added; on `SAT` or at the cap it keeps its own variable.
-/// 3. **Residual miter.**  Only the output pairs whose mapped signals
-///    differ get an XOR tap; no tap is a proof, otherwise one solve
-///    decides.
+///    signals is mapped structurally.  Any other gate is proven against
+///    the first node of `a` (constant, inputs, gates) with the same
+///    polarity-normalised simulation signature, first on a *gate window*
+///    (Mishchenko et al., ICCAD 2006: most proven pairs are local): the
+///    gate and its unmapped fanin gates down to mapped signals, at most 16
+///    gates, against at most 16 gates of `a` expanded in decreasing rank
+///    from the images of those signals and from the candidate, with every
+///    frontier node free and the constant pinned.  `UNSAT` there maps the
+///    gate, and nothing is encoded in the shared solver.  A satisfiable or
+///    undecided window falls through to the shared solver: the gate is
+///    Tseitin-encoded over its fanins' literals — mapped fanins use `a`'s
+///    lazily encoded literals — and proven under an assumption.  On
+///    `UNSAT` the gate is mapped (with the simulated phase) and the two
+///    equality clauses are added; on `SAT` or at the cap it keeps its own
+///    variable.  Both attempts are capped at
+///    [`SweepParams::conflict_limit`] conflicts.
+/// 3. **Output windows.**  An output pair whose image in `a` is a
+///    different signal than `a`'s own output is tried on the pair window
+///    `fraig` proves its candidates on, over `a` with the two signals as
+///    roots.  `UNSAT` there proves the pair.
+/// 4. **Residual miter.**  Only the output pairs left — the mapped
+///    signals differ and no window closed them — get an XOR tap; no tap
+///    is a proof, otherwise one solve decides.
 ///
+/// Windows only ever prove: their free leaves over-approximate what the
+/// real cones feed them, so `UNSAT` is a proof and `SAT` proves nothing.
 /// Nothing is mapped on simulation alone, so every
 /// [`EquivalenceResult::Equivalent`] rests on structural identity over
-/// mapped fanins or on `UNSAT` answers.  The check is deterministic: the
-/// simulation seed is fixed and gates are visited in topological order.
+/// mapped fanins or on `UNSAT` answers, and every
+/// [`EquivalenceResult::Inequivalent`] carries a real input assignment,
+/// from simulation or from the residual miter.  The check is
+/// deterministic: the simulation seed is fixed and gates are visited in
+/// topological order.
 ///
-/// Every solve runs under the remaining allowance of both budgets, and
-/// [`EquivalenceOutcome::solver`] covers all of them.  The propagation
-/// limit is the deterministic knob effort budgets drive
+/// Every solve, window or shared, runs under the remaining allowance of
+/// both budgets and is charged back, and [`EquivalenceOutcome::solver`]
+/// sums all of them.  The propagation limit is the deterministic knob
+/// effort budgets drive
 /// ([`glsx_network::Budget::sat_propagation_allowance`]); when either
 /// budget runs out the verdict is [`EquivalenceResult::Unknown`] and
 /// [`EquivalenceOutcome::limit_exhausted`] is `true`, which is how
@@ -1271,6 +1432,20 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
     b: &B,
     conflict_limit: Option<u64>,
     propagation_limit: Option<u64>,
+) -> EquivalenceOutcome {
+    check_pass(a, b, conflict_limit, propagation_limit, WINDOW_GATES)
+}
+
+/// The body of [`check_equivalence_with_limits`], with the gate bound of
+/// its windows passed in: the check uses [`WINDOW_GATES`], and the tests
+/// pass 0 — no window, every proof on the shared solver — as the oracle
+/// the windowed check must agree with.
+fn check_pass<A: Network, B: Network>(
+    a: &A,
+    b: &B,
+    conflict_limit: Option<u64>,
+    propagation_limit: Option<u64>,
+    window_gates: usize,
 ) -> EquivalenceOutcome {
     assert_eq!(
         a.num_pis(),
@@ -1330,8 +1505,12 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
 
     let mut checker = Checker {
         a,
+        rank_a: topological_rank(a),
         solver: Solver::new(),
         enc_a: CnfEncoder::default(),
+        window: WindowProver::default(),
+        window_gates,
+        windows: SolverStats::default(),
         images: vec![None; b.size()],
         conflict_limit,
         propagation_limit,
@@ -1344,6 +1523,7 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
         checker.images[pb as usize] = Some(Image::Mapped(Signal::new(pa, false)));
     }
 
+    let rank_b = topological_rank(b);
     let mut fanin_lits: Vec<Lit> = Vec::with_capacity(3);
     let mut clause: Vec<Lit> = Vec::new();
     for h in b.gate_nodes() {
@@ -1365,8 +1545,23 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
             checker.work.structural += 1;
             continue;
         }
-        // by proof: encode the gate over its fanins' literals and prove it
-        // against its simulation candidate
+        // by proof against the simulation candidate: on a gate window
+        // first, then on the shared solver
+        let candidate = candidates
+            .get(&signature(&sim_b, h))
+            .map(|&c| Signal::new(c, sim_a.phase(c) != sim_b.phase(h)));
+        if let Some(image) = candidate {
+            match checker.gate_window(b, &rank_b, h, image) {
+                None => return checker.finish(EquivalenceResult::Unknown),
+                Some(true) => {
+                    checker.images[h as usize] = Some(Image::Mapped(image));
+                    checker.work.proven += 1;
+                    checker.work.window_proven += 1;
+                    continue;
+                }
+                Some(false) => {}
+            }
+        }
         fanin_lits.clear();
         for i in 0..b.fanin_size(h) {
             let lit = checker.lit_of(b.fanin(h, i));
@@ -1375,10 +1570,9 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
         let v = checker.solver.new_var();
         encode_gate_clauses(b, h, &fanin_lits, v, &mut checker.solver, &mut clause);
         checker.images[h as usize] = Some(Image::Free(v));
-        let Some(&cand) = candidates.get(&signature(&sim_b, h)) else {
+        let Some(image) = candidate else {
             continue;
         };
-        let image = Signal::new(cand, sim_a.phase(cand) != sim_b.phase(h));
         let lc = checker.enc_a.encode_signal(a, &mut checker.solver, image);
         let lh = Lit::positive(v);
         let t = xor_tap(&mut checker.solver, lh, lc);
@@ -1395,11 +1589,23 @@ pub fn check_equivalence_with_limits<A: Network, B: Network>(
         }
     }
 
-    // residual miter over the outputs the mapping did not prove
+    // residual miter over the outputs neither the mapping nor a window
+    // proved
     let mut taps: Vec<Lit> = Vec::new();
     for (&sa, &sb) in pos_a.iter().zip(&pos_b) {
-        if checker.image(sb) == Some(sa) {
+        let image = checker.image(sb);
+        if image == Some(sa) {
             continue;
+        }
+        if let Some(s) = image {
+            match checker.output_window(sa, s) {
+                None => return checker.finish(EquivalenceResult::Unknown),
+                Some(true) => {
+                    checker.work.window_outputs += 1;
+                    continue;
+                }
+                Some(false) => {}
+            }
         }
         let la = checker.enc_a.encode_signal(a, &mut checker.solver, sa);
         let lb = checker.lit_of(sb);
@@ -1474,12 +1680,21 @@ enum Image {
 }
 
 /// State of one [`check_equivalence_with_limits`] call: the shared solver,
-/// the lazy encoder of the first network and the image of every node of
-/// the second (`None` until visited; fanins are visited first).
+/// the lazy encoder of the first network, the window prover and the image
+/// of every node of the second (`None` until visited; fanins are visited
+/// first).
 struct Checker<'n, A: Network> {
     a: &'n A,
+    /// Topological rank of every node of `a`, the order its window sides
+    /// expand in.
+    rank_a: Vec<u32>,
     solver: Solver,
     enc_a: CnfEncoder,
+    window: WindowProver,
+    /// Gate bound of the windows; 0 skips them (the tests' oracle).
+    window_gates: usize,
+    /// Statistics of every window solve, summed.
+    windows: SolverStats,
     images: Vec<Option<Image>>,
     conflict_limit: Option<u64>,
     propagation_limit: Option<u64>,
@@ -1493,7 +1708,7 @@ impl<A: Network> Checker<'_, A> {
         EquivalenceOutcome {
             limit_exhausted: result == EquivalenceResult::Unknown,
             result,
-            solver: self.solver.stats(),
+            solver: self.spent(),
             work: self.work,
         }
     }
@@ -1520,10 +1735,18 @@ impl<A: Network> Checker<'_, A> {
         }
     }
 
+    /// Statistics of every solve so far: the shared solver's and the
+    /// windows'.
+    fn spent(&self) -> SolverStats {
+        let mut spent = self.solver.stats();
+        spent += self.windows;
+        spent
+    }
+
     /// Whether the whole check's conflict or propagation allowance is used
     /// up.
     fn exhausted(&self) -> bool {
-        let spent = self.solver.stats();
+        let spent = self.spent();
         self.conflict_limit
             .is_some_and(|limit| spent.conflicts >= limit)
             || self
@@ -1531,26 +1754,103 @@ impl<A: Network> Checker<'_, A> {
                 .is_some_and(|limit| spent.propagations >= limit)
     }
 
-    /// Solves under `assumptions` with at most `cap` conflicts, within the
-    /// whole check's remaining conflict and propagation allowance.
+    /// The conflict and propagation limits of the next solve: at most
+    /// `cap` conflicts, within the whole check's remaining allowance.
     /// `None` when that allowance is used up.
-    fn solve(&mut self, assumptions: &[Lit], cap: Option<u64>) -> Option<SatResult> {
+    fn limits(&self, cap: Option<u64>) -> Option<(Option<u64>, Option<u64>)> {
         if self.exhausted() {
             return None;
         }
-        let spent = self.solver.stats();
+        let spent = self.spent();
         let conflicts_left = self.conflict_limit.map(|limit| limit - spent.conflicts);
-        self.solver
-            .set_conflict_limit([cap, conflicts_left].into_iter().flatten().min());
-        self.solver.set_propagation_limit(
+        Some((
+            [cap, conflicts_left].into_iter().flatten().min(),
             self.propagation_limit
                 .map(|limit| limit - spent.propagations),
-        );
+        ))
+    }
+
+    /// Solves the shared solver under `assumptions` with at most `cap`
+    /// conflicts, within the whole check's remaining allowance.  `None`
+    /// when that allowance is used up.
+    fn solve(&mut self, assumptions: &[Lit], cap: Option<u64>) -> Option<SatResult> {
+        let (conflicts, propagations) = self.limits(cap)?;
+        self.solver.set_conflict_limit(conflicts);
+        self.solver.set_propagation_limit(propagations);
         let result = self.solver.solve_with_assumptions(assumptions);
         if matches!(result, SatResult::Unknown) && self.exhausted() {
             return None;
         }
         Some(result)
+    }
+
+    /// The conflict and propagation limits of the next window solve: the
+    /// per-pair cap within the whole check's remaining allowance.  `None`
+    /// when that allowance is used up.
+    fn window_limits(&self) -> Option<(u64, Option<u64>)> {
+        let cap = SweepParams::default().conflict_limit;
+        let (conflicts, propagations) = self.limits(Some(cap))?;
+        Some((conflicts.unwrap_or(cap), propagations))
+    }
+
+    /// Charges a window solve to the check: `Some(true)` when it proved
+    /// its miter, `None` when it ran the check's allowance out.
+    fn charge_window(&mut self, (result, stats): (SatResult, SolverStats)) -> Option<bool> {
+        self.windows += stats;
+        if result == SatResult::Unknown && self.exhausted() {
+            return None;
+        }
+        Some(result == SatResult::Unsat)
+    }
+
+    /// Tries to prove gate `h` of `b` equal to `image` on a gate window,
+    /// under the per-pair cap and the check's remaining allowance:
+    /// `Some(true)` when the window closes, `Some(false)` when it does not
+    /// (or windows are off), `None` when the allowance ran out.
+    fn gate_window<B: Network>(
+        &mut self,
+        b: &B,
+        rank_b: &[u32],
+        h: NodeId,
+        image: Signal,
+    ) -> Option<bool> {
+        if self.window_gates == 0 {
+            return Some(false);
+        }
+        let limits = self.window_limits()?;
+        let answer = self.window.solve_gate(
+            (self.a, &self.rank_a),
+            (b, rank_b),
+            &self.images,
+            h,
+            image,
+            self.window_gates,
+            limits,
+        );
+        self.charge_window(answer)
+    }
+
+    /// Tries to prove the output `sa` of the first network equal to `s`,
+    /// the image of the second network's output, on a pair window over
+    /// the first network; the answers are those of
+    /// [`Checker::gate_window`].
+    fn output_window(&mut self, sa: Signal, s: Signal) -> Option<bool> {
+        if self.window_gates == 0 || sa.node() == s.node() {
+            return Some(false);
+        }
+        let limits = self.window_limits()?;
+        let Some(answer) = self.window.solve_pair(
+            self.a,
+            &self.rank_a,
+            sa.node(),
+            s.node(),
+            sa.is_complemented() != s.is_complemented(),
+            self.window_gates,
+            limits,
+        ) else {
+            return Some(false);
+        };
+        self.charge_window(answer)
     }
 }
 
@@ -2455,15 +2755,14 @@ mod tests {
                         tts[cand as usize] == tts[repr as usize]
                     };
                     let result = window
-                        .solve(
+                        .solve_pair(
                             ntk,
                             &rank,
                             repr,
                             cand,
                             antivalent,
                             WINDOW_GATES,
-                            1_000,
-                            None,
+                            (1_000, None),
                         )
                         .map(|(result, _)| result);
                     match result {
@@ -2510,8 +2809,12 @@ mod tests {
         let rank: Vec<u32> = (0..aig.size() as u32).collect();
         let mut window = WindowProver::default();
         let (repr, cand) = (chain.node().min(tree.node()), chain.node().max(tree.node()));
-        let result = window.solve(&aig, &rank, repr, cand, false, WINDOW_GATES, 1_000, None);
-        assert_eq!(window.gates.len(), WINDOW_GATES, "the window hit its bound");
+        let result = window.solve_pair(&aig, &rank, repr, cand, false, WINDOW_GATES, (1_000, None));
+        assert_eq!(
+            window.first.gates.len(),
+            WINDOW_GATES,
+            "the window hit its bound"
+        );
         assert!(
             matches!(result, Some((SatResult::Sat, _))),
             "the window must not close the pair: {:?}",
@@ -2553,5 +2856,138 @@ mod tests {
         assert!(first.window_proven <= first.proven, "{first:?}");
         assert!(first.proven <= first.candidate_pairs, "{first:?}");
         assert_eq!(run(), first, "the sweep must repeat exactly");
+    }
+
+    /// The sweep of [`redundant_pairs`] keeps each output's AND and drops
+    /// its re-expression: checked against its input, every gate maps
+    /// structurally, and each of the 24 outputs maps onto the AND, a
+    /// different node than the input's own output.  The output windows
+    /// close all 24, so the residual miter compares nothing.
+    #[test]
+    fn output_windows_close_redundant_outputs() {
+        let input = redundant_pairs();
+        let mut swept = input.clone();
+        sweep(&mut swept, &SweepParams::default());
+        let outcome = check_equivalence(&input, &swept);
+        assert!(outcome.is_equivalent(), "{outcome:?}");
+        assert_eq!(outcome.work.structural, swept.num_gates(), "{outcome:?}");
+        assert_eq!(outcome.work.window_outputs, 24, "{outcome:?}");
+        assert_eq!(outcome.work.residual_outputs, 0, "{outcome:?}");
+    }
+
+    /// A verification budget that runs out inside a window ends the check
+    /// as `Unknown` with `limit_exhausted`, and the window's work is
+    /// charged.  Checked the other way round, the sweep of
+    /// [`redundant_pairs`] maps each re-expression onto its AND in a gate
+    /// window and the shared solver never solves, so every propagation
+    /// limit below the unlimited check's total stops inside a window.
+    #[test]
+    fn budgets_run_out_inside_windows() {
+        let input = redundant_pairs();
+        let mut swept = input.clone();
+        sweep(&mut swept, &SweepParams::default());
+        let full = check_equivalence_with_limits(&swept, &input, None, None);
+        assert!(full.is_equivalent(), "{full:?}");
+        assert_eq!(full.work.window_proven, 24, "{full:?}");
+        assert_eq!(full.work.proven, 24, "{full:?}");
+        assert_eq!(full.work.residual_outputs, 0, "{full:?}");
+        let total = full.solver.propagations;
+        assert!(total > 1, "{full:?}");
+        for limit in [1, total / 2] {
+            let starved = check_equivalence_with_limits(&swept, &input, None, Some(limit));
+            assert_eq!(starved.result, EquivalenceResult::Unknown, "{starved:?}");
+            assert!(starved.limit_exhausted, "{starved:?}");
+            assert!(starved.work.window_proven < 24, "{starved:?}");
+            assert!(starved.solver.propagations >= limit, "{starved:?}");
+        }
+        let conflicts = full.solver.conflicts;
+        assert!(conflicts > 1, "{full:?}");
+        let starved = check_equivalence_with_limits(&swept, &input, Some(conflicts / 2), None);
+        assert_eq!(starved.result, EquivalenceResult::Unknown, "{starved:?}");
+        assert!(starved.limit_exhausted, "{starved:?}");
+    }
+
+    /// The windowed check against the window-free oracle (`check_pass`
+    /// with bound 0, every proof on the shared solver) and exhaustive
+    /// simulation.  Seeded AIGs, XAGs, MIGs and XMGs with injected
+    /// redundant and restructured cones are checked, both ways, against
+    /// their sweep and against copies of the sweep with one gate replaced
+    /// by one of its fanins.  Both checkers must return the verdict of
+    /// exhaustive simulation, every counterexample must tell an output
+    /// pair apart, the oracle opens no window, and gate windows, output
+    /// windows and shared-solver proofs after an open window are all
+    /// exercised.
+    #[test]
+    fn windowed_check_matches_the_window_free_oracle() {
+        use glsx_benchmarks::arithmetic::{adder, multiplier};
+        use glsx_network::Xmg;
+        fn agree<N: Network>(a: &N, b: &N, case: &str, totals: &mut [usize; 4]) {
+            let expected = equivalent_by_simulation(a, b);
+            let limit = Some(DEFAULT_CEC_CONFLICT_LIMIT);
+            let windowed = check_pass(a, b, limit, None, WINDOW_GATES);
+            let oracle = check_pass(a, b, limit, None, 0);
+            for outcome in [&windowed, &oracle] {
+                match &outcome.result {
+                    EquivalenceResult::Equivalent => assert!(expected, "{case}: {outcome:?}"),
+                    EquivalenceResult::Inequivalent(cex) => {
+                        assert!(!expected, "{case}: {outcome:?}");
+                        let patterns: Vec<u64> = cex.iter().map(|&v| u64::from(v)).collect();
+                        let (oa, ob) = (
+                            simulate_patterns(a, &patterns),
+                            simulate_patterns(b, &patterns),
+                        );
+                        assert!(
+                            oa.iter().zip(&ob).any(|(x, y)| (x ^ y) & 1 == 1),
+                            "{case}: the counterexample distinguishes no output"
+                        );
+                    }
+                    EquivalenceResult::Unknown => panic!("{case}: no verdict {outcome:?}"),
+                }
+            }
+            let w = &windowed.work;
+            assert_eq!(oracle.work.window_proven, 0, "{case}");
+            assert_eq!(oracle.work.window_outputs, 0, "{case}");
+            assert!(w.window_proven <= w.proven, "{case}: {w:?}");
+            totals[0] += w.window_proven;
+            totals[1] += w.window_outputs;
+            totals[2] += w.proven - w.window_proven;
+            totals[3] += usize::from(!expected);
+        }
+        fn cases<N: Network + GateBuilder + Clone>(name: &str, totals: &mut [usize; 4]) {
+            for (circuit, base) in [("multiplier_4", multiplier::<N>(4)), ("adder_6", adder(6))] {
+                for seed in [1u64, 2] {
+                    let input = injected(base.clone(), seed);
+                    let mut swept = input.clone();
+                    sweep(&mut swept, &SweepParams::default());
+                    let case = format!("{name} {circuit} seed {seed}");
+                    agree(&input, &swept, &case, totals);
+                    agree(&swept, &input, &format!("{case} reversed"), totals);
+                    let gates = swept.gate_nodes();
+                    for &g in gates.iter().step_by(gates.len() / 3 + 1) {
+                        let mut mutant = swept.clone();
+                        mutant.substitute_node(g, swept.fanin(g, 0));
+                        let case = format!("{case} gate {g} replaced");
+                        agree(&input, &mutant, &case, totals);
+                        agree(&mutant, &input, &format!("{case} reversed"), totals);
+                    }
+                }
+            }
+        }
+        let mut totals = [0usize; 4];
+        cases::<Aig>("aig", &mut totals);
+        cases::<Xag>("xag", &mut totals);
+        cases::<Mig>("mig", &mut totals);
+        cases::<Xmg>("xmg", &mut totals);
+        let [gate_windows, output_windows, fallbacks, inequivalent] = totals;
+        assert!(gate_windows > 0, "no gate closed in its window: {totals:?}");
+        assert!(
+            output_windows > 0,
+            "no output closed in its window: {totals:?}"
+        );
+        assert!(
+            fallbacks > 0,
+            "no proof needed the shared solver: {totals:?}"
+        );
+        assert!(inequivalent > 0, "no inequivalent case: {totals:?}");
     }
 }

@@ -965,6 +965,45 @@ mod tests {
         assert_eq!(metrics.counter("verify.sat.conflicts"), conflicts);
     }
 
+    /// The checker's window counters reach the registry as
+    /// `verify.window_proven` and `verify.window_outputs`, equal to the sum
+    /// of the per-step deltas, and repeat exactly from run to run; on
+    /// `multiplier(4)` the steps' proofs close gates in windows.
+    #[test]
+    fn verify_window_counts_repeat_and_reach_the_registry() {
+        use glsx_benchmarks::arithmetic::multiplier;
+        use glsx_network::telemetry::{TraceMode, Tracer};
+        let run = || {
+            let mut ntk: Aig = multiplier(4);
+            let tracer = Tracer::new(TraceMode::Counters);
+            let report = run_script_guarded_traced(
+                &mut ntk,
+                &guarded_script(),
+                &FlowOptions::default(),
+                &GuardOptions::default(),
+                &tracer,
+            );
+            assert_eq!(report.rollbacks, 0, "{report:?}");
+            let metrics = tracer.metrics();
+            let counts = ["verify.window_proven", "verify.window_outputs"].map(|name| {
+                let per_step: u64 = report
+                    .steps
+                    .iter()
+                    .flat_map(|s| &s.metric_deltas)
+                    .filter(|(n, _)| n == name)
+                    .map(|(_, v)| *v)
+                    .sum();
+                assert_eq!(metrics.counter(name), per_step, "{name}");
+                per_step
+            });
+            assert!(counts[0] <= metrics.counter("verify.proven"), "{counts:?}");
+            counts
+        };
+        let first = run();
+        assert!(first[0] > 0, "no gate closed in a window: {first:?}");
+        assert_eq!(run(), first, "window counts must repeat exactly");
+    }
+
     #[test]
     fn selective_trace_marks_narrow_span_recording() {
         use glsx_network::telemetry::{TraceMode, Tracer};

@@ -919,9 +919,12 @@ impl Storage {
         }
     }
 
-    /// Replaces uses of `old` in the primary outputs by `new`.
+    /// Replaces uses of `old` in the primary outputs by `new`.  A node
+    /// that drives no output returns at once, and the scan stops once all
+    /// `po_refs` outputs of `old` have moved.
     pub fn replace_in_outputs(&mut self, old: NodeId, new: Signal) {
-        if old == new.node() {
+        let refs = self.nodes[old as usize].po_refs;
+        if old == new.node() || refs == 0 {
             return;
         }
         let mut moved = 0u32;
@@ -929,16 +932,18 @@ impl Storage {
             if po.node() == old {
                 *po = new.complement_if(po.is_complemented());
                 moved += 1;
+                if moved == refs {
+                    break;
+                }
             }
         }
-        if moved > 0 {
-            let old_data = &mut self.nodes[old as usize];
-            old_data.po_refs -= moved;
-            old_data.fanout_count -= moved;
-            let new_data = &mut self.nodes[new.node() as usize];
-            new_data.po_refs += moved;
-            new_data.fanout_count += moved;
-        }
+        debug_assert_eq!(moved, refs, "po_refs of node {old} diverged");
+        let old_data = &mut self.nodes[old as usize];
+        old_data.po_refs -= moved;
+        old_data.fanout_count -= moved;
+        let new_data = &mut self.nodes[new.node() as usize];
+        new_data.po_refs += moved;
+        new_data.fanout_count += moved;
     }
 
     /// Removes `id` if it is a gate with no fanouts, recursively removing
@@ -1049,6 +1054,37 @@ mod tests {
         assert_eq!(s.node(g2).fanins, vec![c, c]);
         assert_eq!(s.pos[1], !c);
         assert_eq!(s.node(c.node()).po_refs, 1);
+    }
+
+    /// Substituting a node that drives two outputs moves both (keeping
+    /// their polarities) and its PO references; substituting one that
+    /// drives none leaves the outputs alone.  The network stays intact
+    /// after each.
+    #[test]
+    fn output_replacement_moves_exactly_the_driven_outputs() {
+        use crate::views::check_network_integrity;
+        use crate::{Aig, GateBuilder, Network};
+        let mut aig = Aig::new();
+        let a = aig.create_pi();
+        let b = aig.create_pi();
+        let c = aig.create_pi();
+        let twice = aig.create_and(a, b);
+        let inner = aig.create_and(b, c);
+        let top = aig.create_and(inner, a);
+        aig.create_po(top);
+        aig.create_po(twice);
+        aig.create_po(c);
+        aig.create_po(!twice);
+        check_network_integrity(&aig).unwrap();
+        aig.substitute_node(twice.node(), !c);
+        assert_eq!(aig.po_signals(), vec![top, !c, c, c]);
+        assert_eq!(aig.storage.node(c.node()).po_refs, 3);
+        check_network_integrity(&aig).unwrap();
+        // `inner` drives no output: only its fanout `top` changes
+        aig.substitute_node(inner.node(), a);
+        assert_eq!(aig.po_signals()[1..], [!c, c, c]);
+        assert_eq!(aig.storage.node(inner.node()).po_refs, 0);
+        check_network_integrity(&aig).unwrap();
     }
 
     #[test]

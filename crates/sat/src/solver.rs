@@ -205,6 +205,9 @@ pub struct Solver {
     /// (bit 0: locked as a reason, bit 1: selected for removal) —
     /// deterministic and allocation-free, unlike a per-call hash set.
     reduce_marks: Vec<u8>,
+    /// Reusable buffer [`Solver::add_clause`] sorts, deduplicates and
+    /// filters a clause in; only the stored clause is allocated.
+    add_buf: Vec<Lit>,
     ok: bool,
     stats: SolverStats,
     conflict_limit: Option<u64>,
@@ -242,6 +245,7 @@ impl Solver {
             cla_inc: 1.0,
             seen: Vec::new(),
             reduce_marks: Vec::new(),
+            add_buf: Vec::new(),
             ok: true,
             stats: SolverStats::default(),
             conflict_limit: None,
@@ -322,36 +326,43 @@ impl Solver {
         }
         // Clauses may only be added at decision level 0.
         debug_assert!(self.trail_lim.is_empty());
-        let mut lits: Vec<Lit> = lits.to_vec();
-        lits.sort_unstable();
-        lits.dedup();
-        // tautology check and removal of falsified literals at level 0
-        let mut filtered = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
-            if i + 1 < lits.len() && lits[i + 1] == l.negate() {
+        self.add_buf.clear();
+        self.add_buf.extend_from_slice(lits);
+        self.add_buf.sort_unstable();
+        self.add_buf.dedup();
+        // tautology check and removal of falsified literals at level 0,
+        // compacting the kept literals to the front of the buffer
+        let mut kept = 0;
+        for i in 0..self.add_buf.len() {
+            let l = self.add_buf[i];
+            if self.add_buf.get(i + 1) == Some(&l.negate()) {
                 return; // tautology
             }
             match self.lit_value(l) {
                 LBool::True => return, // already satisfied at level 0
                 LBool::False => {}     // drop falsified literal
-                LBool::Undef => filtered.push(l),
+                LBool::Undef => {
+                    self.add_buf[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match filtered.len() {
+        match kept {
             0 => {
                 self.ok = false;
             }
             1 => {
-                if !self.enqueue(filtered[0], INVALID_REASON) || self.propagate().is_some() {
+                if !self.enqueue(self.add_buf[0], INVALID_REASON) || self.propagate().is_some() {
                     self.ok = false;
                 }
             }
             _ => {
+                let lits = self.add_buf[..kept].to_vec();
                 let cref = self.clauses.len();
-                self.watches[filtered[0].negate().code()].push(cref);
-                self.watches[filtered[1].negate().code()].push(cref);
+                self.watches[lits[0].negate().code()].push(cref);
+                self.watches[lits[1].negate().code()].push(cref);
                 self.clauses.push(Clause {
-                    lits: filtered,
+                    lits,
                     learnt: false,
                     activity: 0.0,
                 });

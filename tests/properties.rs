@@ -13,7 +13,9 @@ use glsx::algorithms::lut_mapping::{lut_map, lut_map_stats, LutMapParams};
 use glsx::algorithms::refactoring::{refactor, RefactorParams};
 use glsx::algorithms::resubstitution::{resubstitute, ResubNetwork, ResubParams};
 use glsx::algorithms::rewriting::{rewrite, RewriteParams};
-use glsx::algorithms::sweeping::{check_equivalence, sweep, EquivalenceResult, SweepParams};
+use glsx::algorithms::sweeping::{
+    check_equivalence, sweep, CecStats, EquivalenceResult, SweepParams,
+};
 use glsx::algorithms::Replacer;
 use glsx::benchmarks::SplitMix64 as Rng;
 use glsx::flow::{compress2rs, FlowOptions};
@@ -552,12 +554,17 @@ fn differing_patterns<A: Network, B: Network>(a: &A, b: &B) -> usize {
 /// whose flip changes the outputs on the fewest input patterns: a
 /// difference random simulation is likely to miss, so the checker must
 /// refute it by SAT.  Every verdict must equal the oracle's, and every
-/// counterexample must make some output pair differ.
+/// counterexample must make some output pair differ.  Over all cases, the
+/// checker must prove gates on gate windows, outputs on output windows,
+/// and gates on its shared solver after their window stayed open.  (The
+/// comparison with the window-free checker is the unit test
+/// `sweeping::tests::windowed_check_matches_the_window_free_oracle`: the
+/// window bound is private to the checker.)
 #[test]
 fn equivalence_checker_agrees_with_exhaustive_simulation() {
-    /// Checks `a` against `b`; returns the oracle's verdict and whether the
-    /// checker needed SAT to refute.
-    fn agree<A: Network, B: Network>(a: &A, b: &B, what: &str) -> (bool, bool) {
+    /// Checks `a` against `b`; returns the oracle's verdict, whether the
+    /// checker needed SAT to refute, and the checker's work counters.
+    fn agree<A: Network, B: Network>(a: &A, b: &B, what: &str) -> (bool, bool, CecStats) {
         let expected = equivalent_by_simulation(a, b);
         let outcome = check_equivalence(a, b);
         match &outcome.result {
@@ -577,13 +584,20 @@ fn equivalence_checker_agrees_with_exhaustive_simulation() {
             EquivalenceResult::Unknown => panic!("{what}: no verdict {outcome:?}"),
         }
         let refuted_by_sat = !expected && outcome.solver.propagations > 0;
-        (expected, refuted_by_sat)
+        (expected, refuted_by_sat, outcome.work)
     }
     #[derive(Debug, Default)]
     struct Tally {
         equivalent: usize,
         inequivalent: usize,
         refuted_by_sat: usize,
+        /// Gates proven on a gate window.
+        gate_windows: usize,
+        /// Output pairs proven on an output window.
+        output_windows: usize,
+        /// Gates proven on the shared solver after their window stayed
+        /// open.
+        fallbacks: usize,
     }
     fn check<N: Network + GateBuilder + ResubNetwork + Clone>(
         build: impl Fn(&mut Rng) -> N,
@@ -624,13 +638,16 @@ fn equivalence_checker_agrees_with_exhaustive_simulation() {
                 verdicts.push(agree(&ntk, flipped, &what("flipped edge")));
                 verdicts.push(agree(flipped, &ntk, &what("flipped edge, reversed")));
             }
-            for (equivalent, refuted_by_sat) in verdicts {
+            for (equivalent, refuted_by_sat, work) in verdicts {
                 if equivalent {
                     tally.equivalent += 1;
                 } else {
                     tally.inequivalent += 1;
                 }
                 tally.refuted_by_sat += usize::from(refuted_by_sat);
+                tally.gate_windows += work.window_proven;
+                tally.output_windows += work.window_outputs;
+                tally.fallbacks += work.proven - work.window_proven;
             }
         }
     }
@@ -675,6 +692,11 @@ fn equivalence_checker_agrees_with_exhaustive_simulation() {
     assert!(
         tally.equivalent > 0 && tally.inequivalent > 0 && tally.refuted_by_sat > 0,
         "{tally:?}"
+    );
+    assert!(
+        tally.gate_windows > 0 && tally.output_windows > 0 && tally.fallbacks > 0,
+        "gate windows, output windows and shared-solver fallbacks must each be exercised: \
+         {tally:?}"
     );
 }
 
