@@ -1,42 +1,61 @@
 //! Thread-parallel execution benchmarks (`BENCH_parallel.json`): serial
-//! versus multi-thread wall time for every threaded path that pays
-//! somewhere — bulk cut enumeration and the portfolio flow — plus a
-//! `wide_simulation` row measuring the 256-bit `SimBlock` path against
-//! one-word-at-a-time scalar evaluation.
+//! versus multi-thread wall time for every threaded path — bulk cut
+//! enumeration and the portfolio flow — plus a `wide_simulation` row
+//! measuring the 256-bit `SimBlock` path against one-word-at-a-time
+//! scalar evaluation.
 //!
 //! Cut enumeration is timed twice because its speed-up depends on the
 //! circuit's shape: every level is a barrier, so it pays on the shallow
 //! `random_control(256, 200_000, 256, 1)` (depth 46) and loses on the
 //! deep `mac_datapath(16, 4)`, whose levels hold a handful of gates each.
+//! Two `lut_map` rows sit on either side of the mapper's own choice
+//! between the lazy cut fill and bulk enumeration
+//! (`uses_bulk_enumeration`): `mac_datapath(16, 4)`, 39 gates per
+//! level, and `random_control(64, 20_000, 64, 1)`, about 500.  Each
+//! records the path `lut_map` took, its wall time, and the two fills
+//! timed on their own through `CutManager`: `cuts_of` on every gate
+//! (serial side) against `enumerate` on the mapper's
+//! `BULK_ENUMERATION_THREADS` (parallel side).  The two sides differ in
+//! algorithm as well as in threads, so these rows stay outside the ≥2×
+//! bar.
 //!
 //! Every parallel run is checked against its serial twin before it is
-//! timed: cut arenas and portfolio results must be bit-identical.
-//! Timings report the best of several runs; the headline `speedup` is
-//! parallel best over serial best.
+//! timed: cut arenas must be bit-identical, and the portfolio must return
+//! the LUT counts of its three flows run one after another.  Timings
+//! report the best of several runs; the headline `speedup` is serial best
+//! over parallel best.
 //!
-//! Threaded rows run at `min(4, CPUs)` threads and never fewer than two,
-//! so a two-CPU machine records two-thread numbers.
-//! `available_parallelism` is recorded in the JSON and the ≥2× speedup
-//! acceptance bar is only enforced when at least four CPUs are actually
+//! Threaded cut rows run at `min(4, CPUs)` threads and never fewer than
+//! two, so a two-CPU machine records two-thread numbers; the `lut_map`
+//! rows enumerate on two threads, as the mapper does, and the portfolio
+//! runs its three flows on three threads.  `available_parallelism` is
+//! recorded in the JSON and the ≥2× speedup acceptance bar — over the
+//! two `cut_enumeration` rows, the only threaded twins run at four
+//! threads — is only enforced when at least four CPUs are actually
 //! available (the CI runner class).  Setting
 //! `GLSX_WRITE_BENCH_BASELINE=1` records the results at the repository
 //! root.
 //!
-//! `--smoke` skips the timing loops: it runs the 4-thread configuration
-//! of every component once against the serial twin (bit-identity for
-//! wide blocks/cuts/portfolio) on a smaller circuit — the CI guard of the
-//! parallel layer.
+//! `--smoke` skips the timing loops: it runs cut enumeration at four
+//! threads against the serial enumeration, the wide blocks against the
+//! scalar sweep and the portfolio against its sequential flows once, on
+//! small circuits — the CI guard of the parallel layer.
 
 use glsx_benchmarks::arithmetic::{mac_datapath, multiplier_16};
 use glsx_benchmarks::control::random_control;
 use glsx_core::cuts::{CutManager, CutParams};
-use glsx_flow::{portfolio_best_luts, FlowOptions};
+use glsx_core::lut_mapping::{
+    lut_map, lut_map_stats, uses_bulk_enumeration, LutMapParams, BULK_ENUMERATION_THREADS,
+};
+use glsx_core::resubstitution::ResubNetwork;
+use glsx_flow::{compress2rs, portfolio_best_luts, FlowOptions};
+use glsx_network::views::network_depth;
 use glsx_network::wordsim::WordSimulator;
-use glsx_network::{Aig, Network, Parallelism};
+use glsx_network::{convert_network, Aig, GateBuilder, Mig, Network, Xag};
 use std::time::Instant;
 
-/// Thread count of the smoke run and upper bound of the timed rows (the
-/// CI runner class).
+/// Thread count of the smoke run and upper bound of the timed cut rows
+/// (the CI runner class).
 const THREADS: usize = 4;
 
 /// Best-of-N wall time of `run`, with a fixed repetition budget.
@@ -63,6 +82,14 @@ struct Row {
     /// `wide_simulation` row, where the gain is block width, not
     /// threads).
     threads: usize,
+    /// What a `lut_map` row adds: the path the mapper took and its time.
+    mapping: Option<Mapping>,
+}
+
+struct Mapping {
+    gates_per_level: f64,
+    bulk: bool,
+    seconds: f64,
 }
 
 impl Row {
@@ -79,9 +106,9 @@ fn bench_cuts(name: &'static str, aig: &Aig, threads: usize, timed: bool) -> Row
         ..CutParams::default()
     };
     let mut reference = CutManager::new(params);
-    reference.enumerate(aig, Parallelism::serial());
+    reference.enumerate(aig, 1);
     let mut manager = CutManager::new(params);
-    manager.enumerate(aig, Parallelism::new(threads));
+    manager.enumerate(aig, threads);
     assert_eq!(
         reference.arena_len(),
         manager.arena_len(),
@@ -98,7 +125,7 @@ fn bench_cuts(name: &'static str, aig: &Aig, threads: usize, timed: bool) -> Row
     let serial_seconds = best_seconds(
         || {
             let mut m = CutManager::new(params);
-            m.enumerate(aig, Parallelism::serial());
+            m.enumerate(aig, 1);
         },
         repeats,
         budget,
@@ -106,7 +133,7 @@ fn bench_cuts(name: &'static str, aig: &Aig, threads: usize, timed: bool) -> Row
     let parallel_seconds = best_seconds(
         || {
             let mut m = CutManager::new(params);
-            m.enumerate(aig, Parallelism::new(threads));
+            m.enumerate(aig, threads);
         },
         repeats,
         budget,
@@ -118,39 +145,115 @@ fn bench_cuts(name: &'static str, aig: &Aig, threads: usize, timed: bool) -> Row
         serial_seconds,
         parallel_seconds,
         threads,
+        mapping: None,
     }
 }
 
-/// Portfolio flow: the three representation flows on one thread each must
-/// return exactly the serial result, then both sides are timed.
-fn bench_portfolio(
-    name: &'static str,
-    aig: &Aig,
-    lut_size: usize,
-    threads: usize,
-    timed: bool,
-) -> Row {
-    let options = |par: Parallelism| FlowOptions {
-        parallelism: par,
-        ..FlowOptions::default()
+/// `lut_map` at k = 6: the path the mapper selects for `aig` and its wall
+/// time, then its two cut fills timed on their own — the lazy fill
+/// (`cuts_of` on every gate, in the mapper's order) against bulk
+/// enumeration on the mapper's worker count — after checking that both
+/// give every gate the same cut set.
+fn bench_lut_map(name: &'static str, aig: &Aig) -> Row {
+    let threads = BULK_ENUMERATION_THREADS;
+    let map_params = LutMapParams::with_lut_size(6);
+    let params = CutParams {
+        cut_size: map_params.lut_size,
+        cut_limit: map_params.cut_limit,
+        compute_truth: false,
     };
-    let reference = portfolio_best_luts(aig, &options(Parallelism::serial()), lut_size);
-    let parallel = portfolio_best_luts(aig, &options(Parallelism::new(threads)), lut_size);
-    assert_eq!(
-        reference, parallel,
-        "{name}: parallel portfolio diverged from serial"
+    let gates = aig.gate_nodes();
+    let lazy_fill = || {
+        let mut m = CutManager::new(params);
+        for &node in &gates {
+            m.cuts_of(aig, node);
+        }
+        m
+    };
+    let mut lazy = lazy_fill();
+    let mut bulk = CutManager::new(params);
+    bulk.enumerate(aig, threads);
+    for &node in &gates {
+        assert_eq!(
+            lazy.cuts_of(aig, node),
+            bulk.cuts_of(aig, node),
+            "{name}: bulk cut set of node {node} diverged from the lazy fill"
+        );
+    }
+    let (repeats, budget) = (15, 10_000);
+    let seconds = best_seconds(
+        || {
+            lut_map(aig, &map_params);
+        },
+        repeats,
+        budget,
     );
-    let (repeats, budget) = if timed { (3, 30_000) } else { (1, 1) };
     let serial_seconds = best_seconds(
         || {
-            portfolio_best_luts(aig, &options(Parallelism::serial()), lut_size);
+            lazy_fill();
         },
         repeats,
         budget,
     );
     let parallel_seconds = best_seconds(
         || {
-            portfolio_best_luts(aig, &options(Parallelism::new(threads)), lut_size);
+            let mut m = CutManager::new(params);
+            m.enumerate(aig, threads);
+        },
+        repeats,
+        budget,
+    );
+    Row {
+        component: "lut_map",
+        circuit: name,
+        gates: aig.num_gates(),
+        serial_seconds,
+        parallel_seconds,
+        threads,
+        mapping: Some(Mapping {
+            gates_per_level: aig.num_gates() as f64 / f64::from(network_depth(aig).max(1)),
+            bulk: uses_bulk_enumeration(aig),
+            seconds,
+        }),
+    }
+}
+
+/// LUT counts of the portfolio's three flows run one after another: the
+/// serial baseline of the portfolio row.
+fn sequential_portfolio(aig: &Aig, lut_size: usize) -> [usize; 3] {
+    fn flow_luts<N: Network + GateBuilder + ResubNetwork>(mut ntk: N, lut_size: usize) -> usize {
+        compress2rs(&mut ntk, &FlowOptions::default());
+        lut_map_stats(&ntk, &LutMapParams::with_lut_size(lut_size)).num_luts
+    }
+    [
+        flow_luts(aig.clone(), lut_size),
+        flow_luts(convert_network::<Aig, Mig>(aig), lut_size),
+        flow_luts(convert_network::<Aig, Xag>(aig), lut_size),
+    ]
+}
+
+/// Portfolio flow: its three representation flows, one thread each, must
+/// return exactly the LUT counts of the flows run one after another, then
+/// both sides are timed.
+fn bench_portfolio(name: &'static str, aig: &Aig, lut_size: usize, timed: bool) -> Row {
+    let options = FlowOptions::default();
+    let parallel = portfolio_best_luts(aig, &options, lut_size);
+    assert_eq!(
+        parallel.luts_per_representation,
+        sequential_portfolio(aig, lut_size),
+        "{name}: portfolio diverged from its sequential flows"
+    );
+    let (repeats, budget) = if timed { (3, 30_000) } else { (1, 1) };
+    let serial_seconds = best_seconds(
+        || {
+            sequential_portfolio(aig, lut_size);
+        },
+        repeats,
+        budget,
+    );
+    let parallel_seconds = best_seconds(
+        || {
+            portfolio_best_luts(aig, &options, lut_size);
         },
         repeats,
         budget,
@@ -161,7 +264,8 @@ fn bench_portfolio(
         gates: aig.num_gates(),
         serial_seconds,
         parallel_seconds,
-        threads,
+        threads: 3,
+        mapping: None,
     }
 }
 
@@ -193,6 +297,7 @@ fn bench_wide_simulation(name: &'static str, aig: &Aig, words: usize, timed: boo
         serial_seconds,
         parallel_seconds,
         threads: 1,
+        mapping: None,
     }
 }
 
@@ -202,17 +307,17 @@ fn available_cpus() -> usize {
         .unwrap_or(1)
 }
 
-/// `--smoke`: one pass of every component at 4 threads against the
-/// serial twin, on a circuit small enough for CI.
+/// `--smoke`: one untimed pass of every threaded component against its
+/// serial twin, on circuits small enough for CI.
 fn smoke() {
     let aig: Aig = multiplier_16();
     bench_cuts("multiplier_16", &aig, THREADS, false);
     bench_wide_simulation("multiplier_16", &aig, 16, false);
     let small: Aig = glsx_benchmarks::arithmetic::multiplier(6);
-    bench_portfolio("multiplier_6", &small, 6, THREADS, false);
+    bench_portfolio("multiplier_6", &small, 6, false);
     println!(
-        "smoke: wide blocks, cut enumeration and portfolio verified at \
-         {THREADS} threads against the serial twin (bit-identity) on {} CPUs",
+        "smoke: cut enumeration at {THREADS} threads, wide blocks and the \
+         portfolio verified against their serial twins (bit-identity) on {} CPUs",
         available_cpus()
     );
 }
@@ -228,12 +333,15 @@ fn main() {
     let m16: Aig = multiplier_16();
     let datapath: Aig = mac_datapath(16, 4);
     let shallow: Aig = random_control(256, 200_000, 256, 1);
+    let wide: Aig = random_control(64, 20_000, 64, 1);
 
     let rows = [
         bench_wide_simulation("mac_datapath_16x4", &datapath, 64, true),
         bench_cuts("mac_datapath_16x4", &datapath, threads, true),
         bench_cuts("random_control_256x200k", &shallow, threads, true),
-        bench_portfolio("multiplier_16", &m16, 6, threads, true),
+        bench_lut_map("mac_datapath_16x4", &datapath),
+        bench_lut_map("random_control_64x20k", &wide),
+        bench_portfolio("multiplier_16", &m16, 6, true),
     ];
 
     for row in &rows {
@@ -247,15 +355,27 @@ fn main() {
             row.parallel_seconds,
             row.speedup(),
         );
+        if let Some(m) = &row.mapping {
+            let cheaper = if row.speedup() > 1.0 { "bulk" } else { "lazy" };
+            println!(
+                "{:<16} {:.0} gates/level: lut_map took the {} fill ({cheaper} is cheaper) \
+                 in {:.4}s",
+                "",
+                m.gates_per_level,
+                if m.bulk { "bulk" } else { "lazy" },
+                m.seconds,
+            );
+        }
     }
 
     // the acceptance bar: with real hardware parallelism, at least one
-    // pass must be ≥2x faster at 4 threads on the ≥10k-gate circuit
-    // (the single-thread wide_simulation row measures SIMD width, not
-    // threads, and sits outside the bar)
+    // pass must be ≥2x faster at 4 threads on the ≥10k-gate circuit.  Only
+    // threaded twins count: the single-thread wide_simulation row measures
+    // SIMD width, the portfolio runs three threads, and the lut_map rows
+    // compare two fills, not thread counts
     let best = rows
         .iter()
-        .filter(|r| r.threads >= THREADS)
+        .filter(|r| r.mapping.is_none() && r.threads >= THREADS)
         .map(|r| r.speedup())
         .fold(f64::NEG_INFINITY, f64::max);
     if cpus >= THREADS {
@@ -274,11 +394,23 @@ fn main() {
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
+            let mapping = r.mapping.as_ref().map_or(String::new(), |m| {
+                format!(
+                    concat!(
+                        ", \"gates_per_level\": {:.1}, \"path\": \"{}\", ",
+                        "\"lut_map_seconds\": {:.6}, \"selected_is_cheaper\": {}"
+                    ),
+                    m.gates_per_level,
+                    if m.bulk { "bulk" } else { "lazy" },
+                    m.seconds,
+                    m.bulk == (r.speedup() > 1.0),
+                )
+            });
             format!(
                 concat!(
                     "    {{\"component\": \"{}\", \"circuit\": \"{}\", \"gates\": {}, ",
                     "\"serial_seconds\": {:.6}, \"parallel_seconds\": {:.6}, ",
-                    "\"threads\": {}, \"speedup\": {:.3}}}"
+                    "\"threads\": {}, \"speedup\": {:.3}{}}}"
                 ),
                 r.component,
                 r.circuit,
@@ -287,6 +419,7 @@ fn main() {
                 r.parallel_seconds,
                 r.threads,
                 r.speedup(),
+                mapping,
             )
         })
         .collect();

@@ -22,7 +22,9 @@
 //!   step early without failing it, the remaining steps must still run,
 //!   and the final miter against the flow input must be green.
 //!
-//! Timings report the best of several runs.  Setting
+//! Timings report the best of several runs; the unguarded and the
+//! guarded flow are timed in alternating pairs, so the overhead compares
+//! runs made side by side.  Setting
 //! `GLSX_WRITE_BENCH_BASELINE=1` records the results at the repository
 //! root.  `--smoke` skips the timing loops and runs the recovery section
 //! (plus a guarded-equals-unguarded identity check) on a small circuit,
@@ -54,6 +56,37 @@ fn best_seconds(mut run: impl FnMut(), repeats: u32, budget_ms: u128) -> f64 {
         runs += 1;
     }
     best
+}
+
+/// Best-of-N wall times of `first` and `second`, timed in alternating
+/// pairs under one repetition budget: even repetitions run `first` first,
+/// odd ones `second` first, so a drift in the machine's speed reaches
+/// both sides alike.
+fn best_paired_seconds(
+    mut first: impl FnMut(),
+    mut second: impl FnMut(),
+    repeats: u32,
+    budget_ms: u128,
+) -> (f64, f64) {
+    fn time(run: &mut impl FnMut(), best: &mut f64) {
+        let t = Instant::now();
+        run();
+        *best = best.min(t.elapsed().as_secs_f64());
+    }
+    let started = Instant::now();
+    let (mut best_first, mut best_second) = (f64::INFINITY, f64::INFINITY);
+    let mut runs = 0;
+    while runs < repeats && (runs == 0 || started.elapsed().as_millis() < budget_ms) {
+        if runs % 2 == 0 {
+            time(&mut first, &mut best_first);
+            time(&mut second, &mut best_second);
+        } else {
+            time(&mut second, &mut best_second);
+            time(&mut first, &mut best_first);
+        }
+        runs += 1;
+    }
+    (best_first, best_second)
 }
 
 fn script() -> FlowScript {
@@ -111,21 +144,17 @@ fn bench_overhead(name: &'static str, source: &Aig, timed: bool) -> Row {
         "{name}: guarded network diverged from the plain flow"
     );
     let (repeats, budget) = if timed { (7, 10_000) } else { (1, 1) };
-    let unguarded_seconds = best_seconds(
+    let (unguarded_seconds, guarded_seconds) = best_paired_seconds(
         || {
             let mut ntk = source.clone();
             run_script(&mut ntk, &script(), &options);
         },
-        repeats,
-        budget,
-    );
-    let guarded_seconds = best_seconds(
         || {
             let mut ntk = source.clone();
             run_script_guarded(&mut ntk, &script(), &options, &machinery_guard());
         },
         repeats,
-        budget,
+        2 * budget,
     );
     let simulation_seconds = best_seconds(
         || {

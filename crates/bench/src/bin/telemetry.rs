@@ -10,8 +10,9 @@
 //! per-step constant.  The product is the worst-case time the telemetry
 //! layer can add to an untraced flow; it must stay ≤2% of the measured
 //! flow runtime.  Setting `GLSX_WRITE_BENCH_BASELINE=1` records the
-//! results (and a sample Chrome trace of a 4-thread portfolio run,
-//! `BENCH_telemetry_trace.json`) at the repository root.
+//! results (and a sample Chrome trace of a portfolio run, whose three
+//! flows run on three threads, `BENCH_telemetry_trace.json`) at the
+//! repository root.
 //!
 //! `--smoke` skips the timing loops: it runs a 7-step guarded flow under
 //! a full tracer (honouring `GLSX_TRACE` when set) and asserts the
@@ -29,7 +30,7 @@ use glsx_flow::{
 use glsx_network::telemetry::{
     concurrent_lanes, parse_chrome_trace, spans_well_nested, TraceMode, Tracer,
 };
-use glsx_network::{Aig, Network, Parallelism};
+use glsx_network::{Aig, Network};
 
 /// Off-mode overhead acceptance bar, in percent of flow runtime.
 const OVERHEAD_BAR_PERCENT: f64 = 2.0;
@@ -169,17 +170,13 @@ fn main() {
          got {overhead_percent:.4}%"
     );
 
-    // --- concurrency: a 4-thread portfolio trace shows overlapping lanes
+    // --- concurrency: a portfolio trace shows overlapping lanes
     let portfolio_input: Aig = adder(5);
-    let options4 = FlowOptions {
-        parallelism: Parallelism::new(4),
-        ..FlowOptions::default()
-    };
     let untraced_portfolio =
-        portfolio_best_luts_traced(&portfolio_input, &options4, 6, &Tracer::off());
+        portfolio_best_luts_traced(&portfolio_input, &options, 6, &Tracer::off());
     let portfolio_tracer = Tracer::new(TraceMode::Full);
     let traced_portfolio =
-        portfolio_best_luts_traced(&portfolio_input, &options4, 6, &portfolio_tracer);
+        portfolio_best_luts_traced(&portfolio_input, &options, 6, &portfolio_tracer);
     assert_eq!(
         traced_portfolio, untraced_portfolio,
         "tracing must not change the portfolio"
@@ -189,13 +186,13 @@ fn main() {
     let portfolio_spans = parse_chrome_trace(&trace_json).expect("the exported trace parses back");
     let lanes = concurrent_lanes(&portfolio_spans);
     println!(
-        "portfolio @4 threads: {} spans on {lanes} concurrent lanes, winner {}",
+        "portfolio: {} spans on {lanes} concurrent lanes, winner {}",
         portfolio_spans.len(),
         traced_portfolio.winner
     );
     assert!(
         lanes >= 2,
-        "a 4-thread portfolio trace must show ≥2 concurrent lanes, got {lanes}"
+        "a portfolio trace must show ≥2 concurrent lanes, got {lanes}"
     );
 
     let json = format!(

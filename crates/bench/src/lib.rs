@@ -17,7 +17,7 @@
 //! helpers used by the binaries and the Criterion benches.
 
 use glsx_core::lut_mapping::{lut_map_stats, LutMapParams};
-use glsx_flow::specialized::{specialized_aig_compress2rs, SpecializedOptions};
+use glsx_flow::specialized::specialized_aig_compress2rs;
 use glsx_flow::{compress2rs, FlowOptions, FlowStats};
 use glsx_network::views::network_depth;
 use glsx_network::{convert_network, Aig, Mig, Network, Xag};
@@ -82,7 +82,7 @@ pub fn run_generic_xag(aig: &Aig, lut_size: usize) -> RunMetrics {
 /// ABC's `compress2rs`).
 pub fn run_specialized_aig(aig: &Aig, lut_size: usize) -> RunMetrics {
     let mut ntk = aig.clone();
-    let stats = specialized_aig_compress2rs(&mut ntk, &SpecializedOptions::default());
+    let stats = specialized_aig_compress2rs(&mut ntk);
     metrics_after(&ntk, &stats, lut_size)
 }
 

@@ -35,8 +35,7 @@
 
 use glsx_network::views::DepthView;
 use glsx_network::{
-    ChangeEvent, ChangeLog, GateKind, LocalScratch, Network, NodeId, Parallelism, SimBlock,
-    Traversal,
+    ChangeEvent, ChangeLog, GateKind, LocalScratch, Network, NodeId, SimBlock, Traversal,
 };
 use glsx_truth::TruthTable;
 use std::collections::BTreeMap;
@@ -726,7 +725,7 @@ struct BucketResults {
 /// Level buckets smaller than this are enumerated serially even under a
 /// parallel configuration: the fork/join overhead of a scoped-thread round
 /// dominates the merge work for narrow levels.
-const PARALLEL_BUCKET_MIN: usize = 64;
+pub(crate) const PARALLEL_BUCKET_MIN: usize = 64;
 
 /// Bottom-up priority-cut enumeration with lazy, per-node memoisation and
 /// optional fused truth tables.
@@ -1257,23 +1256,41 @@ impl CutManager {
         });
     }
 
-    /// Bulk-enumerates the cut sets of every live node, level by level.
+    /// Bulk-enumerates the cut sets of every live node, level by level, on
+    /// up to `threads` worker threads (`0` and `1` both mean the calling
+    /// thread alone).
     ///
-    /// The commit order is *fixed* regardless of the thread count — the
-    /// constant node, then primary inputs in id order, then the
-    /// [`DepthView`] level buckets in ascending order (topological within
-    /// each bucket) — so the arena layout, the per-node cut sets and every
-    /// counter come out bit-identical at every thread count.  Under a
-    /// parallel `par`, each level bucket is partitioned across worker
-    /// threads that compute into private [`CutWorkspace`]s while reading
-    /// the committed arena immutably (a gate's fanins all live at lower,
-    /// already-committed levels); the per-worker results are then
-    /// committed serially in bucket order.  Already-computed nodes are
-    /// skipped, so the call composes with lazy [`CutManager::cuts_of`]
-    /// use — per-node cut sets are identical either way, only the arena
-    /// layout differs between lazy and bulk order.
-    pub fn enumerate<N: Network>(&mut self, ntk: &N, par: Parallelism) {
-        let depth = DepthView::new(ntk);
+    /// The threaded path is an accelerated twin of the serial one: at
+    /// every thread count it produces a *bit-identical* result —
+    /// identical arena contents and order, identical per-node cut sets,
+    /// identical counters — so the thread count changes wall-clock time
+    /// only.  The commit order is *fixed*: the constant node, then
+    /// primary inputs in id order, then the [`DepthView`] level buckets in
+    /// ascending order (topological within each bucket).  Each bucket of
+    /// at least `PARALLEL_BUCKET_MIN` nodes is split into contiguous
+    /// chunks, one per worker thread, that compute into private
+    /// [`CutWorkspace`]s while reading the committed arena immutably (a
+    /// gate's fanins all live at lower, already-committed levels); the
+    /// per-worker results are then committed serially in bucket order.
+    /// Each level is a barrier, so the threads pay on wide, shallow
+    /// networks and lose on deep ones with narrow levels.
+    ///
+    /// Already-computed nodes are skipped, so the call composes with lazy
+    /// [`CutManager::cuts_of`] use — per-node cut sets are identical
+    /// either way, only the arena layout differs between lazy and bulk
+    /// order.
+    pub fn enumerate<N: Network>(&mut self, ntk: &N, threads: usize) {
+        self.enumerate_levels(ntk, &DepthView::new(ntk), threads);
+    }
+
+    /// [`CutManager::enumerate`] over the levels `depth` of `ntk` that the
+    /// caller has already built.
+    pub(crate) fn enumerate_levels<N: Network>(
+        &mut self,
+        ntk: &N,
+        depth: &DepthView,
+        threads: usize,
+    ) {
         // non-gate spans first: the constant node, then PIs in id order
         let mut prelude: Vec<NodeId> = vec![0];
         prelude.extend(ntk.pi_nodes());
@@ -1303,17 +1320,17 @@ impl CutManager {
             if bucket.is_empty() {
                 continue;
             }
-            if !par.is_parallel() || bucket.len() < PARALLEL_BUCKET_MIN {
+            if threads <= 1 || bucket.len() < PARALLEL_BUCKET_MIN {
                 for &node in &bucket {
                     self.compute_cuts(ntk, node);
                     self.commit(ntk, node);
                 }
                 continue;
             }
-            if worker_spaces.len() < par.threads {
-                worker_spaces.resize_with(par.threads, CutWorkspace::default);
+            let bounds = chunk_bounds(bucket.len(), threads);
+            if worker_spaces.len() < bounds.len() {
+                worker_spaces.resize_with(bounds.len(), CutWorkspace::default);
             }
-            let bounds = par.chunk_bounds(bucket.len());
             let params = &self.params;
             let arena = &self.arena;
             let spans = &self.spans;
@@ -1364,6 +1381,19 @@ impl CutManager {
             debug_assert_eq!(index, bucket.len());
         }
     }
+}
+
+/// Splits `len` items into per-thread chunk bounds: at most `threads`
+/// half-open ranges covering `0..len`, balanced to within one item.  Empty
+/// ranges are omitted, so the result may have fewer entries than threads.
+fn chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
+    let workers = threads.clamp(1, len.max(1));
+    let (base, extra) = (len / workers, len % workers);
+    let start = |worker: usize| worker * base + worker.min(extra);
+    (0..workers)
+        .map(|worker| (start(worker), start(worker + 1)))
+        .filter(|&(start, end)| end > start)
+        .collect()
 }
 
 /// Inserts `cut` into the non-trivial tail of `set` (entries `1..`) unless
@@ -1835,10 +1865,10 @@ mod tests {
             compute_truth: true,
         };
         let mut reference = CutManager::new(params);
-        reference.enumerate(&aig, Parallelism::serial());
+        reference.enumerate(&aig, 1);
         for threads in [2, 4] {
             let mut manager = CutManager::new(params);
-            manager.enumerate(&aig, Parallelism::new(threads));
+            manager.enumerate(&aig, threads);
             assert_eq!(
                 manager.arena_len(),
                 reference.arena_len(),
@@ -1875,7 +1905,7 @@ mod tests {
         };
         let mut lazy = CutManager::new(params);
         let mut bulk = CutManager::new(params);
-        bulk.enumerate(&aig, Parallelism::new(3));
+        bulk.enumerate(&aig, 3);
         for node in aig.gate_nodes() {
             assert_eq!(
                 bulk.cuts_of(&aig, node).to_vec(),
@@ -1883,6 +1913,29 @@ mod tests {
                 "node {node}"
             );
         }
+    }
+
+    #[test]
+    fn chunk_bounds_cover_the_range_without_overlap() {
+        for threads in 0..=8 {
+            for len in 0..40 {
+                let bounds = chunk_bounds(len, threads);
+                assert!(bounds.len() <= threads.max(1));
+                let mut expected_start = 0;
+                for &(start, end) in &bounds {
+                    assert_eq!(start, expected_start);
+                    assert!(end > start, "no empty chunks");
+                    expected_start = end;
+                }
+                assert_eq!(expected_start, len, "threads={threads} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_bounds_are_balanced() {
+        let sizes: Vec<usize> = chunk_bounds(10, 4).iter().map(|&(s, e)| e - s).collect();
+        assert_eq!(sizes, vec![3, 3, 2, 2]);
     }
 
     #[test]

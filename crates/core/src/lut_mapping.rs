@@ -33,8 +33,24 @@
 
 use crate::cuts::{ConeSimulator, Cut, CutManager, CutParams};
 use glsx_network::telemetry::{self, MetricsSource, Tracer};
+use glsx_network::views::DepthView;
 use glsx_network::{Budget, Klut, Network, NodeId, Signal, StepOutcome};
 use glsx_truth::TruthTable;
+
+/// Gate count below which the mapper fills its cuts lazily without
+/// levelising the network (see [`uses_bulk_enumeration`]).  Below it two
+/// threads gained at most a few milliseconds when they gained at all.
+const BULK_MIN_GATES: usize = 8_192;
+
+/// Average gates per level from which bulk enumeration beats the lazy
+/// fill: every level is a barrier of the threaded enumeration.  At two
+/// threads it lost up to 145 gates per level and won from 186.
+const BULK_MIN_GATES_PER_LEVEL: usize = 160;
+
+/// The worker count of the mapper's bulk enumeration, whatever the CPU
+/// count: the thread count at which `BULK_MIN_GATES` and
+/// `BULK_MIN_GATES_PER_LEVEL` were measured.
+pub const BULK_ENUMERATION_THREADS: usize = 2;
 
 /// Parameters of LUT mapping.
 #[derive(Clone, Copy, Debug)]
@@ -185,6 +201,56 @@ pub fn lut_map_traced<N: Network>(
     budget: &Budget,
     tracer: &Tracer,
 ) -> (Klut, LutMapStats) {
+    map_pass(ntk, params, budget, tracer, bulk_fill(ntk).as_ref())
+}
+
+/// Whether [`lut_map`] enumerates the cut sets of `ntk` in bulk
+/// ([`CutManager::enumerate`], on [`BULK_ENUMERATION_THREADS`] workers)
+/// before selecting, instead of filling each gate's cuts lazily on first
+/// read.  Both fills give every gate the same cut set, so the mapped
+/// network does not depend on it.
+pub fn uses_bulk_enumeration<N: Network>(ntk: &N) -> bool {
+    bulk_fill(ntk).is_some()
+}
+
+/// Bulk enumeration of every cut set before selection: the levels of the
+/// network and the worker count.
+struct BulkFill {
+    levels: DepthView,
+    threads: usize,
+}
+
+/// The mapper's cut fill for `ntk`: bulk enumeration when the network has
+/// at least `BULK_MIN_GATES` gates, the process may use more than one CPU
+/// ([`std::thread::available_parallelism`]) and the network averages at
+/// least `BULK_MIN_GATES_PER_LEVEL` gates per level; `None`, the lazy
+/// fill, otherwise.  The gate count is checked first, so a small network
+/// is neither levelised nor pays for the CPU query, and the levels built
+/// for the width test are the ones the enumeration walks.
+fn bulk_fill<N: Network>(ntk: &N) -> Option<BulkFill> {
+    let gates = ntk.num_gates();
+    if gates < BULK_MIN_GATES || std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+        return None;
+    }
+    let levels = DepthView::new(ntk);
+    let depth = levels.depth().max(1) as usize;
+    (gates >= BULK_MIN_GATES_PER_LEVEL * depth).then_some(BulkFill {
+        levels,
+        threads: BULK_ENUMERATION_THREADS,
+    })
+}
+
+/// The body of [`lut_map_traced`], with the cut fill passed in: `None`
+/// fills each gate's cuts lazily, `Some` enumerates every cut set in bulk
+/// first.  The mapper passes [`bulk_fill`]; the tests force each fill and
+/// compare.
+fn map_pass<N: Network>(
+    ntk: &N,
+    params: &LutMapParams,
+    budget: &Budget,
+    tracer: &Tracer,
+    bulk: Option<&BulkFill>,
+) -> (Klut, LutMapStats) {
     assert!(
         params.lut_size <= crate::cuts::MAX_CUT_LEAVES,
         "lut_size {} is not supported: the cut substrate stores at most {} leaves inline \
@@ -193,7 +259,7 @@ pub fn lut_map_traced<N: Network>(
         crate::cuts::MAX_CUT_LEAVES
     );
     let _pass = tracer.span("lut_map");
-    let selected = select_cover_budgeted(ntk, params, budget, tracer);
+    let selected = select_cover_budgeted(ntk, params, budget, tracer, bulk);
     let klut = build_klut(ntk, &selected.cover, &selected.choices);
     let mut stats = LutMapStats {
         num_luts: klut.num_gates(),
@@ -212,7 +278,7 @@ pub fn lut_map_traced<N: Network>(
         };
         let off_selected = {
             let _reference = tracer.span("choices_off_reference");
-            select_cover_budgeted(ntk, &off_params, budget, tracer)
+            select_cover_budgeted(ntk, &off_params, budget, tracer, bulk)
         };
         let off_klut = build_klut(ntk, &off_selected.cover, &off_selected.choices);
         stats.choice_evaluations += off_selected.evaluations;
@@ -268,6 +334,7 @@ fn select_cover_budgeted<N: Network>(
     params: &LutMapParams,
     budget: &Budget,
     tracer: &Tracer,
+    bulk: Option<&BulkFill>,
 ) -> SelectedCover {
     // truth fusion stays OFF here: the mapper reads only one function per
     // *cover* node (roughly a third of the gates), so paying for a table
@@ -279,14 +346,8 @@ fn select_cover_budgeted<N: Network>(
         cut_limit: params.cut_limit,
         compute_truth: false,
     });
-    // Under a parallel configuration, the whole cut substrate is enumerated
-    // up front with level-partitioned workers; the per-node cut sets are
-    // bit-identical to the lazy serial fill below, so the mapping result
-    // does not depend on the thread count and the knob is safe to drive
-    // from the environment.
-    let par = glsx_network::Parallelism::from_env();
-    if par.is_parallel() {
-        cut_manager.enumerate(ntk, par);
+    if let Some(fill) = bulk {
+        cut_manager.enumerate_levels(ntk, &fill.levels, fill.threads);
     }
     let order = ntk.gate_nodes();
     // Area flow divides a leaf's cost by its fanout count as a sharing
@@ -830,6 +891,75 @@ mod tests {
         assert_eq!(sa.depth, sb.depth);
         assert_eq!(sb.choice_wins, 0);
         assert_eq!(sb.choice_cycle_fallbacks, 0);
+    }
+
+    /// Outputs, then every LUT's fanins and function in id order.
+    type KlutFingerprint = (Vec<Signal>, Vec<(Vec<Signal>, TruthTable)>);
+
+    fn klut_fingerprint(klut: &Klut) -> KlutFingerprint {
+        let luts = klut.gate_nodes().into_iter();
+        let luts = luts.map(|n| (klut.fanins(n), klut.node_function(n)));
+        (klut.po_signals(), luts.collect())
+    }
+
+    /// A seeded `random_control` network over 160 inputs, so its first
+    /// levels are wide, with choice rings: restructured cones proven by a
+    /// choice-recording sweep.
+    fn random_wide<N: Network + GateBuilder>(seed: u64) -> N {
+        use crate::sweeping::{sweep, SweepParams};
+        let mut ntk: N = glsx_benchmarks::control::random_control(160, 600, 24, seed);
+        glsx_benchmarks::inject_restructured(&mut ntk, 6, seed);
+        let params = SweepParams {
+            record_choices: true,
+            ..SweepParams::default()
+        };
+        sweep(&mut ntk, &params);
+        ntk
+    }
+
+    /// Bulk enumeration at 1, 2 and 4 threads maps exactly like the lazy
+    /// fill — the same k-LUT network and the same statistics — on random
+    /// AIGs, XAGs and MIGs with choice rings, with choices off and on,
+    /// under an unlimited and a finite tick budget.
+    #[test]
+    fn bulk_enumeration_maps_like_the_lazy_fill() {
+        fn check<N: Network>(ntk: &N, label: &str) {
+            assert!(ntk.num_choice_nodes() > 0, "{label}: no choice rings");
+            assert!(!uses_bulk_enumeration(ntk), "{label}: under the gate floor");
+            let levels = DepthView::new(ntk);
+            let widths = (1..levels.num_levels()).map(|l| levels.gates_at_level(l).len());
+            assert!(
+                widths.max() >= Some(crate::cuts::PARALLEL_BUCKET_MIN),
+                "{label}: no level is wide enough for threaded buckets"
+            );
+            for use_choices in [false, true] {
+                let params = LutMapParams {
+                    use_choices,
+                    ..LutMapParams::with_lut_size(6)
+                };
+                for ticks in [None, Some(ntk.num_gates() as u64 / 2)] {
+                    let map = |bulk: Option<&BulkFill>| {
+                        let budget = ticks.map_or_else(Budget::unlimited, Budget::with_ticks);
+                        let (klut, stats) = map_pass(ntk, &params, &budget, &Tracer::off(), bulk);
+                        (klut_fingerprint(&klut), stats)
+                    };
+                    let lazy = map(None);
+                    for threads in [1, 2, 4] {
+                        let levels = DepthView::new(ntk);
+                        assert!(
+                            map(Some(&BulkFill { levels, threads })) == lazy,
+                            "{label}: bulk at {threads} threads, choices {use_choices}, \
+                             ticks {ticks:?}"
+                        );
+                    }
+                }
+            }
+        }
+        for seed in 0..2 {
+            check(&random_wide::<Aig>(seed), &format!("AIG {seed}"));
+            check(&random_wide::<Xag>(seed), &format!("XAG {seed}"));
+            check(&random_wide::<Mig>(seed), &format!("MIG {seed}"));
+        }
     }
 
     #[test]

@@ -44,11 +44,13 @@ use glsx_core::resubstitution::{resubstitute_traced, ResubNetwork, ResubParams};
 use glsx_core::rewriting::{rewrite_traced, RewriteParams};
 use glsx_core::sweeping::{sweep_traced, SweepEngine, SweepParams};
 use glsx_network::telemetry::{self, SpanOverride, Tracer};
-use glsx_network::{cleanup_dangling, Budget, GateBuilder, Klut, Network, Parallelism};
+use glsx_network::{cleanup_dangling, Budget, GateBuilder, Klut, Network};
 use glsx_synth::{NpnDatabase, SopResynthesis};
 use std::time::Instant;
 
-/// Options of the generic resynthesis flow.
+/// Options of the generic resynthesis flow.  They set what the passes do,
+/// never how many threads run them: threaded paths choose from the machine
+/// and the input ([`glsx_core::lut_mapping::uses_bulk_enumeration`]).
 #[derive(Clone, Copy, Debug)]
 pub struct FlowOptions {
     /// Maximum cut size used by rewriting.
@@ -59,13 +61,6 @@ pub struct FlowOptions {
     pub max_divisors: usize,
     /// SAT-sweeping parameters used by `fraig` steps.
     pub sweep: SweepParams,
-    /// Pass-level parallelism of [`portfolio_best_luts`]: the AIG, MIG and
-    /// XAG flows are fully independent, so they run on one scoped thread
-    /// each, joined in the fixed AIG, MIG, XAG order.  The result is
-    /// bit-identical to the serial run at every thread count.  Defaults to
-    /// [`Parallelism::from_env`] (the `GLSX_THREADS` knob; serial when
-    /// unset).
-    pub parallelism: Parallelism,
 }
 
 impl Default for FlowOptions {
@@ -75,7 +70,6 @@ impl Default for FlowOptions {
             refactor_leaves: 10,
             max_divisors: 50,
             sweep: SweepParams::default(),
-            parallelism: Parallelism::from_env(),
         }
     }
 }
@@ -258,6 +252,24 @@ pub fn run_script_traced<N>(
 where
     N: Network + GateBuilder + ResubNetwork,
 {
+    run_flow(ntk, script, script.steps().len(), options, tracer, |_| ()).0
+}
+
+/// The body of the two unguarded runners: runs the first `passes` steps
+/// of `script` in place, each under its script budget and `-trace` mark,
+/// with one shared [`SweepEngine`], then `finish` (the terminal mapping of
+/// [`run_script_and_map`]), then compacts the network.
+fn run_flow<N, R>(
+    ntk: &mut N,
+    script: &FlowScript,
+    passes: usize,
+    options: &FlowOptions,
+    tracer: &Tracer,
+    finish: impl FnOnce(&N) -> R,
+) -> (FlowStats, R)
+where
+    N: Network + GateBuilder + ResubNetwork,
+{
     let start = Instant::now();
     // a bulk-loaded network materialises its deferred fanout lists and
     // strash table here, before any pass traverses fanouts
@@ -268,7 +280,7 @@ where
         ..FlowStats::default()
     };
     let mut engine = SweepEngine::new();
-    for (index, step) in script.steps().iter().enumerate() {
+    for (index, step) in script.steps()[..passes].iter().enumerate() {
         let budget = match script.budget_of(index) {
             Some(ticks) => Budget::with_ticks(ticks),
             None => Budget::unlimited(),
@@ -276,12 +288,13 @@ where
         apply_step_override(tracer, script, index);
         stats.substitutions += run_step_traced(ntk, step, options, &mut engine, &budget, tracer);
     }
+    let result = finish(ntk);
     clear_step_overrides(tracer, script);
     *ntk = cleanup_dangling(ntk);
     stats.final_size = ntk.num_gates();
     stats.final_depth = glsx_network::views::network_depth(ntk);
     stats.runtime_seconds = start.elapsed().as_secs_f64();
-    stats
+    (stats, result)
 }
 
 /// Runs a flow script that ends in LUT mapping: every optimisation step is
@@ -320,12 +333,6 @@ pub fn run_script_and_map_traced<N>(
 where
     N: Network + GateBuilder + ResubNetwork,
 {
-    let start = Instant::now();
-    let mut stats = FlowStats {
-        initial_size: ntk.num_gates(),
-        initial_depth: glsx_network::views::network_depth(ntk),
-        ..FlowStats::default()
-    };
     let mut map_params = *defaults;
     let steps = script.steps();
     let passes = match steps.last() {
@@ -335,35 +342,22 @@ where
         }) => {
             map_params.lut_size = *lut_size;
             map_params.use_choices = *use_choices;
-            &steps[..steps.len() - 1]
+            steps.len() - 1
         }
-        _ => steps,
+        _ => steps.len(),
     };
-    let mut engine = SweepEngine::new();
-    for (index, step) in passes.iter().enumerate() {
-        // `passes` is a prefix of the script, so indices line up
-        let budget = match script.budget_of(index) {
-            Some(ticks) => Budget::with_ticks(ticks),
-            None => Budget::unlimited(),
-        };
-        apply_step_override(tracer, script, index);
-        stats.substitutions += run_step_traced(ntk, step, options, &mut engine, &budget, tracer);
-    }
-    // a trailing `lut_map -trace` mark applies to the mapping itself; a
-    // selective script without one keeps the defaults-mapping suppressed
-    if script.has_traced_steps() {
-        if steps.len() > passes.len() {
-            apply_step_override(tracer, script, steps.len() - 1);
-        } else {
-            tracer.set_span_override(SpanOverride::Suppress);
+    let (stats, (klut, map_stats)) = run_flow(ntk, script, passes, options, tracer, |ntk| {
+        // a trailing `lut_map -trace` mark applies to the mapping itself; a
+        // selective script without one keeps the defaults-mapping suppressed
+        if script.has_traced_steps() {
+            if steps.len() > passes {
+                apply_step_override(tracer, script, steps.len() - 1);
+            } else {
+                tracer.set_span_override(SpanOverride::Suppress);
+            }
         }
-    }
-    let (klut, map_stats) = lut_map_traced(ntk, &map_params, &Budget::unlimited(), tracer);
-    clear_step_overrides(tracer, script);
-    *ntk = cleanup_dangling(ntk);
-    stats.final_size = ntk.num_gates();
-    stats.final_depth = glsx_network::views::network_depth(ntk);
-    stats.runtime_seconds = start.elapsed().as_secs_f64();
+        lut_map_traced(ntk, &map_params, &Budget::unlimited(), tracer)
+    });
     (stats, klut, map_stats)
 }
 

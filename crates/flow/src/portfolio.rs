@@ -38,21 +38,19 @@ where
 /// Optimises `aig` with the generic flow instantiated for AIGs, MIGs and
 /// XAGs, maps every result into `lut_size`-input LUTs and returns the best.
 ///
-/// The three per-representation jobs are fully independent, so under
-/// [`FlowOptions::parallelism`] they run on one scoped thread each and are
-/// joined in the fixed AIG, MIG, XAG order — the result is bit-identical
-/// to the serial run.
+/// The three per-representation jobs are fully independent, so they run
+/// on one scoped thread each and are joined in the fixed AIG, MIG, XAG
+/// order: the result equals running the three flows one after another.
 pub fn portfolio_best_luts(aig: &Aig, options: &FlowOptions, lut_size: usize) -> PortfolioResult {
     portfolio_best_luts_traced(aig, options, lut_size, telemetry::global())
 }
 
 /// [`portfolio_best_luts`] reporting through an explicit telemetry
 /// [`Tracer`]: each representation's job runs under a `portfolio_aig` /
-/// `portfolio_mig` / `portfolio_xag` span, and in the parallel
-/// configuration each worker names its trace lane (`portfolio-aig`, …) —
-/// an exported Chrome trace of a parallel run shows the three flows as
-/// concurrent named rows.  Tracing is observational only: the result
-/// stays bit-identical to the untraced (and serial) run.
+/// `portfolio_mig` / `portfolio_xag` span on a worker that names its
+/// trace lane (`portfolio-aig`, …), so an exported Chrome trace shows the
+/// three flows as concurrent named rows.  Tracing is observational only:
+/// the result stays bit-identical to the untraced run.
 pub fn portfolio_best_luts_traced(
     aig: &Aig,
     options: &FlowOptions,
@@ -67,45 +65,28 @@ pub fn portfolio_best_luts_traced(
     let mut as_mig: Mig = convert_network(aig);
     let mut as_xag: Xag = convert_network(aig);
 
-    let [aig_luts, mig_luts, xag_luts] = if options.parallelism.is_parallel() {
-        std::thread::scope(|scope| {
-            let aig_job = scope.spawn(|| {
-                tracer.name_lane("portfolio-aig");
-                let _job = tracer.span("portfolio_aig");
-                flow_and_map(&mut as_aig, options, &map_params, tracer)
-            });
-            let mig_job = scope.spawn(|| {
-                tracer.name_lane("portfolio-mig");
-                let _job = tracer.span("portfolio_mig");
-                flow_and_map(&mut as_mig, options, &map_params, tracer)
-            });
-            let xag_job = scope.spawn(|| {
-                tracer.name_lane("portfolio-xag");
-                let _job = tracer.span("portfolio_xag");
-                flow_and_map(&mut as_xag, options, &map_params, tracer)
-            });
-            [
-                aig_job.join().expect("AIG portfolio worker panicked"),
-                mig_job.join().expect("MIG portfolio worker panicked"),
-                xag_job.join().expect("XAG portfolio worker panicked"),
-            ]
-        })
-    } else {
+    let [aig_luts, mig_luts, xag_luts] = std::thread::scope(|scope| {
+        let aig_job = scope.spawn(|| {
+            tracer.name_lane("portfolio-aig");
+            let _job = tracer.span("portfolio_aig");
+            flow_and_map(&mut as_aig, options, &map_params, tracer)
+        });
+        let mig_job = scope.spawn(|| {
+            tracer.name_lane("portfolio-mig");
+            let _job = tracer.span("portfolio_mig");
+            flow_and_map(&mut as_mig, options, &map_params, tracer)
+        });
+        let xag_job = scope.spawn(|| {
+            tracer.name_lane("portfolio-xag");
+            let _job = tracer.span("portfolio_xag");
+            flow_and_map(&mut as_xag, options, &map_params, tracer)
+        });
         [
-            {
-                let _job = tracer.span("portfolio_aig");
-                flow_and_map(&mut as_aig, options, &map_params, tracer)
-            },
-            {
-                let _job = tracer.span("portfolio_mig");
-                flow_and_map(&mut as_mig, options, &map_params, tracer)
-            },
-            {
-                let _job = tracer.span("portfolio_xag");
-                flow_and_map(&mut as_xag, options, &map_params, tracer)
-            },
+            aig_job.join().expect("AIG portfolio worker panicked"),
+            mig_job.join().expect("MIG portfolio worker panicked"),
+            xag_job.join().expect("XAG portfolio worker panicked"),
         ]
-    };
+    });
 
     let results = [("AIG", aig_luts), ("MIG", mig_luts), ("XAG", xag_luts)];
     let (winner, best_luts) = results
@@ -123,7 +104,23 @@ pub fn portfolio_best_luts_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress2rs;
     use glsx_benchmarks::arithmetic::adder;
+    use glsx_core::lut_mapping::lut_map_stats;
+
+    /// The serial oracle: the three flows run one after another through
+    /// public calls.
+    fn sequential_luts(aig: &Aig, lut_size: usize) -> [usize; 3] {
+        fn flow_luts<N: Network + GateBuilder + ResubNetwork>(mut ntk: N, k: usize) -> usize {
+            compress2rs(&mut ntk, &FlowOptions::default());
+            lut_map_stats(&ntk, &LutMapParams::with_lut_size(k)).num_luts
+        }
+        [
+            flow_luts(aig.clone(), lut_size),
+            flow_luts(convert_network::<Aig, Mig>(aig), lut_size),
+            flow_luts(convert_network::<Aig, Xag>(aig), lut_size),
+        ]
+    }
 
     #[test]
     fn portfolio_picks_the_minimum() {
@@ -136,15 +133,26 @@ mod tests {
     }
 
     #[test]
+    fn parallel_portfolio_is_bit_identical_to_serial() {
+        for aig in [adder(4), glsx_benchmarks::arithmetic::multiplier(4)] {
+            for lut_size in [4, 6] {
+                let result = portfolio_best_luts(&aig, &FlowOptions::default(), lut_size);
+                assert_eq!(
+                    result.luts_per_representation,
+                    sequential_luts(&aig, lut_size),
+                    "{lut_size}-LUTs"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn traced_parallel_portfolio_is_pure_well_nested_and_concurrent() {
         use glsx_network::telemetry::{
             concurrent_lanes, parse_chrome_trace, spans_well_nested, TraceMode, Tracer,
         };
         let aig: Aig = adder(4);
-        let options = FlowOptions {
-            parallelism: glsx_network::Parallelism::new(4),
-            ..FlowOptions::default()
-        };
+        let options = FlowOptions::default();
         let untraced = portfolio_best_luts_traced(&aig, &options, 6, &Tracer::off());
         let tracer = Tracer::new(TraceMode::Full);
         let traced = portfolio_best_luts_traced(&aig, &options, 6, &tracer);
@@ -157,34 +165,10 @@ mod tests {
         let spans = parse_chrome_trace(&exported).expect("the export parses back");
         assert!(
             concurrent_lanes(&spans) >= 2,
-            "a 4-thread portfolio shows overlapping lanes"
+            "the three portfolio jobs show overlapping lanes"
         );
         for lane in ["portfolio-aig", "portfolio-mig", "portfolio-xag"] {
             assert!(exported.contains(lane), "missing lane name {lane}");
-        }
-    }
-
-    #[test]
-    fn parallel_portfolio_is_bit_identical_to_serial() {
-        let aig: Aig = adder(4);
-        let serial = portfolio_best_luts(
-            &aig,
-            &FlowOptions {
-                parallelism: glsx_network::Parallelism::serial(),
-                ..FlowOptions::default()
-            },
-            6,
-        );
-        for threads in [2, 4] {
-            let parallel = portfolio_best_luts(
-                &aig,
-                &FlowOptions {
-                    parallelism: glsx_network::Parallelism::new(threads),
-                    ..FlowOptions::default()
-                },
-                6,
-            );
-            assert_eq!(parallel, serial, "threads = {threads}");
         }
     }
 }

@@ -13,39 +13,22 @@ use glsx_core::refactoring::{refactor_with, RefactorParams};
 use glsx_core::resubstitution::{resubstitute, ResubParams};
 use glsx_core::rewriting::{rewrite_with, RewriteParams};
 use glsx_network::{cleanup_dangling, Aig, Network};
-use glsx_synth::{ChainGateSet, ExactSynthesisParams, NpnDatabase, SopResynthesis};
+use glsx_synth::{NpnDatabase, SopResynthesis};
 use std::time::Instant;
 
 use crate::FlowStats;
 
-/// Options of the specialised AIG flow.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SpecializedOptions {
-    /// Use SAT-based exact synthesis (AND-inverter chains) for the
-    /// rewriting database instead of heuristic structures.
-    pub exact_rewriting: bool,
-}
-
 /// Runs the AIG-specialised `compress2rs` flow.
-pub fn specialized_aig_compress2rs(aig: &mut Aig, options: &SpecializedOptions) -> FlowStats {
+pub fn specialized_aig_compress2rs(aig: &mut Aig) -> FlowStats {
     let start = Instant::now();
     let mut stats = FlowStats {
         initial_size: aig.num_gates(),
         initial_depth: glsx_network::views::network_depth(aig),
         ..FlowStats::default()
     };
-    // AIG-specific rewriting database: AND-inverter chains only, which both
-    // shrinks the search space and guarantees replayed structures are
-    // already in the AIG's native gate set.
-    let mut database = if options.exact_rewriting {
-        NpnDatabase::with_exact_synthesis(ExactSynthesisParams {
-            gate_set: ChainGateSet::AndInverter,
-            max_steps: 6,
-            conflict_limit: 20_000,
-        })
-    } else {
-        NpnDatabase::new()
-    };
+    // one rewriting database for every `rw` step of the flow (the generic
+    // flow builds a fresh one per step)
+    let mut database = NpnDatabase::new();
     let rewrite_params = RewriteParams::default();
     let rewrite_z = RewriteParams {
         allow_zero_gain: true,
@@ -101,7 +84,7 @@ mod tests {
     fn specialized_flow_preserves_functions() {
         let aig: Aig = adder(4);
         let mut optimised = aig.clone();
-        let stats = specialized_aig_compress2rs(&mut optimised, &SpecializedOptions::default());
+        let stats = specialized_aig_compress2rs(&mut optimised);
         assert!(stats.final_size <= stats.initial_size);
         assert!(equivalent_by_simulation(&aig, &optimised));
     }
@@ -113,7 +96,7 @@ mod tests {
         let mut generic = aig.clone();
         let mut specialised = aig.clone();
         let g = compress2rs(&mut generic, &FlowOptions::default());
-        let s = specialized_aig_compress2rs(&mut specialised, &SpecializedOptions::default());
+        let s = specialized_aig_compress2rs(&mut specialised);
         assert!(equivalent_by_simulation(&aig, &generic));
         assert!(equivalent_by_simulation(&aig, &specialised));
         // both flows must achieve a reduction, and the generic result must be

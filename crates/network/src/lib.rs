@@ -67,7 +67,6 @@ mod xmg;
 
 pub mod bitops;
 pub mod cleanup;
-pub mod parallel;
 pub mod simulation;
 pub mod telemetry;
 pub mod traversal;
@@ -85,7 +84,6 @@ pub use fanin::{FaninArray, MAX_INLINE_FANINS};
 pub use kind::GateKind;
 pub use klut::Klut;
 pub use mig::Mig;
-pub use parallel::Parallelism;
 pub use signal::{NodeId, Signal};
 pub use storage::NetworkSnapshot;
 pub use telemetry::{MetricsRegistry, MetricsSource, SpanNode, TraceMode, Tracer};

@@ -23,8 +23,8 @@ use glsx_truth::TruthTable;
 /// default methods on top of them.
 ///
 /// Networks are required to be `Send + Sync` so read-only parallel passes
-/// (level-partitioned simulation and cut enumeration, portfolio threads)
-/// can share `&N` across [`std::thread::scope`] workers.  The storage
+/// (bulk cut enumeration, portfolio threads) can share `&N` across
+/// [`std::thread::scope`] workers.  The storage
 /// layer already satisfies this: the only interior mutability is the
 /// atomic per-node scratch slot, and parallel phases use thread-local
 /// scratch ([`crate::traversal::LocalScratch`]) instead of stamping it.

@@ -1,7 +1,7 @@
 //! Views: derived information layered on top of a network without
 //! modifying it (topological order, levels/depth, reachability).
 
-use crate::{GateKind, Network, NodeId, Signal};
+use crate::{GateKind, Network, NodeId};
 
 /// Returns the set of nodes reachable from the primary outputs (the
 /// "useful" logic), including primary inputs and the constant node.
@@ -484,12 +484,6 @@ pub fn check_network_integrity<N: Network>(ntk: &N) -> Result<(), String> {
     check_choice_integrity(ntk)
 }
 
-/// Returns the primary-output signals as a vector (convenience used by
-/// equivalence checking).
-pub fn output_signals<N: Network>(ntk: &N) -> Vec<Signal> {
-    ntk.po_signals()
-}
-
 /// Checks structural sanity of the choice rings (see [`crate::choices`]):
 /// every ring member is a live gate reachable from exactly one live
 /// representative, `choice_repr`/`choice_phase` agree with the ring walk,
@@ -553,7 +547,7 @@ pub fn check_choice_integrity<N: Network>(ntk: &N) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Aig, GateBuilder, Network};
+    use crate::{Aig, GateBuilder, Network, Signal};
 
     fn sample_aig() -> (Aig, Signal, Signal) {
         let mut aig = Aig::new();

@@ -5,8 +5,11 @@
 use glsx::algorithms::lut_mapping::{lut_map, LutMapParams};
 use glsx::algorithms::sweeping::check_equivalence;
 use glsx::benchmarks::{epfl_like_suite, inject_redundancy, SuiteScale};
-use glsx::flow::{compress2rs, run_script, run_step, FlowOptions, FlowScript};
-use glsx::io::{read_aiger, write_aiger, write_blif};
+use glsx::flow::{
+    compress2rs, run_script, run_script_and_map, run_script_guarded, run_step, FlowOptions,
+    FlowScript, GuardOptions,
+};
+use glsx::io::{read_aiger, read_gbc, write_aiger, write_blif, write_gbc};
 use glsx::network::simulation::{equivalent_by_random_simulation, equivalent_by_simulation};
 use glsx::network::{convert_network, Aig, Mig, Xag};
 
@@ -80,6 +83,43 @@ fn scripts_and_io_compose() {
     let blif = write_blif(&klut, "multiplier");
     assert!(blif.contains(".model multiplier"));
     assert!(blif.contains(".end"));
+}
+
+/// A GBC-loaded network defers its fanout lists and strash table until
+/// `ensure_derived_state`.  Every runner calls it before its first pass,
+/// so each pass kind can open a script on a freshly read network.
+#[test]
+fn every_runner_accepts_a_gbc_loaded_network() {
+    let source: Aig = glsx::benchmarks::arithmetic::adder(6);
+    let bytes = write_gbc(&source).unwrap();
+    let load = || read_gbc::<Aig>(&bytes).unwrap().0;
+    let options = FlowOptions::default();
+    let defaults = LutMapParams::with_lut_size(6);
+    for first in ["bz", "rs -c 6", "rw", "rf", "fraig"] {
+        let script = FlowScript::parse(&format!("{first}; lut_map -k 6")).unwrap();
+        let mut ntk = load();
+        run_script(&mut ntk, &script, &options);
+        assert!(
+            equivalent_by_simulation(&source, &ntk),
+            "run_script, `{first}`"
+        );
+        let mut ntk = load();
+        let (_, klut, _) = run_script_and_map(&mut ntk, &script, &options, &defaults);
+        assert!(
+            equivalent_by_simulation(&source, &klut),
+            "run_script_and_map, `{first}`"
+        );
+        let mut ntk = load();
+        let report = run_script_guarded(&mut ntk, &script, &options, &GuardOptions::default());
+        assert_eq!(
+            report.rollbacks, 0,
+            "run_script_guarded, `{first}`: {report:?}"
+        );
+        assert!(
+            equivalent_by_simulation(&source, &ntk),
+            "run_script_guarded, `{first}`"
+        );
+    }
 }
 
 /// Every optimisation pass of the representative flow is followed by a

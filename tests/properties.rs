@@ -20,7 +20,7 @@ use glsx::algorithms::Replacer;
 use glsx::benchmarks::SplitMix64 as Rng;
 use glsx::flow::{compress2rs, FlowOptions};
 use glsx::network::simulation::{equivalent_by_simulation, simulate, simulate_patterns};
-use glsx::network::views::check_network_integrity;
+use glsx::network::views::{check_network_integrity, DepthView};
 use glsx::network::{Aig, ChangeLog, GateBuilder, Mig, Network, NodeId, Signal, Xag};
 use glsx::truth::{isop, npn_canonize, TruthTable};
 
@@ -1079,12 +1079,12 @@ fn choice_mapping_contract_across_representations() {
 }
 
 /// The parallel-execution contract: at every thread count the bulk cut
-/// enumerator and the portfolio runner return results bit-identical to the
-/// serial run, on arbitrary networks in every representation.
+/// enumerator returns the serial enumeration's arena, and the threaded
+/// portfolio runner returns what its three flows return when run one
+/// after another, on arbitrary networks in every representation.
 #[test]
 fn parallel_execution_is_bit_identical_to_serial() {
-    use glsx::flow::{portfolio_best_luts, FlowOptions};
-    use glsx::network::Parallelism;
+    use glsx::flow::portfolio_best_luts;
 
     const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -1096,11 +1096,11 @@ fn parallel_execution_is_bit_identical_to_serial() {
             compute_truth: true,
         };
         let mut serial_mgr = CutManager::new(params);
-        serial_mgr.enumerate(ntk, Parallelism::serial());
+        serial_mgr.enumerate(ntk, 1);
         let serial_cuts = cut_snapshot(ntk, &mut serial_mgr);
         for threads in THREAD_COUNTS {
             let mut mgr = CutManager::new(params);
-            mgr.enumerate(ntk, Parallelism::new(threads));
+            mgr.enumerate(ntk, threads);
             assert_eq!(
                 mgr.arena_len(),
                 serial_mgr.arena_len(),
@@ -1116,60 +1116,57 @@ fn parallel_execution_is_bit_identical_to_serial() {
 
     let mut rng = Rng::seed_from_u64(0x9a9_0006);
     for case in 0..4 {
-        let aig = arbitrary_network(&mut rng, 8, 60);
-        check_data_parallel(&aig, &format!("AIG case {case}"));
+        check_data_parallel(
+            &arbitrary_network(&mut rng, 8, 60),
+            &format!("AIG case {case}"),
+        );
+        check_data_parallel(&arbitrary_xag(&mut rng, 8, 50), &format!("XAG case {case}"));
+        check_data_parallel(&arbitrary_mig(&mut rng, 8, 40), &format!("MIG case {case}"));
+    }
 
-        let mut xag = Xag::new();
-        let mut signals: Vec<Signal> = (0..8).map(|_| xag.create_pi()).collect();
-        for _ in 0..50 {
-            let x = signals[rng.gen_range(signals.len())].complement_if(rng.gen_bool());
-            let y = signals[rng.gen_range(signals.len())].complement_if(rng.gen_bool());
-            signals.push(if rng.gen_bool() {
-                xag.create_and(x, y)
-            } else {
-                xag.create_xor(x, y)
-            });
-        }
-        for s in signals.iter().rev().take(3) {
-            xag.create_po(*s);
-        }
-        check_data_parallel(&xag, &format!("XAG case {case}"));
-
-        let mut mig = Mig::new();
-        let mut signals: Vec<Signal> = (0..8).map(|_| mig.create_pi()).collect();
-        for _ in 0..40 {
-            let x = signals[rng.gen_range(signals.len())].complement_if(rng.gen_bool());
-            let y = signals[rng.gen_range(signals.len())].complement_if(rng.gen_bool());
-            let z = signals[rng.gen_range(signals.len())].complement_if(rng.gen_bool());
-            signals.push(mig.create_maj(x, y, z));
-        }
-        for s in signals.iter().rev().take(3) {
-            mig.create_po(*s);
-        }
-        check_data_parallel(&mig, &format!("MIG case {case}"));
+    // networks over 192 inputs, wide enough that some level holds the 64
+    // gates from which `enumerate` splits a bucket across threads
+    fn check_wide<N: Network>(ntk: &N, label: &str) {
+        let levels = DepthView::new(ntk);
+        let widest = (1..levels.num_levels())
+            .map(|l| levels.gates_at_level(l).len())
+            .max();
+        assert!(widest >= Some(64), "{label}: widest level {widest:?}");
+        check_data_parallel(ntk, label);
+    }
+    for case in 0..2 {
+        check_wide(
+            &arbitrary_network(&mut rng, 192, 400),
+            &format!("wide AIG {case}"),
+        );
+        check_wide(
+            &arbitrary_xag(&mut rng, 192, 400),
+            &format!("wide XAG {case}"),
+        );
+        check_wide(
+            &arbitrary_mig(&mut rng, 192, 400),
+            &format!("wide MIG {case}"),
+        );
     }
 
     // pass parallelism: the portfolio runs one representation per thread
-    // and joins in fixed order, so the result is bit-identical to serial
-    let aig = arbitrary_network(&mut rng, 6, 40);
-    let serial = portfolio_best_luts(
-        &aig,
-        &FlowOptions {
-            parallelism: Parallelism::serial(),
-            ..FlowOptions::default()
-        },
-        4,
-    );
-    for threads in THREAD_COUNTS {
-        let parallel = portfolio_best_luts(
-            &aig,
-            &FlowOptions {
-                parallelism: Parallelism::new(threads),
-                ..FlowOptions::default()
-            },
-            4,
+    // and joins in fixed order, so it returns the sequential flows' counts
+    fn flow_luts<N: Network + GateBuilder + ResubNetwork>(mut ntk: N) -> usize {
+        compress2rs(&mut ntk, &FlowOptions::default());
+        lut_map_stats(&ntk, &LutMapParams::with_lut_size(4)).num_luts
+    }
+    for case in 0..3 {
+        let aig = arbitrary_network(&mut rng, 6, 40);
+        let sequential = [
+            flow_luts(aig.clone()),
+            flow_luts(glsx::network::convert_network::<Aig, Mig>(&aig)),
+            flow_luts(glsx::network::convert_network::<Aig, Xag>(&aig)),
+        ];
+        let parallel = portfolio_best_luts(&aig, &FlowOptions::default(), 4);
+        assert_eq!(
+            parallel.luts_per_representation, sequential,
+            "case {case}: portfolio diverged from the sequential flows"
         );
-        assert_eq!(parallel, serial, "portfolio diverged at {threads} threads");
     }
 }
 
