@@ -98,19 +98,19 @@ pub fn balance_traced<N: Network + GateBuilder>(
             },
             "leaf levels disagree with a whole-network depth view"
         );
-        let size_before = ntk.num_gates();
+        // the rebuild is built on trial: a dropped one is rolled back
+        let mark = ntk.size();
+        let gates_before = ntk.num_gates();
         let new_root = rebuild_balanced(ntk, kind, arrivals);
         if new_root.node() == node {
+            ntk.rollback_to(mark);
             continue;
         }
         // only substitute if the rebuild does not increase the gate count
         // (it adds at most leaves-1 gates, shared with existing structure)
-        let size_after = ntk.num_gates();
-        if size_after > size_before + leaves.len() - 1 {
+        if ntk.num_gates() > gates_before + leaves.len() - 1 {
             // should not happen; guard against pathological growth
-            if ntk.fanout_size(new_root.node()) == 0 {
-                ntk.take_out_node(new_root.node());
-            }
+            ntk.rollback_to(mark);
             continue;
         }
         ntk.substitute_node(node, new_root);

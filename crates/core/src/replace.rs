@@ -22,7 +22,7 @@ pub enum ReplaceOutcome {
     /// count (freed minus added).
     Substituted(i64),
     /// No beneficial replacement was found; the network is unchanged
-    /// (candidate nodes, if any, were taken out again).
+    /// (candidate nodes, if any, were rolled back).
     Rejected,
 }
 
@@ -72,6 +72,9 @@ impl Replacer {
     /// cone, `added` counts the new gates the candidate needs after
     /// structural hashing.  The candidate is committed when
     /// `added < freed`, or `added <= freed` if `allow_zero_gain` is set.
+    /// A candidate that is rejected — or an engine that gives up after
+    /// building part of one — is rolled back off the node table
+    /// ([`Network::rollback_to`]), so the network keeps its ids dense.
     pub fn try_replace_on_cut<N, R>(
         &mut self,
         ntk: &mut N,
@@ -105,7 +108,8 @@ impl Replacer {
         let mut refs = RefCountView::new(ntk);
         let freed = refs.deref_recursive(ntk, node) as i64;
 
-        // build the candidate structure
+        // build the candidate structure on trial: every reject path below
+        // rolls the node table back to this mark
         let size_before = ntk.size();
         self.leaf_signals.clear();
         self.leaf_signals
@@ -115,6 +119,7 @@ impl Replacer {
             Some(c) => c,
             None => {
                 refs.ref_recursive(ntk, node);
+                ntk.rollback_to(size_before);
                 return ReplaceOutcome::Rejected;
             }
         };
@@ -123,21 +128,14 @@ impl Replacer {
         if candidate.node() == node || self.candidate_contains(ntk, candidate.node(), node, leaves)
         {
             refs.ref_recursive(ntk, node);
-            discard_candidate(ntk, candidate);
-            sweep_new_dangling(ntk, size_before);
+            ntk.rollback_to(size_before);
             return ReplaceOutcome::Rejected;
         }
 
         // treat freshly created nodes as unreferenced for gain measurement
+        // (only other trial nodes read them: nothing below the mark can)
         for id in size_before..ntk.size() {
-            let id = id as NodeId;
-            let mut external = 0i64;
-            ntk.foreach_fanout(id, |p| {
-                if (p as usize) < size_before {
-                    external += 1;
-                }
-            });
-            refs.set_count(ntk, id, external);
+            refs.set_count(ntk, id as NodeId, 0);
         }
         let added = if (candidate.node() as usize) < size_before {
             // pure reuse of existing logic
@@ -151,15 +149,13 @@ impl Replacer {
         } else {
             added < freed
         };
-        let outcome = if accept {
-            ntk.substitute_node(node, candidate);
-            ReplaceOutcome::Substituted(freed - added)
-        } else {
-            discard_candidate(ntk, candidate);
-            ReplaceOutcome::Rejected
-        };
+        if !accept {
+            ntk.rollback_to(size_before);
+            return ReplaceOutcome::Rejected;
+        }
+        ntk.substitute_node(node, candidate);
         sweep_new_dangling(ntk, size_before);
-        outcome
+        ReplaceOutcome::Substituted(freed - added)
     }
 
     /// Commits a *proven-equivalent* merge: substitutes every use of
@@ -342,23 +338,16 @@ where
     Replacer::new().try_replace_on_cut(ntk, node, leaves, None, resynthesis, allow_zero_gain)
 }
 
-/// Removes nodes created during a replacement attempt that ended up without
-/// any fanout (e.g. intermediate gates orphaned by constructor
-/// simplification rules).
+/// Removes nodes created during a committed replacement that ended up
+/// without any fanout (e.g. intermediate gates orphaned by constructor
+/// simplification rules, or merged away by the substitution's structural
+/// hashing).  Rejected candidates are rolled back instead.
 pub(crate) fn sweep_new_dangling<N: Network>(ntk: &mut N, size_before: usize) {
     for id in size_before..ntk.size() {
         let id = id as NodeId;
         if ntk.is_gate(id) && ntk.fanout_size(id) == 0 {
             ntk.take_out_node(id);
         }
-    }
-}
-
-/// Removes a rejected candidate structure (only nodes without fanout are
-/// taken out, so shared logic is untouched).
-fn discard_candidate<N: Network>(ntk: &mut N, candidate: Signal) {
-    if ntk.is_gate(candidate.node()) && ntk.fanout_size(candidate.node()) == 0 {
-        ntk.take_out_node(candidate.node());
     }
 }
 
@@ -471,6 +460,124 @@ mod tests {
         );
         assert_eq!(outcome, ReplaceOutcome::Rejected);
         assert_eq!(aig.num_gates(), before);
+    }
+
+    /// An engine that builds two gates over the cut and then gives up,
+    /// recording the ids it built.
+    #[derive(Default)]
+    struct GivesUp {
+        built: Vec<NodeId>,
+    }
+
+    impl Resynthesis<Aig> for GivesUp {
+        fn resynthesize(
+            &mut self,
+            ntk: &mut Aig,
+            _function: &TruthTable,
+            leaves: &[Signal],
+        ) -> Option<Signal> {
+            let first = ntk.create_and(leaves[0], !leaves[1]);
+            let second = ntk.create_and(first, !leaves[2]);
+            self.built = vec![first.node(), second.node()];
+            None
+        }
+    }
+
+    /// An engine that gives up after building part of a candidate leaves
+    /// nothing behind: the node table, the live-gate count and the strash
+    /// lookups of both gates it built read as before the attempt.
+    #[test]
+    fn a_giving_up_engine_leaves_no_nodes_behind() {
+        use glsx_network::views::check_network_integrity;
+        use glsx_network::GateKind;
+        let mut aig = Aig::new();
+        let a = aig.create_pi();
+        let b = aig.create_pi();
+        let c = aig.create_pi();
+        let ab = aig.create_and(a, b);
+        let ac = aig.create_and(a, c);
+        let f = aig.create_and(ab, ac);
+        aig.create_po(f);
+        // the engine's first gate takes the next id
+        let first = Signal::new(aig.size() as NodeId, false);
+        let keys = [[a, !b], [first, !c]];
+        let lookups = |aig: &Aig| keys.map(|k| aig.find_structural(GateKind::And, &k));
+        let before = (aig.size(), aig.num_gates(), lookups(&aig));
+        let mut engine = GivesUp::default();
+        let outcome = try_replace_on_cut(
+            &mut aig,
+            f.node(),
+            &[a.node(), b.node(), c.node()],
+            &mut engine,
+            false,
+        );
+        assert_eq!(outcome, ReplaceOutcome::Rejected);
+        assert_eq!(
+            engine.built,
+            [first.node(), first.node() + 1],
+            "two gates were built"
+        );
+        assert_eq!((aig.size(), aig.num_gates(), lookups(&aig)), before);
+        check_network_integrity(&aig).unwrap();
+    }
+
+    /// Runs `pass` until it commits nothing and checks that the run which
+    /// commits nothing, after visiting every gate and rejecting every
+    /// candidate, leaves the node table at the size it found it.
+    fn assert_idle_pass_keeps_size<N: Network>(
+        ntk: &mut N,
+        pass: fn(&mut N) -> (usize, usize),
+        case: &str,
+    ) {
+        for _ in 0..20 {
+            let size = ntk.size();
+            let (visited, substitutions) = pass(ntk);
+            if substitutions == 0 {
+                assert!(visited > 0, "{case}: nothing visited");
+                assert_eq!(
+                    ntk.size(),
+                    size,
+                    "{case}: a pass that committed nothing grew"
+                );
+                return;
+            }
+        }
+        panic!("{case}: the pass did not converge");
+    }
+
+    /// `rw` and `rf` passes that commit nothing leave `size()` unchanged on
+    /// AIGs, XAGs and MIGs: every candidate they price is rolled back.
+    #[test]
+    fn passes_that_commit_nothing_keep_the_node_table_size() {
+        use crate::refactoring::{refactor, RefactorParams};
+        use crate::rewriting::{rewrite, RewriteParams};
+        use glsx_network::{Mig, Xag};
+        fn rw<N: Network + GateBuilder>(ntk: &mut N) -> (usize, usize) {
+            let stats = rewrite(ntk, &RewriteParams::default());
+            (stats.visited, stats.substitutions)
+        }
+        fn rf<N: Network + GateBuilder>(ntk: &mut N) -> (usize, usize) {
+            let stats = refactor(ntk, &RefactorParams::default());
+            (stats.visited, stats.substitutions)
+        }
+        fn check<N: Network + GateBuilder>(mut ntk: N, case: &str) {
+            assert_idle_pass_keeps_size(&mut ntk, rw, &format!("{case} rw"));
+            assert_idle_pass_keeps_size(&mut ntk, rf, &format!("{case} rf"));
+        }
+        for seed in 0..3u64 {
+            let and = |n: &mut Aig, [a, b, _]: [Signal; 3], _| n.create_and(a, b);
+            check(random_network(seed, and), &format!("aig seed {seed}"));
+            let and_xor = |n: &mut Xag, [a, b, _]: [Signal; 3], xor: bool| {
+                if xor {
+                    n.create_xor(a, b)
+                } else {
+                    n.create_and(a, b)
+                }
+            };
+            check(random_network(seed, and_xor), &format!("xag seed {seed}"));
+            let maj = |n: &mut Mig, [a, b, c]: [Signal; 3], _| n.create_maj(a, b, c);
+            check(random_network(seed, maj), &format!("mig seed {seed}"));
+        }
     }
 
     /// A random network over six inputs: 40 gates, each built by `gate`

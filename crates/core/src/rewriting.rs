@@ -215,10 +215,10 @@ where
                 ReplaceOutcome::Substituted(gain) => {
                     stats.substitutions += 1;
                     stats.estimated_gain += gain;
-                    // the log also carries rejected-candidate cleanup
-                    // events from earlier attempts (and possibly an
-                    // enclosing consumer's pre-pass events); refreshing
-                    // from extras is harmless over-invalidation
+                    // rejected candidates were rolled back without
+                    // events; the log may still carry an enclosing
+                    // consumer's pre-pass events, and refreshing from
+                    // extras is harmless over-invalidation
                     ntk.drain_changes(log);
                     refresh(cut_manager, ntk, log);
                     for event in log.events() {

@@ -845,12 +845,18 @@ fn prove_round<N: Network>(
 /// discovered so far).
 ///
 /// Node functions never change inside a flow — every pass substitutes
-/// nodes by *proven or constructed equivalents* and node ids are never
-/// reused — so recycled pattern words still distinguish exactly the nodes
-/// they distinguished before: later sweeps start from already-refined
-/// classes instead of re-earning each counterexample with SAT conflicts.
-/// The engine must not be shared between *different* networks (it is keyed
-/// to one node-id space); [`SweepEngine::reset`] clears it.
+/// nodes by *proven or constructed equivalents* — so recycled pattern
+/// words still distinguish exactly the nodes they distinguished before:
+/// later sweeps start from already-refined classes instead of re-earning
+/// each counterexample with SAT conflicts.  The engine keeps only
+/// primary-input patterns, no per-node state, so it does not depend on
+/// node ids: the ids of nodes that were ever reachable are never reused,
+/// and the ids of a rolled-back trial ([`Network::rollback_to`]) are
+/// given out again.  The engine must not be shared between *different*
+/// networks; [`SweepEngine::reset`] clears it, and a sweep resets it
+/// itself when the interface changed or `size()` dropped below what the
+/// last sweep left — which a rollback cannot cause, since it never pops
+/// below the size at which its trial began.
 #[derive(Debug, Default)]
 pub struct SweepEngine {
     /// Primary-input pattern words accumulated so far
@@ -985,13 +991,14 @@ fn sweep_pass<N: Network>(
         ntk.enable_choices();
     }
 
-    // Recycled state is only valid for the node-id space it was recorded
-    // on.  A changed interface or a *shrunk* node table cannot be the
-    // same flow's network (ids are append-only within a flow), so the
-    // engine resets.  The check is best-effort: an unrelated network
-    // with the same interface and a larger node table is
-    // indistinguishable here — sharing an engine across different
-    // networks is the caller's contract to uphold (see [`SweepEngine`]).
+    // Recycled state is only valid for the network it was recorded on.  A
+    // changed interface or a node table *shrunk* below the last sweep
+    // cannot be the same flow's network (a rollback only pops the trial
+    // nodes built after its mark), so the engine resets.  The check is
+    // best-effort: an unrelated network with the same interface and a
+    // larger node table is indistinguishable here — sharing an engine
+    // across different networks is the caller's contract to uphold (see
+    // [`SweepEngine`]).
     if engine_state.num_pis != ntk.num_pis()
         || engine_state.num_pos != ntk.num_pos()
         || engine_state.last_size > ntk.size()

@@ -117,8 +117,12 @@ where
 /// pattern words (initial random patterns plus every counterexample
 /// already paid for), so repeated sweeps start from refined classes
 /// instead of restarting.  Sound within one flow because every pass
-/// preserves each node's function over the primary inputs and node ids
-/// are never reused; pass a fresh engine per network.
+/// preserves each node's function over the primary inputs and the engine
+/// keeps only input patterns: the ids of nodes that were ever reachable
+/// are never reused, and a rolled-back trial's ids are given out again
+/// without changing any reachable node.  Pass a fresh engine per network;
+/// it resets itself only when `size()` drops below its last sweep, which
+/// a rollback cannot cause.
 ///
 /// The budget is threaded into the pass, so an exhausted step stops
 /// cleanly between candidates with every committed substitution intact

@@ -169,6 +169,10 @@ macro_rules! impl_network_common {
                 self.storage.take_out(node);
             }
 
+            fn rollback_to(&mut self, mark: usize) {
+                self.storage.rollback_to(mark);
+            }
+
             fn snapshot(&self) -> crate::NetworkSnapshot {
                 self.storage.snapshot()
             }

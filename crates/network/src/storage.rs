@@ -578,6 +578,66 @@ impl Storage {
         id
     }
 
+    /// Pops every node with id ≥ `mark` in reverse creation order: the
+    /// trial-construction undo of [`Storage::create_gate`].  Each pop
+    /// removes the node's strash entry, pops it once off each fanin's
+    /// fanout list (the last entry there, since later nodes were popped
+    /// first) and decrements the fanins' cached counts; no change event is
+    /// recorded.  The live ids below `mark` keep their records, their
+    /// fanout lists in order and their relative order, and the popped ids
+    /// are given out again by the next creation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies beyond the node table, or if a popped node is
+    /// not a live gate, has a fanout (one from below `mark`: the later
+    /// nodes are gone by then), drives an output or sits in a choice ring —
+    /// rolling such a node back would leave a dangling id behind.
+    pub fn rollback_to(&mut self, mark: usize) {
+        assert!(
+            mark <= self.nodes.len(),
+            "rollback mark {mark} lies beyond the node table ({} ids)",
+            self.nodes.len()
+        );
+        if mark < self.nodes.len() {
+            self.ensure_derived();
+        }
+        while self.nodes.len() > mark {
+            let id = (self.nodes.len() - 1) as NodeId;
+            let node = &self.nodes[id as usize];
+            assert!(
+                !node.dead && node.kind.is_gate(),
+                "rollback over node {id}, which is not a live gate"
+            );
+            assert_eq!(
+                node.po_refs, 0,
+                "rollback over node {id}, which drives an output"
+            );
+            assert!(
+                self.fanout_lists[id as usize].is_empty(),
+                "rollback over node {id}, which has a fanout from below the mark"
+            );
+            assert!(
+                !self.is_choice_protected(id),
+                "rollback over node {id}, which sits in a choice ring"
+            );
+            let node = self.nodes.pop().expect("the table holds the node");
+            if node.kind != GateKind::Lut {
+                let key = StrashKey::new(node.kind, node.fanins.as_slice());
+                if self.strash.get(&key) == Some(&id) {
+                    self.strash.remove(&key);
+                }
+            }
+            for f in node.fanins.iter().rev() {
+                let popped = self.fanout_lists[f.node() as usize].pop();
+                assert_eq!(popped, Some(id), "fanout list of {} out of order", f.node());
+                self.nodes[f.node() as usize].fanout_count -= 1;
+            }
+            self.fanout_lists.pop();
+            self.scratch.pop();
+        }
+    }
+
     /// Finds an existing gate with the given kind/fanins or creates one.
     pub fn find_or_create_gate(&mut self, kind: GateKind, fanins: &[Signal]) -> NodeId {
         self.ensure_derived();
@@ -1240,8 +1300,17 @@ mod tests {
             .collect();
         strash.sort();
         format!(
-            "nodes={:?} pis={:?} pos={:?} strash={:?} dead={} choices={:?} changes={:?} track={}",
-            s.nodes, s.pis, s.pos, strash, s.num_dead_gates, s.choices, s.changes, s.track_changes
+            "nodes={:?} fanouts={:?} pis={:?} pos={:?} strash={:?} dead={} choices={:?} \
+             changes={:?} track={}",
+            s.nodes,
+            s.fanout_lists,
+            s.pis,
+            s.pos,
+            strash,
+            s.num_dead_gates,
+            s.choices,
+            s.changes,
+            s.track_changes
         )
     }
 
@@ -1294,6 +1363,179 @@ mod tests {
         // the enclosing consumer's undrained events are reinstated exactly
         assert_eq!(s.changes.len(), pending);
         assert_eq!(s.changes.events(), log.events());
+    }
+
+    /// Builds a trial on `ntk` with `build`, rolls it back and checks that
+    /// the storage reads exactly as at the mark: node records and cached
+    /// fanout counts, fanout lists in order, strash entries, the dead
+    /// counter and the (tracked, still empty) change log, with a passing
+    /// integrity check.  Returns the number of nodes the trial built.
+    fn assert_rollback_restores<N: crate::Network>(
+        ntk: &mut N,
+        storage: fn(&N) -> &Storage,
+        build: impl FnOnce(&mut N),
+    ) -> usize {
+        ntk.set_change_tracking(true);
+        let before = fingerprint(storage(ntk));
+        let (mark, gates) = (ntk.size(), ntk.num_gates());
+        build(ntk);
+        let built = ntk.size() - mark;
+        ntk.rollback_to(mark);
+        assert_eq!((ntk.size(), ntk.num_gates()), (mark, gates));
+        assert_eq!(fingerprint(storage(ntk)), before);
+        assert!(storage(ntk).changes.is_empty(), "rollback recorded events");
+        assert_eq!(storage(ntk).scratch.len(), mark);
+        crate::views::check_network_integrity(ntk).unwrap();
+        built
+    }
+
+    /// Rolling back an XAG trial (an XOR, an AND over it and an existing
+    /// gate, and a strash hit) restores the pre-trial state, also with a
+    /// dead gate below the mark; the popped ids are given out again.
+    #[test]
+    fn rollback_restores_an_xag() {
+        use crate::{GateBuilder, Network, Xag};
+        let mut xag = Xag::new();
+        let a = xag.create_pi();
+        let b = xag.create_pi();
+        let c = xag.create_pi();
+        let ab = xag.create_and(a, b);
+        let dead = xag.create_xor(b, c);
+        let top = xag.create_and(ab, !c);
+        xag.create_po(top);
+        xag.create_po(ab);
+        xag.take_out_node(dead.node());
+        assert_eq!(xag.storage.num_dead_gates, 1);
+        let mark = xag.size();
+        let built = assert_rollback_restores(
+            &mut xag,
+            |x| &x.storage,
+            |x| {
+                let xor = x.create_xor(a, c);
+                let and = x.create_and(xor, ab);
+                x.create_xor(and, c);
+                // a strash hit builds nothing
+                assert_eq!(x.create_and(b, a), ab);
+                // the dead gate's key is built again, above the mark
+                x.create_xor(c, b);
+            },
+        );
+        assert_eq!(built, 4);
+        assert_eq!(xag.find_structural(GateKind::Xor, &[a, c]), None);
+        assert_eq!(xag.find_structural(GateKind::And, &[a, b]), Some(ab.node()));
+        let again = xag.create_xor(a, c);
+        assert_eq!(
+            again.node() as usize,
+            mark,
+            "the first popped id is given out again"
+        );
+        crate::views::check_network_integrity(&xag).unwrap();
+    }
+
+    /// Rolling back MIG ANDs and ORs, which read the constant node, pops
+    /// the constant's fanout list back to its pre-trial order.
+    #[test]
+    fn rollback_restores_a_mig_over_the_constant() {
+        use crate::{GateBuilder, Mig, Network};
+        let mut mig = Mig::new();
+        let a = mig.create_pi();
+        let b = mig.create_pi();
+        let c = mig.create_pi();
+        let ab = mig.create_and(a, b);
+        let bc = mig.create_or(b, c);
+        let top = mig.create_maj(ab, bc, !a);
+        mig.create_po(top);
+        let constant_fanouts = mig.storage.node_fanouts(0).to_vec();
+        let built = assert_rollback_restores(
+            &mut mig,
+            |m| &m.storage,
+            |m| {
+                let and = m.create_and(a, c);
+                let or = m.create_or(and, ab);
+                m.create_maj(or, bc, !and);
+            },
+        );
+        assert_eq!(built, 3);
+        assert_eq!(mig.storage.node_fanouts(0), constant_fanouts);
+        assert_eq!(
+            mig.find_structural(GateKind::Maj, &[mig.get_constant(false), a, c]),
+            None
+        );
+    }
+
+    /// LUT nodes are not hashed: rolling a k-LUT trial back only pops the
+    /// fanout lists and the records.
+    #[test]
+    fn rollback_restores_a_klut() {
+        use crate::{Klut, Network};
+        let mut klut = Klut::new();
+        let a = klut.create_pi();
+        let b = klut.create_pi();
+        let c = klut.create_pi();
+        let xor = TruthTable::from_hex(2, "6").unwrap();
+        let g = klut.create_lut(&[a, b], xor.clone());
+        klut.create_po(g);
+        let built = assert_rollback_restores(
+            &mut klut,
+            |k| &k.storage,
+            |k| {
+                let h = k.create_lut(&[g, c], xor.clone());
+                k.create_lut(&[h, a, h], TruthTable::from_hex(3, "e8").unwrap());
+            },
+        );
+        assert_eq!(built, 2);
+    }
+
+    /// Rolling back to the current size is a no-op.
+    #[test]
+    fn rollback_to_the_current_size_changes_nothing() {
+        let (mut s, ..) = build_sample();
+        let before = fingerprint(&s);
+        s.rollback_to(s.nodes.len());
+        assert_eq!(fingerprint(&s), before);
+    }
+
+    /// A node above the mark that a node below it reads cannot be rolled
+    /// back: the reader would keep a dangling id.
+    #[test]
+    #[should_panic(expected = "has a fanout from below the mark")]
+    fn rollback_over_a_node_read_from_below_the_mark_panics() {
+        let mut s = Storage::new();
+        let a = s.create_pi();
+        let b = s.create_pi();
+        let c = s.create_pi();
+        let g1 = s.find_or_create_gate(GateKind::And, &[a, b]);
+        let g2 = s.find_or_create_gate(GateKind::And, &[sig(g1), c]);
+        s.create_po(sig(g2));
+        let mark = s.nodes.len();
+        let h = s.find_or_create_gate(GateKind::And, &[a, !b]);
+        // g2 (below the mark) now reads h, which drives no output
+        s.substitute(g1, sig(h));
+        s.rollback_to(mark);
+    }
+
+    /// A node above the mark that drives an output cannot be rolled back.
+    #[test]
+    #[should_panic(expected = "drives an output")]
+    fn rollback_over_an_output_driver_panics() {
+        let (mut s, a, b, ..) = build_sample();
+        let mark = s.nodes.len();
+        let h = s.find_or_create_gate(GateKind::And, &[a, !b]);
+        s.create_po(sig(h));
+        s.rollback_to(mark);
+    }
+
+    /// A node above the mark in a choice ring cannot be rolled back.
+    #[test]
+    #[should_panic(expected = "sits in a choice ring")]
+    fn rollback_over_a_choice_member_panics() {
+        let (mut s, a, b, c, g1, _g2) = build_sample();
+        let mark = s.nodes.len();
+        let h1 = s.find_or_create_gate(GateKind::And, &[a, c]);
+        let h = s.find_or_create_gate(GateKind::And, &[sig(h1), b]);
+        s.enable_choices();
+        assert!(s.register_choice(h, sig(g1)));
+        s.rollback_to(mark);
     }
 
     #[test]

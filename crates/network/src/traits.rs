@@ -223,6 +223,20 @@ pub trait Network: Sized + Send + Sync {
     /// removed.
     fn take_out_node(&mut self, node: NodeId);
 
+    /// Trial construction: removes every node created since [`Network::size`]
+    /// read `mark`, newest first, and gives their ids out again.  Structural
+    /// hashing, fanout lists and fanout counts return to their state at the
+    /// mark, and no change event is recorded.  A pass prices a candidate by
+    /// building it and rolls it back when it does not pay, so rejected
+    /// candidates leave no dead ids behind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node above the mark is not a live gate, is read by a
+    /// node below the mark, drives an output or sits in a choice ring
+    /// (only freshly built, unreferenced structure can be rolled back).
+    fn rollback_to(&mut self, mark: usize);
+
     // -- checkpoint / rollback (see [`crate::NetworkSnapshot`]) ------------
 
     /// Captures the complete logical state of the network — node records,

@@ -60,16 +60,28 @@ pub fn sop_resynthesize<N: GateBuilder>(
     let pos_cost = positive.num_literals() + positive.num_cubes();
     let neg_cost = negative.num_literals() + negative.num_cubes();
     if pos_cost <= neg_cost {
-        factor_cubes(ntk, positive.cubes(), leaves)
+        factor_cubes(ntk, positive.cubes(), leaves, most_frequent_literal)
     } else {
-        !factor_cubes(ntk, negative.cubes(), leaves)
+        !factor_cubes(ntk, negative.cubes(), leaves, most_frequent_literal)
     }
 }
 
+/// A divisor picker: the literal `(var, polarity, count)` to divide a
+/// cover over `num_vars` variables by, or `None` when no literal repeats.
+type LiteralPicker = fn(&[Cube], usize) -> Option<(usize, bool, usize)>;
+
 /// Builds a factored form of a cube cover (algebraic "quick factoring"):
-/// the most frequent literal is divided out recursively; covers without a
-/// repeated literal become a disjunction of cube conjunctions.
-fn factor_cubes<N: GateBuilder>(ntk: &mut N, cubes: &[Cube], leaves: &[Signal]) -> Signal {
+/// the literal `pick` returns is divided out recursively; covers without a
+/// repeated literal become a disjunction of cube conjunctions.  Synthesis
+/// picks with [`most_frequent_literal`]; the tests substitute the
+/// per-literal scan it replaced to check that both build the identical
+/// structure.
+fn factor_cubes<N: GateBuilder>(
+    ntk: &mut N,
+    cubes: &[Cube],
+    leaves: &[Signal],
+    pick: LiteralPicker,
+) -> Signal {
     if cubes.is_empty() {
         return ntk.get_constant(false);
     }
@@ -80,20 +92,7 @@ fn factor_cubes<N: GateBuilder>(ntk: &mut N, cubes: &[Cube], leaves: &[Signal]) 
     if cubes.len() == 1 {
         return build_cube(ntk, &cubes[0], leaves);
     }
-    // find the literal occurring in the largest number of cubes
-    let mut best: Option<(usize, bool, usize)> = None; // (var, polarity, count)
-    for var in 0..leaves.len() {
-        for polarity in [false, true] {
-            let count = cubes
-                .iter()
-                .filter(|c| c.has_literal(var) && c.polarity(var) == polarity)
-                .count();
-            if count > 1 && best.is_none_or(|(_, _, c)| count > c) {
-                best = Some((var, polarity, count));
-            }
-        }
-    }
-    match best {
+    match pick(cubes, leaves.len()) {
         None => {
             // no sharing opportunity: OR together the individual cubes
             let terms: Vec<Signal> = cubes.iter().map(|c| build_cube(ntk, c, leaves)).collect();
@@ -111,16 +110,63 @@ fn factor_cubes<N: GateBuilder>(ntk: &mut N, cubes: &[Cube], leaves: &[Signal]) 
                 .filter(|c| !(c.has_literal(var) && c.polarity(var) == polarity))
                 .copied()
                 .collect();
-            let q = factor_cubes(ntk, &quotient, leaves);
+            let q = factor_cubes(ntk, &quotient, leaves, pick);
             let divided = ntk.create_and(literal, q);
             if remainder.is_empty() {
                 divided
             } else {
-                let r = factor_cubes(ntk, &remainder, leaves);
+                let r = factor_cubes(ntk, &remainder, leaves, pick);
                 ntk.create_or(divided, r)
             }
         }
     }
+}
+
+/// The literal occurring in the largest number of cubes (at least two),
+/// as `(var, polarity, count)`.  One pass over the cubes' `mask`/`bits`
+/// counts every literal; the pick then walks the variables in order,
+/// negative literal before positive, and keeps the first strict maximum.
+fn most_frequent_literal(cubes: &[Cube], num_vars: usize) -> Option<(usize, bool, usize)> {
+    // counts[var][polarity]; a cube holds at most 32 variables
+    let mut counts = [[0u32; 2]; 32];
+    for cube in cubes {
+        let positive = cube.bits();
+        for (polarity, mut lits) in [(0, cube.mask() & !positive), (1, positive)] {
+            while lits != 0 {
+                counts[lits.trailing_zeros() as usize][polarity] += 1;
+                lits &= lits - 1;
+            }
+        }
+    }
+    let mut best: Option<(usize, bool, usize)> = None;
+    for (var, var_counts) in counts.iter().enumerate().take(num_vars) {
+        for polarity in [false, true] {
+            let count = var_counts[usize::from(polarity)] as usize;
+            if count > 1 && best.is_none_or(|(_, _, c)| count > c) {
+                best = Some((var, polarity, count));
+            }
+        }
+    }
+    best
+}
+
+/// The per-literal scan [`most_frequent_literal`] replaced, kept as its
+/// test oracle: one pass over the cubes per (variable, polarity) pair.
+#[cfg(test)]
+fn most_frequent_literal_scan(cubes: &[Cube], num_vars: usize) -> Option<(usize, bool, usize)> {
+    let mut best: Option<(usize, bool, usize)> = None;
+    for var in 0..num_vars {
+        for polarity in [false, true] {
+            let count = cubes
+                .iter()
+                .filter(|c| c.has_literal(var) && c.polarity(var) == polarity)
+                .count();
+            if count > 1 && best.is_none_or(|(_, _, c)| count > c) {
+                best = Some((var, polarity, count));
+            }
+        }
+    }
+    best
 }
 
 /// Builds the conjunction of the literals of a single cube.
@@ -179,6 +225,94 @@ mod tests {
             let tt = TruthTable::from_bits(4, state);
             check_all_representations(&tt);
         }
+    }
+
+    /// Seeded covers over 4–16 variables: random cubes of every density,
+    /// plus the irredundant covers of random functions of up to 8 inputs.
+    fn seeded_covers() -> Vec<(usize, Vec<Cube>)> {
+        let mut state = 0x5eed_c0de_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 32) as u32
+        };
+        let mut covers = Vec::new();
+        for num_vars in 4..=16 {
+            let vars = (1u32 << num_vars) - 1;
+            for round in 0..12 {
+                let num_cubes = 2 + next() as usize % (3 * num_vars);
+                // denser masks in later rounds: more shared literals, more ties
+                let cubes = (0..num_cubes)
+                    .map(|_| {
+                        let mut mask = next() & vars;
+                        for _ in 0..round % 3 {
+                            mask |= next() & vars;
+                        }
+                        Cube::new(next(), mask.max(1))
+                    })
+                    .collect();
+                covers.push((num_vars, cubes));
+            }
+            if num_vars <= 8 {
+                let words = 1usize << num_vars.saturating_sub(6);
+                for _ in 0..6 {
+                    let bits: Vec<u64> = (0..words)
+                        .map(|_| (u64::from(next()) << 32) | u64::from(next()))
+                        .collect();
+                    let function = TruthTable::from_words(num_vars, bits);
+                    covers.push((num_vars, isop(&function).cubes().to_vec()));
+                }
+            }
+        }
+        covers
+    }
+
+    /// Every gate's fanins, in id order, plus the root.
+    fn structure(aig: &Aig, root: Signal) -> (Vec<Vec<Signal>>, Signal) {
+        let fanins = (0..aig.size() as u32).map(|id| aig.fanins(id)).collect();
+        (fanins, root)
+    }
+
+    /// The one-pass literal count picks the per-literal scan's literal on
+    /// every seeded cover, and factoring with either builds the identical
+    /// structure (the picks of every sub-cover agree too).
+    #[test]
+    fn one_pass_literal_count_matches_the_scan() {
+        let mut ties = 0;
+        for (num_vars, cubes) in seeded_covers() {
+            let pick = most_frequent_literal(&cubes, num_vars);
+            assert_eq!(
+                pick,
+                most_frequent_literal_scan(&cubes, num_vars),
+                "{cubes:?}"
+            );
+            if let Some((_, _, count)) = pick {
+                let occurrences = |var: usize, polarity: bool| {
+                    cubes
+                        .iter()
+                        .filter(|c| c.has_literal(var) && c.polarity(var) == polarity)
+                        .count()
+                };
+                let tied = (0..num_vars)
+                    .flat_map(|var| [false, true].map(|polarity| occurrences(var, polarity)))
+                    .filter(|&n| n == count)
+                    .count();
+                ties += usize::from(tied > 1);
+            }
+            let build = |pick: LiteralPicker| {
+                let mut aig = Aig::new();
+                let leaves: Vec<Signal> = (0..num_vars).map(|_| aig.create_pi()).collect();
+                let root = factor_cubes(&mut aig, &cubes, &leaves, pick);
+                structure(&aig, root)
+            };
+            assert_eq!(
+                build(most_frequent_literal),
+                build(most_frequent_literal_scan),
+                "{num_vars} variables: {cubes:?}"
+            );
+        }
+        assert!(ties > 0, "no cover had a tied most frequent literal");
     }
 
     #[test]

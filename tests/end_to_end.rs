@@ -6,12 +6,12 @@ use glsx::algorithms::lut_mapping::{lut_map, LutMapParams};
 use glsx::algorithms::sweeping::check_equivalence;
 use glsx::benchmarks::{epfl_like_suite, inject_redundancy, SuiteScale};
 use glsx::flow::{
-    compress2rs, run_script, run_script_and_map, run_script_guarded, run_step, FlowOptions,
-    FlowScript, GuardOptions,
+    compress2rs, compress2rs_script, run_script, run_script_and_map, run_script_guarded, run_step,
+    FlowOptions, FlowScript, GuardOptions,
 };
 use glsx::io::{read_aiger, read_gbc, write_aiger, write_blif, write_gbc};
 use glsx::network::simulation::{equivalent_by_random_simulation, equivalent_by_simulation};
-use glsx::network::{convert_network, Aig, Mig, Xag};
+use glsx::network::{convert_network, Aig, Mig, Network, Xag};
 
 /// The full generic flow preserves functionality on every benchmark of the
 /// tiny suite, in every representation, and never increases the size.
@@ -146,6 +146,28 @@ fn every_flow_step_is_miter_verified() {
         }
     }
     assert!(fraig_merges >= 1, "fraig merged no injected duplicates");
+}
+
+/// Rejected rewrite, refactor and balance candidates are rolled back, so
+/// the node table stays dense through a whole `compress2rs` on the deep
+/// `mac_datapath(16,2)`: before any cleanup, after every step, it holds
+/// fewer than three ids per live node (it held over a hundred when each
+/// rejected candidate left its ids behind as dead nodes).
+#[test]
+fn compress2rs_keeps_the_node_table_dense() {
+    let mut aig: Aig = glsx::benchmarks::arithmetic::mac_datapath(16, 2);
+    let reference = aig.clone();
+    let options = FlowOptions::default();
+    for step in compress2rs_script().steps() {
+        run_step(&mut aig, step, &options);
+        let live = 1 + aig.num_pis() + aig.num_gates();
+        assert!(
+            aig.size() < 3 * live,
+            "after `{step:?}`: {} ids for {live} live nodes",
+            aig.size()
+        );
+    }
+    assert!(equivalent_by_random_simulation(&reference, &aig, 16, 0xD5E));
 }
 
 /// The full generic flow output is miter-proven equivalent to its input in
